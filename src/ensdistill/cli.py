@@ -65,12 +65,6 @@ def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillCo
     return cfg
 
 
-def _load_split(data_dir: Path):
-    train = data_mod.load_dataset_csv(data_dir / "train.csv")
-    test = data_mod.load_dataset_csv(data_dir / "test.csv")
-    return train, test
-
-
 def _load_logits(data_dir: Path, part: str) -> np.ndarray:
     return data_mod.load_logits_csv(data_dir / f"{part}_logits.csv")
 
@@ -98,7 +92,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_teacher(args) -> int:
     data_dir = Path(args.data)
-    train, test = _load_split(data_dir)
+    train = data_mod.load_dataset_csv(data_dir / "train.csv")
+    test = data_mod.load_dataset_csv(data_dir / "test.csv")
     hidden = [int(w) for w in args.spec.split(",") if w]
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     spec = data_mod.mlp_spec(train.d, hidden, n_classes)
@@ -121,7 +116,7 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     data_dir = Path(args.data)
-    train, _ = _load_split(data_dir)
+    train = data_mod.load_dataset_csv(data_dir / "train.csv")
     g = _load_logits(data_dir, "train")
     doc = {}
     if args.config:
@@ -142,7 +137,7 @@ def cmd_distill(args) -> int:
 def cmd_eval(args) -> int:
     ens = distill_mod.load_ensemble(args.ensemble)
     data_dir = Path(args.data)
-    train, test = _load_split(data_dir)
+    test = data_mod.load_dataset_csv(data_dir / "test.csv")
     teacher = params_from_dict(json.loads(Path(args.teacher).read_text(encoding="utf-8")))
     teacher_cost = flops(teacher)
     if args.mode == "anytime":
@@ -151,6 +146,7 @@ def cmd_eval(args) -> int:
         print(f"anytime curve: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")
     elif args.mode == "resched":
+        train = data_mod.load_dataset_csv(data_dir / "train.csv")
         g = _load_logits(data_dir, "train")
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
@@ -188,6 +184,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.status == "pass" else EXIT_CLAIM
 
 
+def _flag(convert, accept, expected: str):
+    """argparse type: a converted value that `accept` refuses is a usage error."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names it in "invalid int value"
+    return parse
+
+
+POSITIVE_INT = _flag(int, lambda v: v >= 1, "an integer >= 1")
+POSITIVE_FLOAT = _flag(float, lambda v: v > 0.0, "a number > 0")
+UNIT_INTERVAL = _flag(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ensdistill",
                                      description="Distill a teacher network onto an "
@@ -196,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset with an 80/20 split")
     p.add_argument("--dataset", required=True, choices=("ellipsoid", "cube"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=32)
+    p.add_argument("--n", type=POSITIVE_INT, required=True)
+    p.add_argument("--d", type=POSITIVE_INT, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -210,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--epochs", type=POSITIVE_INT, default=200)
+    p.add_argument("--batch-size", type=POSITIVE_INT, default=128)
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="run the boosting loop against cached teacher logits")
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--mode", required=True, choices=("anytime", "early-exit", "resched"))
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=UNIT_INTERVAL, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--ensemble", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--g-inf", type=float, required=True, dest="g_inf")
+    p.add_argument("--g-inf", type=POSITIVE_FLOAT, required=True, dest="g_inf")
     p.add_argument("--out", default=None, help="bound report JSON path")
     p.set_defaults(func=cmd_verify)
     return parser

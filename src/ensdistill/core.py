@@ -15,20 +15,6 @@ class ShapeError(ValueError):
     """Raised when matrix operands have incompatible shapes."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
-
-    Raises ShapeError naming both shapes when a.cols != b.rows.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     """Assert that every entry of `arr` is finite; returns the array."""
     if not np.all(np.isfinite(arr)):

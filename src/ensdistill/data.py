@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import RngStream, softmax
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
-from .nets import LayerSpec, LearnerParams, forward, init_params
+from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
 
 @dataclass
@@ -56,7 +56,7 @@ def gen_ellipsoid(seed: int, n: int, d: int = 32) -> LabeledDataset:
     recorded in metadata.
     """
     if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
+        raise ConfigError("need n >= 2 and d >= 1")
     root = RngStream(seed)
     draw, _ = root.split(0).gaussian(d * d)
     b = draw.reshape(d, d)
@@ -88,9 +88,9 @@ def gen_cube(seed: int, n: int, d: int = 32, classes: int = 4,
     partitioned sequentially into equal classes; each point takes the class of
     its closest corner (Euclidean, ties to the lowest class index)."""
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+        raise ConfigError("need n >= 1 and d >= 1")
     if vertices % classes != 0:
-        raise ValueError(f"{vertices} vertices do not split into {classes} equal classes")
+        raise ConfigError(f"{vertices} vertices do not split into {classes} equal classes")
     root = RngStream(seed)
     vrng = root.split(0)
     corners, seen = [], set()
@@ -98,7 +98,7 @@ def gen_cube(seed: int, n: int, d: int = 32, classes: int = 4,
     while len(corners) < vertices:
         attempts += 1
         if attempts > 1000 * vertices:
-            raise ValueError("could not sample distinct corners; d too small?")
+            raise ConfigError("could not sample distinct corners; d too small?")
         u, vrng = vrng.uniform(d)
         corner = np.where(u > 0.5, 1.0, -1.0)
         key = tuple(corner)
@@ -117,11 +117,11 @@ def split(ds: LabeledDataset, fraction: float = 0.8,
           seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic shuffled split; every row lands in exactly one part."""
     if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+        raise ConfigError("fraction must be in (0, 1)")
     n = ds.n
     n_train = int(round(n * fraction))
     if n_train < 1 or n - n_train < 1:
-        raise ValueError(f"split of {n} rows at {fraction} leaves an empty part")
+        raise ConfigError(f"split of {n} rows at {fraction} leaves an empty part")
     perm, _ = RngStream(seed).permutation(n)
     parts = []
     for name, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):

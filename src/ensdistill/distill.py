@@ -142,8 +142,8 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
                 break                 # nothing to tap: no larger class exists
             continue
         member_index = len(ens.members)
-        for layer_index, act in enumerate(acts):
-            cache[(member_index, layer_index)] = act
+        # expand_class taps only the newest member, so older layers can go
+        cache = {(member_index, layer_index): act for layer_index, act in enumerate(acts)}
         state, record = md_update(state, resid, eta, round_index=member_index + 1)
         state.validate()
         ens.members.append(result.params)
@@ -156,19 +156,37 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     return ens, hist
 
 
-def ensemble_predict(ens: Ensemble, x: np.ndarray, k: int) -> np.ndarray:
-    """Prefix average of the first k members' logits, caches threaded in order."""
-    if not 1 <= k <= len(ens.members):
-        raise ValueError(f"prefix length {k} out of range 1..{len(ens.members)}")
+def member_logits(members: list, x: np.ndarray):
+    """Yield each member's logits on x in order.  Only the (member, layer)
+    activations some connection reads are cached; a tap of one that is not
+    cached when its reader runs raises the ConfigError that names it."""
     x = np.asarray(x, dtype=np.float64)
+    tapped = {(m.connection.source_round, m.connection.source_layer) for m in members}
     cache = {}
-    total = None
-    for member_index, params in enumerate(ens.members[:k]):
+    for member_index, params in enumerate(members):
         logits, acts = forward(params, x, cache)
         for layer_index, act in enumerate(acts):
-            cache[(member_index, layer_index)] = act
+            if (member_index, layer_index) in tapped:
+                cache[(member_index, layer_index)] = act
+        del acts  # untapped layers are not held while the caller runs
+        yield logits
+
+
+def prefix_logits(members: list, x: np.ndarray):
+    """Yield the prefix average of the first k members' logits for k = 1, 2, ..."""
+    total = None
+    for k, logits in enumerate(member_logits(members, x), start=1):
         total = logits if total is None else total + logits
-    return total / k
+        yield total / k
+
+
+def ensemble_predict(ens: Ensemble, x: np.ndarray, k: int) -> np.ndarray:
+    """Prefix average of the first k members' logits."""
+    if not 1 <= k <= len(ens.members):
+        raise ValueError(f"prefix length {k} out of range 1..{len(ens.members)}")
+    for prefix in prefix_logits(ens.members[:k], x):
+        pass
+    return prefix
 
 
 # --- files ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RngStream, softmax
-from .distill import Ensemble, ensemble_predict
+from .distill import Ensemble, ensemble_predict, member_logits, prefix_logits
 from .findwl import FindWlConfig, distill_loss, lr_at_epoch, sgd_epoch
 from .game import init_uniform, md_update, normalizer_inequality_ok
 from .nets import flops, forward, init_params
@@ -48,20 +48,6 @@ def ensemble_flops_direct(ens: Ensemble) -> int:
     return total
 
 
-def _prefix_logits(ens: Ensemble, x: np.ndarray) -> list:
-    """Logits of every prefix average, evaluating each member once."""
-    cache = {}
-    total = None
-    prefixes = []
-    for member_index, params in enumerate(ens.members):
-        logits, acts = forward(params, x, cache)
-        for layer_index, act in enumerate(acts):
-            cache[(member_index, layer_index)] = act
-        total = logits if total is None else total + logits
-        prefixes.append(total / (member_index + 1))
-    return prefixes
-
-
 def anytime_curve(ens: Ensemble, x: np.ndarray, labels: np.ndarray,
                   teacher_flops: int) -> list:
     """One point per prefix: cumulative cost as a fraction of the teacher's,
@@ -73,7 +59,7 @@ def anytime_curve(ens: Ensemble, x: np.ndarray, labels: np.ndarray,
     per_member = member_flops(ens)
     points = []
     cum = 0
-    for k, prefix in enumerate(_prefix_logits(ens, x), start=1):
+    for k, prefix in enumerate(prefix_logits(ens.members, x), start=1):
         cum += per_member[k - 1]
         points.append(CurvePoint(prefix_k=k, cum_flops_fraction=cum / teacher_flops,
                                  accuracy=accuracy(prefix, labels)))
@@ -142,7 +128,7 @@ def early_exit(ens: Ensemble, x: np.ndarray, threshold: float):
     """
     if not ens.members:
         raise ValueError("empty ensemble")
-    prefixes = _prefix_logits(ens, x)
+    prefixes = list(prefix_logits(ens.members, x))
     n = x.shape[0]
     n_members = len(prefixes)
     cum_flops = np.cumsum(member_flops(ens))
@@ -247,7 +233,6 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
         raise ValueError("empty ensemble")
     if g_inf_config <= 0:
         raise ValueError("g_inf_config must be > 0")
-    x = np.asarray(x, dtype=np.float64)
     g = np.asarray(teacher_logits, dtype=np.float64)
     n, n_labels = g.shape
     t_rounds = len(ens.members)
@@ -260,14 +245,7 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
         eta = ens.eta
         consistent = False
 
-    # recompute residuals, threading caches exactly as prediction does
-    cache = {}
-    residuals = []
-    for member_index, params in enumerate(ens.members):
-        logits, acts = forward(params, x, cache)
-        for layer_index, act in enumerate(acts):
-            cache[(member_index, layer_index)] = act
-        residuals.append(logits - g)
+    residuals = [logits - g for logits in member_logits(ens.members, x)]
     mean_resid = sum(residuals) / t_rounds
     paths_agree = bool(np.max(np.abs(
         (ensemble_predict(ens, x, t_rounds) - g) - mean_resid)) <= 1e-9)

@@ -163,8 +163,10 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
     `loss_fn(logits, row_indices) -> (loss, dloss/dlogits)` sees each
     minibatch; `velocity` carries momentum across epochs (created on first
     use).  Returns (params, velocity, rng); params are updated in place.
+    Only the activation that `params` taps is sliced per minibatch.
     """
-    cache = cache or {}
+    key = (params.connection.source_round, params.connection.source_layer)
+    tapped = {key: cache[key]} if cache and key in cache else {}
     if lr is None:
         lr = cfg.lr
     if velocity is None:
@@ -175,7 +177,7 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
     for start in range(0, x.shape[0], cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
         bx = x[idx]
-        bcache = {key: val[idx] for key, val in cache.items()}
+        bcache = {k: val[idx] for k, val in tapped.items()}
         logits, _ = forward(params, bx, bcache)
         _, dlogits = loss_fn(logits, idx)
         dW, db = backward(params, bx, dlogits, bcache)
@@ -234,7 +236,6 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     A result with params=None means every restart failed.
     """
     cfg.validate()
-    cache = cache or {}
     b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
     degenerate = np.array_equal(state.kplus, state.kminus)
     mask = iplus_mask(state)

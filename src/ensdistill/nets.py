@@ -18,7 +18,7 @@ CONNECTION_KINDS = ("none", "residual_add", "dense_concat", "delta")
 
 
 class ConfigError(ValueError):
-    """Invalid layer/connection configuration."""
+    """Invalid configuration: layers, connections, flags or data sizes."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class ConnectionSpec:
 
 NO_CONNECTION = ConnectionSpec()
 
-# cache key: (member index, layer index) -> post-activation batch matrix
+# (member index, layer index) -> post-activation batch matrix, holding only
+# what a connection taps (see distill.member_logits, distill.run, sgd_epoch)
 ActivationCache = dict
 
 

@@ -266,3 +266,36 @@ def test_verify_missing_history_is_io_error(tmp_path):
                "--ensemble", str(ens_path), "--data", str(data_dir),
                "--g-inf", "1.0"])
     assert rc == 3
+
+
+_EVAL = ["eval", "--ensemble", "e.json", "--data", "d", "--teacher", "t.json",
+         "--mode", "early-exit", "--out", "x.csv"]
+_TEACH = ["train-teacher", "--data", "d", "--spec", "4", "--out", "t.json"]
+_VERIFY = ["verify", "--history", "h.csv", "--ensemble", "e.json", "--data", "d"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gen-data", "--dataset", "ellipsoid", "--n", "0"], "--n"),
+    (["gen-data", "--dataset", "ellipsoid", "--n", "ten"], "--n"),
+    (["gen-data", "--dataset", "ellipsoid", "--n", "10", "--d", "0"], "--d"),
+    (_TEACH + ["--epochs", "0"], "--epochs"),
+    (_TEACH + ["--batch-size", "-3"], "--batch-size"),
+    (_EVAL + ["--threshold", "0"], "--threshold"),
+    (_EVAL + ["--threshold", "1.5"], "--threshold"),
+    (_EVAL + ["--threshold", "nan"], "--threshold"),
+    (_VERIFY + ["--g-inf", "0"], "--g-inf"),
+    # sizes only the generator or the split can judge
+    (["gen-data", "--dataset", "ellipsoid", "--n", "1"], "n >= 2"),
+    (["gen-data", "--dataset", "ellipsoid", "--n", "2"], "empty part"),
+    (["gen-data", "--dataset", "cube", "--n", "100", "--d", "2"], "distinct corners"),
+])
+def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", "out"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert named in capsys.readouterr().err

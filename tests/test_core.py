@@ -1,50 +1,14 @@
-"""Tests for the numeric substrate: matmul, finiteness, and the RNG."""
+"""Tests for the numeric substrate: finiteness, softmax, and the RNG."""
 
 import numpy as np
 import pytest
 
 from ensdistill.core import (
     RngStream,
-    ShapeError,
     check_finite,
     log_softmax,
-    matmul,
     softmax,
 )
-
-
-# --- matmul -----------------------------------------------------------------
-
-def test_matmul_identity():
-    a = np.array([[3.0, 1.0], [4.0, 1.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-    msg = str(err.value)
-    assert "2x3" in msg
-    assert "2x2" in msg
-
-
-def test_matmul_associative_on_random_chains():
-    root = RngStream(5)
-    for tag in range(10):
-        child = root.split(tag)
-        a = child.split(0).gaussian(12)[0].reshape(3, 4)
-        b = child.split(1).gaussian(20)[0].reshape(4, 5)
-        c = child.split(2).gaussian(10)[0].reshape(5, 2)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        rel = np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-300)
-        assert rel <= 1e-10
 
 
 def test_check_finite_passes_through_and_rejects():

@@ -1,0 +1,172 @@
+"""The one member-evaluation loop against the every-layer cache it replaced.
+
+`distill.member_logits` caches only the activations some connection taps.
+Random small ensembles, with every connection kind, taps of older members
+and of any layer (as a hand-edited ensemble.json can hold), must give the
+same bits as the reference loop below on every path built on the generator.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ensdistill.core import RngStream, softmax
+from ensdistill.distill import (Ensemble, ensemble_from_dict, ensemble_predict,
+                                ensemble_to_dict, member_logits)
+from ensdistill.evaluate import CurvePoint, accuracy, anytime_curve, early_exit, verify_bound
+from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConfigError, ConnectionSpec,
+                             LayerSpec, flops, forward, init_params)
+
+
+def reference_member_logits(members, x):
+    """Every layer of every member cached, as each copy of the loop once did."""
+    cache = {}
+    out = []
+    for member_index, params in enumerate(members):
+        logits, acts = forward(params, x, cache)
+        for layer_index, act in enumerate(acts):
+            cache[(member_index, layer_index)] = act
+        out.append(logits)
+    return out
+
+
+def reference_prefixes(members, x):
+    total = None
+    prefixes = []
+    for k, logits in enumerate(reference_member_logits(members, x), start=1):
+        total = logits if total is None else total + logits
+        prefixes.append(total / k)
+    return prefixes
+
+
+def reference_early_exit(prefixes, member_costs, threshold):
+    n = prefixes[0].shape[0]
+    cum_flops = np.cumsum(member_costs)
+    chosen = np.full(n, len(prefixes), dtype=np.int64)
+    preds = np.argmax(prefixes[-1], axis=1)
+    done = np.zeros(n, dtype=bool)
+    for k, prefix in enumerate(prefixes, start=1):
+        hit = (~done) & (softmax(prefix).max(axis=1) >= threshold)
+        chosen[hit] = k
+        preds[hit] = np.argmax(prefix[hit], axis=1)
+        done |= hit
+    return preds, chosen, cum_flops[chosen - 1]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def ensembles(draw):
+    """(ensemble, x, labels, teacher logits) with random layers and taps."""
+    d = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    members = []
+    for j in range(draw(st.integers(1, 4))):
+        hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        dims = [d] + hidden + [n_labels]          # layer l maps dims[l] -> dims[l + 1]
+        kind = draw(st.sampled_from(CONNECTION_KINDS if j else ("none",)))
+        conn, width = NO_CONNECTION, 0
+        if kind != "none":
+            source_round = draw(st.integers(0, j - 1))
+            source_spec = members[source_round].spec
+            source_layer = draw(st.integers(0, len(source_spec) - 1))
+            width = source_spec[source_layer].out_dim
+            if kind == "dense_concat":
+                target = draw(st.integers(0, len(dims) - 2))
+            else:
+                # the tap is added to the target's input, so widths must agree
+                target = draw(st.integers(0 if width == d else 1, len(dims) - 2))
+                if target:
+                    dims[target] = width
+            conn = ConnectionSpec(kind, source_round, source_layer, target)
+        spec = [LayerSpec(dims[i], dims[i + 1]) for i in range(len(dims) - 2)]
+        spec.append(LayerSpec(dims[-2], dims[-1], "linear"))
+        if kind == "dense_concat":
+            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+        members.append(init_params(spec, RngStream(seed).split(j), conn))
+    ens = Ensemble(members=members, class_rs=[1] * len(members), eta=0.01, T=len(members))
+    root = RngStream(seed).split(99)
+    u, _ = root.split(0).uniform(n_rows * d)
+    x = 2.0 * u.reshape(n_rows, d) - 1.0
+    labels, _ = root.split(1).uniform(n_rows)
+    labels = np.minimum((labels * n_labels).astype(np.int64), n_labels - 1)
+    g, _ = root.split(2).gaussian(n_rows * n_labels)
+    return ens, x, labels, g.reshape(n_rows, n_labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensembles(), st.floats(0.05, 1.0))
+def test_generator_paths_match_every_layer_reference(case, threshold):
+    ens, x, labels, g = case
+    expected_logits = reference_member_logits(ens.members, x)
+    prefixes = reference_prefixes(ens.members, x)
+
+    for k in range(1, len(ens.members) + 1):
+        assert same_bits(ensemble_predict(ens, x, k), prefixes[k - 1])
+
+    costs = [flops(m) for m in ens.members]
+    teacher_flops = 1000
+    expected_curve = []
+    cum = 0
+    for k, prefix in enumerate(prefixes, start=1):
+        cum += costs[k - 1]
+        expected_curve.append(CurvePoint(k, cum / teacher_flops, accuracy(prefix, labels)))
+    assert anytime_curve(ens, x, labels, teacher_flops) == expected_curve
+
+    got = early_exit(ens, x, threshold)
+    for a, b in zip(got, reference_early_exit(prefixes, costs, threshold)):
+        assert same_bits(a, b)
+
+    residuals = [logits - g for logits in member_logits(ens.members, x)]
+    expected = [logits - g for logits in expected_logits]
+    assert len(residuals) == len(expected)
+    for a, b in zip(residuals, expected):
+        assert same_bits(a, b)
+    report = verify_bound([], ens, x, g, 1.0)
+    mean_resid = sum(expected) / len(expected)
+    assert report.observed_max_residual == float(max(np.max(np.abs(r)) for r in expected))
+    assert report.measured_sup_error == float(np.abs(mean_resid).max(axis=0).max())
+    assert report.prediction_paths_agree
+
+
+def _tapping_pair():
+    """Two members; the second adds member 0's first hidden layer to its own."""
+    spec = [LayerSpec(3, 4), LayerSpec(4, 4), LayerSpec(4, 2, "linear")]
+    first = init_params(spec, RngStream(1).split(0))
+    conn = ConnectionSpec("residual_add", source_round=0, source_layer=0, target_layer=2)
+    second = init_params(spec, RngStream(1).split(1), conn)
+    return Ensemble(members=[first, second], class_rs=[1, 2], eta=0.01, T=2)
+
+
+@pytest.mark.parametrize("source_round, source_layer", [
+    (5, 0),     # no such member
+    (1, 0),     # the reader itself: not evaluated when it reads
+    (0, 7),     # no such layer
+    (0, -1),    # negative layer index
+])
+def test_loaded_ensemble_with_missing_tap_names_it(source_round, source_layer):
+    doc = json.loads(json.dumps(ensemble_to_dict(_tapping_pair())))
+    doc["members"][1]["connection"].update(source_round=source_round,
+                                           source_layer=source_layer)
+    ens = ensemble_from_dict(doc)
+    u, _ = RngStream(2).uniform(15)
+    x = u.reshape(5, 3)
+    g = np.zeros((5, 2))
+    name = f"member {source_round} layer {source_layer}"
+    for call in (lambda: ensemble_predict(ens, x, 2),
+                 lambda: anytime_curve(ens, x, np.zeros(5, dtype=np.int64), 100),
+                 lambda: early_exit(ens, x, 0.9),
+                 lambda: verify_bound([], ens, x, g, 1.0)):
+        with pytest.raises(ConfigError, match=name):
+            call()
+    # the first member alone taps nothing and still evaluates
+    assert ensemble_predict(ens, x, 1).shape == (5, 2)
