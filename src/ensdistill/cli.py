@@ -69,8 +69,8 @@ def _load_logits(data_dir: Path, part: str) -> np.ndarray:
     return data_mod.load_logits_csv(data_dir / f"{part}_logits.csv")
 
 
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def _content_hash(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 def cmd_gen_data(args) -> int:
@@ -125,7 +125,8 @@ def cmd_distill(args) -> int:
     cfg = build_config(doc, train.d, g.shape[1])
     if args.seed is not None:
         cfg.seed = args.seed
-    ens, hist = distill_mod.run(cfg, train.x, g, teacher_hash=_file_hash(Path(args.teacher)))
+    teacher_hash = _content_hash(Path(args.teacher).read_bytes())
+    ens, hist = distill_mod.run(cfg, train.x, g, teacher_hash=teacher_hash)
     distill_mod.save_ensemble(args.out, ens)
     distill_mod.write_history(args.history, hist)
     n_esc = len(hist.escalations)
@@ -136,9 +137,14 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     ens = distill_mod.load_ensemble(args.ensemble)
+    raw = Path(args.teacher).read_bytes()
+    teacher_hash = _content_hash(raw)
+    if teacher_hash != ens.teacher_hash:
+        raise ConfigError(f"teacher {args.teacher} has hash {teacher_hash}, but the ensemble "
+                          f"was distilled from a teacher with hash {ens.teacher_hash!r}")
+    teacher = params_from_dict(json.loads(raw.decode("utf-8")))
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
-    teacher = params_from_dict(json.loads(Path(args.teacher).read_text(encoding="utf-8")))
     teacher_cost = flops(teacher)
     if args.mode == "anytime":
         points = eval_mod.anytime_curve(ens, test.x, test.labels, teacher_cost)

@@ -33,7 +33,7 @@ def default_base_class() -> list:
 @dataclass
 class DistillConfig:
     T: int = 7                       # max ensemble size
-    R: int = 2                       # class-escalation budget (1-indexed loop)
+    R: int = 2                       # search classes r = 1..R-1; only r >= 2 taps a member
     eta: float = 1.0                 # fixed-mode learning rate of the weight player
     eta_mode: str = "fixed"          # "fixed" | "theorem"
     g_inf: float | None = None       # residual sup-norm bound, required in theorem mode

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import RngStream, softmax
 from .distill import Ensemble, ensemble_predict, member_logits, prefix_logits
-from .findwl import FindWlConfig, distill_loss, lr_at_epoch, sgd_epoch
+from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_loss_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
 from .nets import flops, forward, init_params
 
@@ -70,10 +70,7 @@ def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
                         cfg: FindWlConfig, rng: RngStream):
     """Distillation only: no game weights, no barrier, no connections."""
     params = init_params(spec, rng.split(0))
-
-    def loss_fn(logits, idx):
-        return distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)
-
+    loss_fn = total_loss_fn(g_logits, None, cfg, 0.0)   # no barrier, so no bound
     sgd_rng = rng.split(1)
     velocity = None
     for epoch in range(cfg.sgd.epochs):

@@ -178,9 +178,9 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
         idx = perm[start:start + cfg.batch_size]
         bx = x[idx]
         bcache = {k: val[idx] for k, val in tapped.items()}
-        logits, _ = forward(params, bx, bcache)
+        logits, acts = forward(params, bx, bcache)
         _, dlogits = loss_fn(logits, idx)
-        dW, db = backward(params, bx, dlogits, bcache)
+        dW, db = backward(params, bx, acts, dlogits, bcache)
         for li in range(len(params.weights)):
             step_w = dW[li] + cfg.weight_decay * params.weights[li]
             vel_w[li] = cfg.momentum * vel_w[li] + step_w
@@ -191,10 +191,13 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
     return params, (vel_w, vel_b), rng
 
 
-def total_loss_fn(g_logits: np.ndarray, mask: np.ndarray, cfg: FindWlConfig, b: float):
-    """Training objective: distillation loss plus the barrier, batch-local."""
+def total_loss_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
+    """Minibatch training objective: the distillation loss plus the barrier
+    toward `mask`; `mask=None` means no barrier, the distillation loss alone."""
     def fn(logits: np.ndarray, idx: np.ndarray):
         dl_val, dl_grad = distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)
+        if mask is None:
+            return dl_val, dl_grad
         resid = logits - g_logits[idx]
         b_val, _ = barrier_loss(resid, mask[idx], b, cfg.barrier_gamma)
         b_grad = barrier_grad(resid, mask[idx], b, cfg.barrier_gamma)
@@ -239,13 +242,9 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
     degenerate = np.array_equal(state.kplus, state.kminus)
     mask = iplus_mask(state)
-    if degenerate:
-        # equal paired weights give the barrier no direction to push, so the
-        # candidate trains (and competes) on the distillation loss alone
-        def loss_fn(logits, idx):
-            return distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)
-    else:
-        loss_fn = total_loss_fn(g_logits, mask, cfg, b)
+    # equal paired weights give the barrier no direction to push, so a
+    # degenerate round's candidate trains (and competes) on distillation alone
+    loss_fn = total_loss_fn(g_logits, None if degenerate else mask, cfg, b)
     best = None
     best_key = None
     for restart in range(cfg.max_search):

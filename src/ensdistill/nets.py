@@ -82,78 +82,74 @@ def init_params(spec: list, rng: RngStream, connection: ConnectionSpec = NO_CONN
     return LearnerParams(spec=list(spec), connection=connection, weights=weights, biases=biases)
 
 
-def _tap(params: LearnerParams, cache: ActivationCache, n_rows: int) -> np.ndarray:
+def _join(params: LearnerParams, h: np.ndarray, cache: ActivationCache) -> np.ndarray:
+    """Input of the connection's target layer: `h` joined with the tapped
+    activation of an earlier member."""
     conn = params.connection
     key = (conn.source_round, conn.source_layer)
     if key not in cache:
         raise ConfigError(f"missing cached activation for member {key[0]} layer {key[1]}")
     src = cache[key]
-    if src.shape[0] != n_rows:
-        raise ConfigError(f"cached activation has {src.shape[0]} rows, batch has {n_rows}")
-    return src
-
-
-def _trace(params: LearnerParams, x: np.ndarray, cache: ActivationCache):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop."""
-    conn = params.connection
-    h = np.asarray(x, dtype=np.float64)
-    inputs, pre_acts, post_acts = [], [], []
-    for idx, layer in enumerate(params.spec):
-        if conn.kind != "none" and idx == conn.target_layer:
-            src = _tap(params, cache, h.shape[0])
-            if conn.kind == "residual_add":
-                if src.shape[1] != h.shape[1]:
-                    raise ConfigError(f"residual_add width mismatch: source {src.shape[1]} vs {h.shape[1]}")
-                h = h + src
-            elif conn.kind == "delta":
-                if src.shape[1] != h.shape[1]:
-                    raise ConfigError(f"delta width mismatch: source {src.shape[1]} vs {h.shape[1]}")
-                h = src - h
-            elif conn.kind == "dense_concat":
-                h = np.concatenate([h, src], axis=1)
-        if h.shape[1] != layer.in_dim:
-            raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[1]}")
-        inputs.append(h)
-        z = h @ params.weights[idx] + params.biases[idx]
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        post_acts.append(h)
-    return inputs, pre_acts, post_acts
+    if src.shape[0] != h.shape[0]:
+        raise ConfigError(f"cached activation has {src.shape[0]} rows, batch has {h.shape[0]}")
+    if conn.kind == "dense_concat":
+        return np.concatenate([h, src], axis=1)
+    if src.shape[1] != h.shape[1]:
+        raise ConfigError(f"{conn.kind} width mismatch: source {src.shape[1]} vs {h.shape[1]}")
+    return h + src if conn.kind == "residual_add" else src - h
 
 
 def forward(params: LearnerParams, x: np.ndarray, cache: ActivationCache | None = None):
-    """Batch logits plus this member's per-layer activations (for later taps)."""
-    _, _, post_acts = _trace(params, x, cache or {})
-    logits = check_finite("logits", post_acts[-1])
-    return logits, post_acts
+    """Batch logits plus this member's per-layer post-activations, which later
+    taps and `backward` read."""
+    cache = cache or {}
+    conn = params.connection
+    h = np.asarray(x, dtype=np.float64)
+    acts = []
+    for idx, layer in enumerate(params.spec):
+        if conn.kind != "none" and idx == conn.target_layer:
+            h = _join(params, h, cache)
+        if h.shape[1] != layer.in_dim:
+            raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[1]}")
+        z = h @ params.weights[idx] + params.biases[idx]
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        acts.append(h)
+    logits = check_finite("logits", acts[-1])
+    return logits, acts
 
 
-def backward(params: LearnerParams, x: np.ndarray, dlogits: np.ndarray,
+def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarray,
              cache: ActivationCache | None = None):
     """Exact gradients of a logits-composed loss w.r.t. every weight and bias.
 
-    Tapped source activations are constants: no gradient is returned (or
-    propagated) for earlier members.
+    `acts` are the activations `forward` returned for the same `x` and
+    `cache`: a layer's input is the previous layer's activation (or `x`),
+    joined again at the connection's target, and a ReLU passes gradient where
+    its output is positive.  Tapped source activations are constants: no
+    gradient is returned (or propagated) for earlier members.
     """
     cache = cache or {}
-    inputs, pre_acts, _ = _trace(params, x, cache)
     conn = params.connection
     dW = [None] * len(params.spec)
     db = [None] * len(params.spec)
     dh = np.asarray(dlogits, dtype=np.float64)
     for idx in range(len(params.spec) - 1, -1, -1):
         layer = params.spec[idx]
-        dz = dh if layer.activation == "linear" else dh * (pre_acts[idx] > 0.0)
-        dW[idx] = inputs[idx].T @ dz
+        dz = dh if layer.activation == "linear" else dh * (acts[idx] > 0.0)
+        h = acts[idx - 1] if idx > 0 else np.asarray(x, dtype=np.float64)
+        joined = conn.kind != "none" and idx == conn.target_layer
+        if joined:
+            h = _join(params, h, cache)
+        dW[idx] = h.T @ dz
         db[idx] = dz.sum(axis=0)
         if idx == 0:
             break
         dh = dz @ params.weights[idx].T
-        if conn.kind != "none" and idx == conn.target_layer:
+        if joined:
             if conn.kind == "delta":
                 dh = -dh
             elif conn.kind == "dense_concat":
-                dh = dh[:, : dh.shape[1] - cache[(conn.source_round, conn.source_layer)].shape[1]]
+                dh = dh[:, : acts[idx - 1].shape[1]]   # drop the tap's columns
             # residual_add: identity on the current path
     return dW, db
 

@@ -233,9 +233,9 @@ def _fd_composed_loss(kind: str, mode: str, seed: int):
         logits, _ = forward(params, x, cache)
         return loss_fn(logits, idx)[0]
 
-    logits, _ = forward(params, x, cache)
+    logits, acts = forward(params, x, cache)
     _, dlogits = loss_fn(logits, idx)
-    dw, db = backward(params, x, dlogits, cache)
+    dw, db = backward(params, x, acts, dlogits, cache)
     h = 1e-5
     checked, worst = 0, 0.0
     for arrays, grads in ((params.weights, dw), (params.biases, db)):

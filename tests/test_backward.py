@@ -1,0 +1,160 @@
+"""`nets.backward` reading `forward`'s activations against the two-pass backward.
+
+`backward` takes the activations `forward` returned instead of running the
+forward pass again.  The reference below is the re-tracing backward it
+replaced; random nets with every connection kind and any target layer must
+give the same gradient bits, and a tapped search must train the same weights.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ensdistill.findwl as findwl
+from ensdistill.core import RngStream
+from ensdistill.findwl import FindWlConfig, SgdConfig, find_weak_learner
+from ensdistill.game import WeightState, init_uniform
+from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec,
+                             backward, expand_class, forward, init_params)
+
+
+def reference_trace(params, x, cache):
+    """Forward pass keeping per-layer inputs and pre-activations."""
+    conn = params.connection
+    h = np.asarray(x, dtype=np.float64)
+    inputs, pre_acts = [], []
+    for idx, layer in enumerate(params.spec):
+        if conn.kind != "none" and idx == conn.target_layer:
+            src = cache[(conn.source_round, conn.source_layer)]
+            if conn.kind == "residual_add":
+                h = h + src
+            elif conn.kind == "delta":
+                h = src - h
+            elif conn.kind == "dense_concat":
+                h = np.concatenate([h, src], axis=1)
+        inputs.append(h)
+        z = h @ params.weights[idx] + params.biases[idx]
+        pre_acts.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return inputs, pre_acts
+
+
+def reference_backward(params, x, dlogits, cache=None):
+    """The backward that traced the forward pass a second time."""
+    cache = cache or {}
+    inputs, pre_acts = reference_trace(params, x, cache)
+    conn = params.connection
+    dW = [None] * len(params.spec)
+    db = [None] * len(params.spec)
+    dh = np.asarray(dlogits, dtype=np.float64)
+    for idx in range(len(params.spec) - 1, -1, -1):
+        layer = params.spec[idx]
+        dz = dh if layer.activation == "linear" else dh * (pre_acts[idx] > 0.0)
+        dW[idx] = inputs[idx].T @ dz
+        db[idx] = dz.sum(axis=0)
+        if idx == 0:
+            break
+        dh = dz @ params.weights[idx].T
+        if conn.kind != "none" and idx == conn.target_layer:
+            if conn.kind == "delta":
+                dh = -dh
+            elif conn.kind == "dense_concat":
+                dh = dh[:, : dh.shape[1] - cache[(conn.source_round, conn.source_layer)].shape[1]]
+    return dW, db
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def tapped_nets(draw):
+    """(params, x, cache, dlogits): a 1-3 layer net, maybe tapping a non-last
+    layer of a 2-3 layer source member at any target layer."""
+    d = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    root = RngStream(seed)
+    u, _ = root.split(0).uniform(n_rows * d)
+    x = 2.0 * u.reshape(n_rows, d) - 1.0
+    dims = [d] + draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [n_labels]
+    activations = [draw(st.sampled_from(("relu", "linear"))) for _ in dims[2:]] + ["linear"]
+    kind = draw(st.sampled_from(CONNECTION_KINDS))
+    conn, cache, width = NO_CONNECTION, {}, 0
+    if kind != "none":
+        target = draw(st.integers(0, len(dims) - 2))
+        source_dims = [d] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)) + [2]
+        source_layer = draw(st.integers(0, len(source_dims) - 3))
+        if kind != "dense_concat":
+            # the tap is added to the target's input, so widths must agree
+            source_dims[source_layer + 1] = dims[target]
+        source_spec = [LayerSpec(source_dims[i], source_dims[i + 1])
+                       for i in range(len(source_dims) - 2)]
+        source_spec.append(LayerSpec(source_dims[-2], source_dims[-1], "linear"))
+        source = init_params(source_spec, root.split(1))
+        _, source_acts = forward(source, x)
+        cache = {(0, source_layer): source_acts[source_layer]}
+        width = source_dims[source_layer + 1]
+        conn = ConnectionSpec(kind, 0, source_layer, target)
+    spec = [LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(len(dims) - 1)]
+    if kind == "dense_concat":
+        spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+    params = init_params(spec, root.split(2), conn)
+    dlogits, _ = root.split(3).gaussian(n_rows * n_labels)
+    return params, x, cache, dlogits.reshape(n_rows, n_labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tapped_nets())
+def test_backward_matches_two_pass_reference(case):
+    params, x, cache, dlogits = case
+    _, acts = forward(params, x, cache)
+    dW, db = backward(params, x, acts, dlogits, cache)
+    ref_dW, ref_db = reference_backward(params, x, dlogits, cache)
+    assert len(dW) == len(ref_dW) == len(params.spec)
+    for got, want in zip(dW + db, ref_dW + ref_db):
+        assert same_bits(got, want)
+
+
+def _biased_state(n, labels, hi=0.8):
+    """Non-degenerate state whose mask prefers positive residuals everywhere."""
+    return WeightState(np.full((n, labels), hi / n), np.full((n, labels), (1.0 - hi) / n))
+
+
+@pytest.mark.parametrize("kind", ["residual_add", "dense_concat", "delta"])
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_tapped_search_trains_the_reference_weights(monkeypatch, kind, degenerate):
+    rng = RngStream(40)
+    x, rng = rng.gaussian(32 * 4)
+    x = x.reshape(32, 4)
+    g, rng = rng.gaussian(32 * 2)
+    g = g.reshape(32, 2)
+    base = [LayerSpec(4, 5), LayerSpec(5, 5), LayerSpec(5, 2, "linear")]
+    member = init_params(base, rng.split(0))
+    _, member_acts = forward(member, x)
+    cache = {(0, layer): act for layer, act in enumerate(member_acts)}
+    spec, conn = expand_class(base, kind, 1, [member])
+    state = init_uniform(32, 2) if degenerate else _biased_state(32, 2)
+    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0, max_search=2,
+                       sgd=SgdConfig(lr=0.02, epochs=6, batch_size=8))
+
+    def search():
+        return find_weak_learner(state, spec, conn, x, g, cfg, RngStream(41),
+                                 cache=cache, edge_tol=0.0)
+
+    got = search()
+    monkeypatch.setattr(findwl, "backward", lambda params, bx, acts, dlogits, bcache=None:
+                        reference_backward(params, bx, dlogits, bcache))
+    want = search()
+    assert (got.verdict, got.restart_index, got.clamp_count) == \
+        (want.verdict, want.restart_index, want.clamp_count)
+    assert same_bits(got.train_loss, want.train_loss)
+    assert got.params is not None and want.params is not None
+    for a, b in zip(got.params.weights + got.params.biases,
+                    want.params.weights + want.params.biases):
+        assert same_bits(a, b)

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests driving main() with argv lists."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -215,6 +216,23 @@ def test_eval_resched_baseline(pipeline, distilled, tmp_path):
     assert rc == 0
     ens = distill_mod.load_ensemble(distilled["ensemble"])
     assert _rows(out) == len(ens.members)
+
+
+def test_eval_refuses_another_teacher(pipeline, distilled, tmp_path, capsys):
+    doc = json.loads(pipeline["teacher"].read_text(encoding="utf-8"))
+    doc["biases"][-1][0] += 1.0
+    other = tmp_path / "other_teacher.json"
+    other.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    rc = main(["eval", "--ensemble", str(distilled["ensemble"]),
+               "--data", str(pipeline["data"]),
+               "--teacher", str(other), "--mode", "anytime", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    recorded = distill_mod.load_ensemble(distilled["ensemble"]).teacher_hash
+    assert recorded and recorded in err
+    assert hashlib.sha256(other.read_bytes()).hexdigest()[:16] in err
+    assert not out.exists()
 
 
 def _oracle_dir(tmp_path, t_rounds, tamper=False):

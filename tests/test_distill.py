@@ -77,8 +77,16 @@ def test_always_passing_search_fills_ensemble(monkeypatch):
     assert [rec.round_index for rec in hist.rounds] == [1, 2, 3, 4]
 
 
-def test_always_failing_search_traces_escalations(monkeypatch):
+# the loop searches classes r = 1 .. R-1: r = 1 is the base class, and only
+# r >= 2 adds a connection, so the default R = 2 never reaches one
+@pytest.mark.parametrize("R, kinds", [(2, ["none", "none"]),
+                                      (3, ["none", "none", "residual_add"])],
+                         ids=["R2", "R3"])
+def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
+    searched = []
+
     def stub(state, spec, connection, x, g_logits, cfg, rng, cache=None, edge_tol=0.0):
+        searched.append(connection.kind)
         if np.array_equal(state.kplus, state.kminus):
             params = init_params(spec, rng.split(0), connection)
             return FindResult(params, "degenerate", 0.0, 0, 0)
@@ -86,11 +94,12 @@ def test_always_failing_search_traces_escalations(monkeypatch):
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
-    ens, hist = run(_fast_config(T=5, R=3, eta=0.05), x, g)
+    ens, hist = run(_fast_config(T=5, R=R, eta=0.05), x, g)
     assert len(ens.members) == 1               # the degenerate round only
     assert hist.rounds[0].verdict == "degenerate"
-    assert len(hist.escalations) == 3 - 1      # R-1 escalations, then halt
-    assert [new_r for _, new_r in hist.escalations] == [2, 3]
+    assert len(hist.escalations) == R - 1      # R-1 escalations, then halt
+    assert [new_r for _, new_r in hist.escalations] == list(range(2, R + 1))
+    assert searched == kinds
 
 
 def test_overflowing_candidates_escalate_instead_of_crashing(monkeypatch):

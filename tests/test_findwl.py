@@ -242,9 +242,9 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     stepped, _, _ = sgd_epoch(params, x, loss_fn, cfg, RngStream(9), lr=lr)
 
     ref = init_params(spec, RngStream(8))
-    logits, _ = forward(ref, x)
+    logits, acts = forward(ref, x)
     _, dlogits = loss_fn(logits, np.arange(32))
-    dw, db = backward(ref, x, dlogits)
+    dw, db = backward(ref, x, acts, dlogits)
     assert np.allclose(stepped.weights[0], w0 - lr * dw[0], atol=1e-12)
     assert np.allclose(stepped.biases[0], b0 - lr * db[0], atol=1e-12)
 

@@ -117,9 +117,9 @@ def _loss_and_dlogits(logits, target):
 
 def _fd_check(params, x, cache, target, h=1e-5, tol=1e-4):
     """Central finite differences over every coordinate (>=200 for these nets)."""
-    logits, _ = forward(params, x, cache)
+    logits, acts = forward(params, x, cache)
     _, dlogits = _loss_and_dlogits(logits, target)
-    dw, db = backward(params, x, dlogits, cache)
+    dw, db = backward(params, x, acts, dlogits, cache)
     checked = 0
     worst = 0.0
     for arrays, grads in ((params.weights, dw), (params.biases, db)):
@@ -166,7 +166,8 @@ def test_gradcheck_connection_kinds(kind):
 
 def test_backward_zero_dlogits_gives_zero_grads():
     params, x, _ = _member_and_cache()
-    dw, db = backward(params, x, np.zeros((x.shape[0], 3)))
+    _, acts = forward(params, x)
+    dw, db = backward(params, x, acts, np.zeros((x.shape[0], 3)))
     for g in dw + db:
         assert np.all(g == 0.0)
 
@@ -178,11 +179,11 @@ def test_backward_frozen_tap():
     member, x, cache = _member_and_cache()
     spec, conn = expand_class(MLP, "residual_add", 1, [member])
     params = init_params(spec, RngStream(30), conn)
-    logits, _ = forward(params, x, cache)
+    logits, acts = forward(params, x, cache)
     bumped = {k: v + 0.5 for k, v in cache.items()}
     logits2, _ = forward(params, x, bumped)
     assert not np.array_equal(logits, logits2)
-    dw, db = backward(params, x, np.ones_like(logits), cache)
+    dw, db = backward(params, x, acts, np.ones_like(logits), cache)
     assert len(dw) == len(spec)
     assert len(db) == len(spec)
 
