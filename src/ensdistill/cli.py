@@ -19,6 +19,7 @@ import numpy as np
 from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
+from .core import read_json, write_csv, write_json
 from .findwl import FindWlConfig, SgdConfig
 from .nets import ConfigError, flops, params_from_dict, params_to_dict
 
@@ -35,6 +36,8 @@ _TOP_KEYS = ("T", "R", "eta", "eta_mode", "g_inf", "edge_tol", "base_hidden",
 
 
 def _take(doc: dict, allowed, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, not a {type(doc).__name__}")
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} in {where}")
@@ -45,10 +48,8 @@ def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillCo
     """Construct the run configuration from a JSON document; unknown keys are
     rejected by name, missing keys fall back to package defaults."""
     _take(doc, _TOP_KEYS, "config")
-    fw_doc = dict(doc.get("findwl", {}))
-    _take(fw_doc, _FINDWL_KEYS, "config.findwl")
-    sgd_doc = dict(fw_doc.pop("sgd", {}))
-    _take(sgd_doc, _SGD_KEYS, "config.findwl.sgd")
+    fw_doc = dict(_take(doc.get("findwl", {}), _FINDWL_KEYS, "config.findwl"))
+    sgd_doc = dict(_take(fw_doc.pop("sgd", {}), _SGD_KEYS, "config.findwl.sgd"))
     if "lr_drops" in sgd_doc:
         sgd_doc["lr_drops"] = tuple(sgd_doc["lr_drops"])
     base_findwl = FindWlConfig()
@@ -63,10 +64,6 @@ def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillCo
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def _load_logits(data_dir: Path, part: str) -> np.ndarray:
-    return data_mod.load_logits_csv(data_dir / f"{part}_logits.csv")
 
 
 def _content_hash(raw: bytes) -> str:
@@ -101,9 +98,7 @@ def cmd_train_teacher(args) -> int:
                        epochs=args.epochs, batch_size=args.batch_size,
                        lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
     params = data_mod.train_teacher(train, spec, recipe, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, params_to_dict(params))
     train_logits = data_mod.teacher_logits(params, train.x)
     test_logits = data_mod.teacher_logits(params, test.x)
     data_mod.save_logits_csv(data_dir / "train_logits.csv", train_logits)
@@ -117,11 +112,8 @@ def cmd_train_teacher(args) -> int:
 def cmd_distill(args) -> int:
     data_dir = Path(args.data)
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
-    g = _load_logits(data_dir, "train")
-    doc = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+    doc = read_json(args.config) if args.config else {}
     cfg = build_config(doc, train.d, g.shape[1])
     if args.seed is not None:
         cfg.seed = args.seed
@@ -153,7 +145,7 @@ def cmd_eval(args) -> int:
               f"final accuracy {points[-1].accuracy:.4f}")
     elif args.mode == "resched":
         train = data_mod.load_dataset_csv(data_dir / "train.csv")
-        g = _load_logits(data_dir, "train")
+        g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
                                            teacher_cost, FindWlConfig(), seed=args.seed or 0)
@@ -165,10 +157,10 @@ def cmd_eval(args) -> int:
             raise ConfigError("--threshold is required for early-exit mode")
         preds, evaluated, spent = eval_mod.early_exit(ens, test.x, args.threshold)
         acc = float(np.mean(preds == test.labels))
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("threshold,mean_members_evaluated,mean_flops_fraction,accuracy\n")
-            fh.write(f"{float(args.threshold)!r},{float(np.mean(evaluated))!r},"
-                     f"{float(np.mean(spent) / teacher_cost)!r},{acc!r}\n")
+        write_csv(args.out, ("threshold", "mean_members_evaluated", "mean_flops_fraction",
+                             "accuracy"),
+                  [[float(args.threshold), float(np.mean(evaluated)),
+                    float(np.mean(spent) / teacher_cost), acc]])
         print(f"early exit at {args.threshold}: mean members {np.mean(evaluated):.2f}, "
               f"accuracy {acc:.4f}")
     return EXIT_OK
@@ -179,7 +171,7 @@ def cmd_verify(args) -> int:
     ens = distill_mod.load_ensemble(args.ensemble)
     data_dir = Path(args.data)
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
-    g = _load_logits(data_dir, "train")
+    g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
     report = eval_mod.verify_bound(rows, ens, train.x, g, args.g_inf)
     if args.out:
         eval_mod.save_bound_report(args.out, report)
@@ -268,10 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except FloatingPointError as exc:

@@ -1,4 +1,5 @@
-"""Numeric substrate: dense float64 matrices and a counter-based splittable RNG.
+"""Numeric substrate: dense float64 matrices, a counter-based splittable RNG,
+and the codec every CSV and JSON artifact is written and read through.
 
 Everything here is deterministic: the same inputs (and the same RNG state)
 always produce the same bits on a given machine, which is what lets the rest
@@ -6,6 +7,8 @@ of the pipeline promise byte-identical reruns.
 """
 from __future__ import annotations
 
+import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,3 +112,40 @@ class RngStream:
         base = np.array([int(self.seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         h = _mix64(base ^ _SPLIT_SALT) + np.uint64(int(tag) & 0xFFFFFFFFFFFFFFFF)
         return RngStream(int(_mix64(h)[0]), 0)
+
+
+# --- artifact codec -----------------------------------------------------------
+# UTF-8.  CSV: the csv module's default dialect, one header row, each cell as
+# str(cell), which is repr for a Python float.  JSON: indent 2, final newline.
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header):
+    """Yield the rows (lists of str) under a CSV file's `header`: its column
+    names, or a function of their count that returns them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])   # [] for an empty file or a blank first line
+        expected = list(header(len(found)) if callable(header) else header)
+        if not found or found != expected:
+            raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
+        for row in reader:
+            if len(row) != len(found):
+                raise ValueError(f"{path} line {reader.line_num}: expected {len(found)} fields")
+            yield row
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)

@@ -7,13 +7,12 @@ sidecar so labels can be re-derived from files alone.
 """
 from __future__ import annotations
 
-import csv
-import json
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, softmax
+from .core import RngStream, read_csv, read_json, softmax, write_csv, write_json
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
 from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
@@ -185,52 +184,45 @@ def teacher_logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
 
 # --- files ------------------------------------------------------------------
 
+def _dataset_header(width: int) -> list:
+    return [f"x{i}" for i in range(width - 1)] + ["label"]
+
+
+def _logits_header(width: int) -> list:
+    return [f"l{i}" for i in range(width)]
+
+
+def _matrix(values: array, n_rows: int, path) -> np.ndarray:
+    if not n_rows:
+        raise ValueError(f"{path} has no data rows")
+    return np.frombuffer(values, dtype=np.float64).reshape(n_rows, -1)
+
+
 def save_dataset_csv(path, ds: LabeledDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ds.d)] + ["label"])
-        for row, label in zip(ds.x, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_csv(path, _dataset_header(ds.d + 1),
+              (row.tolist() + [label] for row, label in zip(ds.x, ds.labels.tolist())))
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or header[:-1] != [f"x{i}" for i in range(len(header) - 1)]:
-            raise ValueError(f"bad dataset header in {path}")
-        xs, labels = [], []
-        for row in reader:
-            xs.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
-    return LabeledDataset(x=np.asarray(xs, dtype=np.float64),
-                          labels=np.asarray(labels, dtype=np.int64))
+    values, labels = array("d"), []
+    for row in read_csv(path, _dataset_header):
+        values.extend(map(float, row[:-1]))
+        labels.append(int(row[-1]))
+    return LabeledDataset(x=_matrix(values, len(labels), path),
+                          labels=np.array(labels, dtype=np.int64))
 
 
 def save_logits_csv(path, logits: np.ndarray) -> None:
     logits = np.asarray(logits, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"l{i}" for i in range(logits.shape[1])])
-        for row in logits:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, _logits_header(logits.shape[1]), (row.tolist() for row in logits))
 
 
 def load_logits_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != [f"l{i}" for i in range(len(header))]:
-            raise ValueError(f"bad logits header in {path}")
-        return np.asarray([[float(v) for v in row] for row in reader], dtype=np.float64)
+    values, n_rows = array("d"), 0
+    for n_rows, row in enumerate(read_csv(path, _logits_header), start=1):
+        values.extend(map(float, row))
+    return _matrix(values, n_rows, path)
 
 
-def save_meta(path, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-
-
-def load_meta(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+save_meta = write_json
+load_meta = read_json

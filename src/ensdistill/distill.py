@@ -8,20 +8,19 @@ usable model.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, read_csv, read_json, write_csv, write_json
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
 from .nets import (CONNECTION_KINDS, LayerSpec, expand_class, forward,
                    params_from_dict, params_to_dict, validate_spec)
 
 HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
+_HISTORY_TYPES = (int, int, float, float, float, int, int)
 
 
 def default_base_class() -> list:
@@ -85,7 +84,6 @@ class RoundRecord:
 class RunHistory:
     rounds: list = field(default_factory=list)
     escalations: list = field(default_factory=list)  # (members_so_far, new_r)
-    residuals: list = field(default_factory=list)    # per accepted round, train residual matrix
 
 
 @dataclass
@@ -148,7 +146,6 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         state.validate()
         ens.members.append(result.params)
         ens.class_rs.append(r)
-        hist.residuals.append(resid)
         hist.rounds.append(RoundRecord(
             round_index=member_index + 1, class_r=r, edge_gamma=record.edge_gamma,
             z=record.z, eta=eta, clamp_count=result.clamp_count,
@@ -206,47 +203,32 @@ def ensemble_to_dict(ens: Ensemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
-    meta = doc["meta"]
-    members = [params_from_dict(m) for m in doc["members"]]
-    return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
-                    seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
-                    teacher_hash=meta["teacher_hash"])
+    try:
+        meta = doc["meta"]
+        members = [params_from_dict(m) for m in doc["members"]]
+        return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
+                        seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
+                        teacher_hash=meta["teacher_hash"])
+    except (KeyError, TypeError) as exc:   # a missing key, or a list where an object belongs
+        raise ValueError(f"malformed ensemble document: {exc!r}") from exc
 
 
 def save_ensemble(path, ens: Ensemble) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(ens), fh, indent=2)
-        fh.write("\n")
+    write_json(path, ensemble_to_dict(ens))
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path, encoding="utf-8") as fh:
-        return ensemble_from_dict(json.load(fh))
+    return ensemble_from_dict(read_json(path))
 
 
 def write_history(path, hist: RunHistory) -> None:
-    """One CSV row per (round, label); floats as shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in hist.rounds:
-            for label in range(len(rec.edge_gamma)):
-                writer.writerow([rec.round_index, label, repr(float(rec.edge_gamma[label])),
-                                 repr(float(rec.z[label])), repr(float(rec.eta)),
-                                 rec.class_r, rec.clamp_count])
+    """One CSV row per (round, label)."""
+    write_csv(path, HISTORY_COLUMNS, (
+        [rec.round_index, label, float(gamma), float(z), float(rec.eta),
+         rec.class_r, rec.clamp_count]
+        for rec in hist.rounds for label, (gamma, z) in enumerate(zip(rec.edge_gamma, rec.z))))
 
 
 def read_history(path) -> list:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != HISTORY_COLUMNS:
-            raise ValueError(f"bad history header: {reader.fieldnames}")
-        for row in reader:
-            rows.append({
-                "round": int(row["round"]), "label": int(row["label"]),
-                "edge_gamma": float(row["edge_gamma"]), "z": float(row["z"]),
-                "eta": float(row["eta"]), "class_r": int(row["class_r"]),
-                "clamp_count": int(row["clamp_count"]),
-            })
-    return rows
+    return [{name: kind(cell) for name, kind, cell in zip(HISTORY_COLUMNS, _HISTORY_TYPES, row)}
+            for row in read_csv(path, HISTORY_COLUMNS)]

@@ -7,14 +7,12 @@ updates from its artifacts and checks the recorded history against them.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, softmax
+from .core import RngStream, read_csv, softmax, write_csv, write_json
 from .distill import Ensemble, ensemble_predict, member_logits, prefix_logits
 from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_loss_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
@@ -314,23 +312,18 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
 
 # --- files ------------------------------------------------------------------
 
+CURVE_COLUMNS = ("prefix_k", "cum_flops_fraction", "accuracy")
+
+
 def write_curve_csv(path, points: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prefix_k", "cum_flops_fraction", "accuracy"])
-        for p in points:
-            writer.writerow([p.prefix_k, repr(float(p.cum_flops_fraction)),
-                             repr(float(p.accuracy))])
+    write_csv(path, CURVE_COLUMNS, ([p.prefix_k, float(p.cum_flops_fraction), float(p.accuracy)]
+                                    for p in points))
 
 
 def read_curve_csv(path) -> list:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [CurvePoint(int(r["prefix_k"]), float(r["cum_flops_fraction"]),
-                           float(r["accuracy"])) for r in reader]
+    return [CurvePoint(int(k), float(frac), float(acc))
+            for k, frac, acc in read_csv(path, CURVE_COLUMNS)]
 
 
 def save_bound_report(path, report: BoundReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_dict())

@@ -228,11 +228,14 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> LearnerParams:
-    spec = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in doc["spec"]]
-    c = doc["connection"]
-    conn = ConnectionSpec(c["kind"], c["source_round"], c["source_layer"], c["target_layer"])
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    try:
+        spec = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in doc["spec"]]
+        c = doc["connection"]
+        conn = ConnectionSpec(c["kind"], c["source_round"], c["source_layer"], c["target_layer"])
+        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    except (KeyError, TypeError) as exc:   # a missing key, or a list where an object belongs
+        raise ValueError(f"malformed network document: {exc!r}") from exc
     params = LearnerParams(spec=spec, connection=conn, weights=weights, biases=biases)
     for idx, layer in enumerate(spec):
         if weights[idx].shape != (layer.in_dim, layer.out_dim) or biases[idx].shape != (layer.out_dim,):

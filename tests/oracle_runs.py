@@ -37,7 +37,6 @@ def constructed_oracle_run(n, t_rounds, seed=7, r_max=2):
         state.validate()
         ens.members.append(params)
         ens.class_rs.append(1)
-        hist.residuals.append(l)
         hist.rounds.append(RoundRecord(
             round_index=t + 1, class_r=1, edge_gamma=record.edge_gamma,
             z=record.z, eta=float(eta), clamp_count=0,

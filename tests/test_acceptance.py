@@ -21,7 +21,7 @@ from ensdistill.data import (
     teacher_logits,
     train_teacher,
 )
-from ensdistill.distill import DistillConfig, default_base_class, run
+from ensdistill.distill import DistillConfig, default_base_class, member_logits, run
 from ensdistill.evaluate import (
     accuracy,
     anytime_curve,
@@ -116,7 +116,8 @@ def small_run():
                       epochs=30, batch_size=16))
     cfg = DistillConfig(T=4, R=2, eta=0.25, seed=3,
                         base_class=mlp_spec(6, [8], 2), findwl=findwl)
-    return run(cfg, train.x, g)
+    ens, hist = run(cfg, train.x, g)
+    return ens, hist, train.x, g
 
 
 def _replay_and_check_invariants(residuals, etas):
@@ -153,12 +154,12 @@ def _random_histories(seed, count):
 def test_criterion_01_weight_state_invariants(small_run):
     total = 0
     for n, t_rounds in ((20, 8), (100, 32)):
-        ens, hist, _, _ = constructed_oracle_run(n, t_rounds)
-        total += _replay_and_check_invariants(
-            hist.residuals, [ens.eta] * len(hist.residuals))
-    ens, hist = small_run
-    total += _replay_and_check_invariants(
-        hist.residuals, [ens.eta] * len(hist.residuals))
+        ens, _, _, _ = constructed_oracle_run(n, t_rounds)
+        residuals = [m.weights[0] for m in ens.members]   # x = I
+        total += _replay_and_check_invariants(residuals, [ens.eta] * len(residuals))
+    ens, _, x, g = small_run
+    residuals = [l - g for l in member_logits(ens.members, x)]
+    total += _replay_and_check_invariants(residuals, [ens.eta] * len(residuals))
     for _, _, residuals, etas in _random_histories(31, 20):
         total += _replay_and_check_invariants(residuals, etas)
     _report(1, total > 500,
@@ -186,9 +187,9 @@ def test_criterion_03_per_round_normalizer_inequality():
     rounds = 0
     ok = True
     for n, t_rounds in ((20, 8), (100, 32), (100, 128)):
-        ens, hist, _, _ = constructed_oracle_run(n, t_rounds)
+        ens, _, _, _ = constructed_oracle_run(n, t_rounds)
         state = init_uniform(n, 1)
-        for t, l in enumerate(hist.residuals, start=1):
+        for t, l in enumerate((m.weights[0] for m in ens.members), start=1):
             state, rec = md_update(state, l, ens.eta, round_index=t)
             ok &= normalizer_inequality_ok(rec.edge_gamma, rec.z, ens.eta, 1.0)
             rounds += 1
@@ -272,8 +273,8 @@ def test_criterion_04_gradients_match_finite_differences():
 def test_criterion_05_convergence_bound_with_constructed_oracle():
     errs, bounds = {}, {}
     for t_rounds in (8, 32, 128):
-        ens, hist, _, _ = constructed_oracle_run(100, t_rounds)
-        mean_resid = sum(hist.residuals) / t_rounds
+        ens, _, _, _ = constructed_oracle_run(100, t_rounds)
+        mean_resid = sum(m.weights[0] for m in ens.members) / t_rounds   # x = I
         errs[t_rounds] = float(np.max(np.abs(mean_resid)))
         bounds[t_rounds] = float(np.sqrt(np.log(200.0) / t_rounds))
     for approx, t_rounds in ((0.8137, 8), (0.4069, 32), (0.2035, 128)):

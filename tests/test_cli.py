@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -316,4 +317,60 @@ def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     except SystemExit as exc:
         rc = exc.code
     assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def _break_input(case, pipeline, distilled, tmp_path):
+    """Copies of the shared artifacts with one input broken as `case` says;
+    returns the argv that reads it and the text its error must name."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data_dir)
+    teacher, ensemble = tmp_path / "teacher.json", tmp_path / "ensemble.json"
+    shutil.copy(pipeline["teacher"], teacher)
+    shutil.copy(distilled["ensemble"], ensemble)
+    config = tmp_path / "config.json"
+    _write_config(config, FAST_CONFIG)
+    if case == "empty-train-csv":
+        named = data_dir / "train.csv"
+        named.write_bytes(b"")
+    elif case == "empty-logits-csv":
+        named = data_dir / "train_logits.csv"
+        named.write_bytes(b"")
+    elif case == "blank-first-line":
+        named = data_dir / "train.csv"
+        named.write_bytes(b"\r\n" + named.read_bytes())
+    elif case == "ensemble-without-members":
+        ensemble.write_text('{"meta": {}}\n', encoding="utf-8")
+        named = "'members'"
+    elif case == "ensemble-is-a-list":
+        ensemble.write_text("[]\n", encoding="utf-8")
+        named = "malformed ensemble document"
+    elif case == "teacher-without-spec":
+        doc = json.loads(teacher.read_text(encoding="utf-8"))
+        del doc["spec"]
+        teacher.write_text(json.dumps(doc), encoding="utf-8")
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = "'spec'"
+    elif case == "config-list":
+        config.write_text('["T"]\n', encoding="utf-8")
+        named = "config must be a JSON object"
+    if case in ("ensemble-without-members", "ensemble-is-a-list", "teacher-without-spec"):
+        return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
+                "--teacher", str(teacher), "--mode", "anytime",
+                "--out", str(tmp_path / "curve.csv")], str(named)
+    return ["distill", "--data", str(data_dir), "--teacher", str(teacher),
+            "--config", str(config), "--out", str(tmp_path / "out.json"),
+            "--history", str(tmp_path / "history.csv")], str(named)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("empty-train-csv", 3), ("empty-logits-csv", 3), ("blank-first-line", 3),
+    ("ensemble-without-members", 3), ("ensemble-is-a-list", 3), ("teacher-without-spec", 3),
+    ("config-list", 2),
+])
+def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
+    argv, named = _break_input(case, pipeline, distilled, tmp_path)
+    assert main(argv) == code
     assert named in capsys.readouterr().err

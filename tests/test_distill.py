@@ -10,6 +10,7 @@ from ensdistill.distill import (
     Ensemble,
     ensemble_predict,
     load_ensemble,
+    member_logits,
     read_history,
     resolve_eta,
     run,
@@ -17,6 +18,7 @@ from ensdistill.distill import (
     write_history,
 )
 from ensdistill.findwl import FindResult, FindWlConfig, SgdConfig
+from ensdistill.game import init_uniform, md_update
 from ensdistill.nets import LayerSpec, forward, init_params
 
 
@@ -188,12 +190,19 @@ def test_predict_rejects_bad_prefix():
 
 
 def test_telescoping_residual_identity():
-    # the mean of per-round residuals IS the ensemble residual
+    # residuals rebuilt from the members replay the recorded game bit for bit,
+    # and their mean IS the ensemble residual
     x, g = _small_problem(seed=13)
     ens, hist = run(_fast_config(), x, g)
     k = len(ens.members)
     assert k >= 1
-    mean_resid = np.mean(hist.residuals, axis=0)
+    residuals = [l - g for l in member_logits(ens.members, x)]
+    state = init_uniform(*g.shape)
+    for rec, resid in zip(hist.rounds, residuals, strict=True):
+        state, replay = md_update(state, resid, ens.eta, round_index=rec.round_index)
+        assert replay.edge_gamma.tobytes() == rec.edge_gamma.tobytes()
+        assert replay.z.tobytes() == rec.z.tobytes()
+    mean_resid = np.mean(residuals, axis=0)
     direct = ensemble_predict(ens, x, k) - g
     assert np.max(np.abs(mean_resid - direct)) <= 1e-9
 
