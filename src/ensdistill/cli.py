@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +18,8 @@ import numpy as np
 from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
-from .core import read_json, write_csv, write_json
-from .findwl import FindWlConfig, SgdConfig
+from .core import parse_json, read_json, write_csv, write_json
+from .findwl import FindWlConfig
 from .nets import ConfigError, flops, params_from_dict, params_to_dict
 
 EXIT_OK = 0
@@ -94,9 +93,9 @@ def cmd_train_teacher(args) -> int:
     hidden = [int(w) for w in args.spec.split(",") if w]
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     spec = data_mod.mlp_spec(train.d, hidden, n_classes)
-    recipe = SgdConfig(lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
-                       epochs=args.epochs, batch_size=args.batch_size,
-                       lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
+    recipe = replace(data_mod.default_teacher_recipe(), lr=args.lr, momentum=args.momentum,
+                     weight_decay=args.weight_decay, epochs=args.epochs,
+                     batch_size=args.batch_size)
     params = data_mod.train_teacher(train, spec, recipe, seed=args.seed)
     write_json(args.out, params_to_dict(params))
     train_logits = data_mod.teacher_logits(params, train.x)
@@ -134,7 +133,7 @@ def cmd_eval(args) -> int:
     if teacher_hash != ens.teacher_hash:
         raise ConfigError(f"teacher {args.teacher} has hash {teacher_hash}, but the ensemble "
                           f"was distilled from a teacher with hash {ens.teacher_hash!r}")
-    teacher = params_from_dict(json.loads(raw.decode("utf-8")))
+    teacher = params_from_dict(parse_json(raw, f"teacher {args.teacher}"))
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
     teacher_cost = flops(teacher)
@@ -217,11 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="comma-separated hidden widths, e.g. 64,64")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--epochs", type=POSITIVE_INT, default=200)
-    p.add_argument("--batch-size", type=POSITIVE_INT, default=128)
+    recipe = data_mod.default_teacher_recipe()
+    p.add_argument("--lr", type=float, default=recipe.lr)
+    p.add_argument("--momentum", type=float, default=recipe.momentum)
+    p.add_argument("--weight-decay", type=float, default=recipe.weight_decay)
+    p.add_argument("--epochs", type=POSITIVE_INT, default=recipe.epochs)
+    p.add_argument("--batch-size", type=POSITIVE_INT, default=recipe.batch_size)
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="run the boosting loop against cached teacher logits")

@@ -147,5 +147,13 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
+
+
+def parse_json(raw: bytes, source):
+    """The JSON document in `raw`, UTF-8 encoded; a decode error names `source`."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{source} is not UTF-8 JSON: {exc}") from exc

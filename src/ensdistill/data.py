@@ -178,7 +178,7 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
 
 
 def teacher_logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(params, x, {})
+    logits, _ = forward(params, x)
     return logits
 
 

@@ -123,12 +123,13 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     attempt = 0
     while len(ens.members) < cfg.T and r < cfg.R:
         spec, conn = expand_class(cfg.base_class, cfg.connection_kind, r - 1, ens.members)
+        tap = cache.get((conn.source_round, conn.source_layer))
         result = find_weak_learner(state, spec, conn, x, g, cfg.findwl,
-                                   root.split(attempt), cache=cache, edge_tol=cfg.edge_tol)
+                                   root.split(attempt), tap=tap, edge_tol=cfg.edge_tol)
         attempt += 1
         reject = result.params is None
         if not reject:
-            logits, acts = forward(result.params, x, cache)
+            logits, acts = forward(result.params, x, tap)
             resid = logits - g
             # a candidate whose residuals would overflow the exponential
             # update is no weak learner, however its edge came out
@@ -161,7 +162,8 @@ def member_logits(members: list, x: np.ndarray):
     tapped = {(m.connection.source_round, m.connection.source_layer) for m in members}
     cache = {}
     for member_index, params in enumerate(members):
-        logits, acts = forward(params, x, cache)
+        conn = params.connection
+        logits, acts = forward(params, x, cache.get((conn.source_round, conn.source_layer)))
         for layer_index, act in enumerate(acts):
             if (member_index, layer_index) in tapped:
                 cache[(member_index, layer_index)] = act

@@ -83,6 +83,8 @@ def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarra
                      teacher_flops: int, cfg: FindWlConfig, seed: int = 0) -> list:
     """Averaging baseline: each spec trained independently against the
     teacher, prefixes evaluated as simple averages."""
+    if not member_specs:
+        raise ValueError("empty ensemble")
     if teacher_flops <= 0:
         raise ValueError("teacher_flops must be > 0")
     root = RngStream(seed)
@@ -91,7 +93,7 @@ def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarra
     cum = 0
     for i, spec in enumerate(member_specs):
         params = train_plain_student(spec, train_x, train_g, cfg, root.split(i))
-        logits, _ = forward(params, test_x, {})
+        logits, _ = forward(params, test_x)
         total = logits if total is None else total + logits
         cum += flops(params)
         points.append(CurvePoint(prefix_k=i + 1, cum_flops_fraction=cum / teacher_flops,

@@ -157,18 +157,14 @@ def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
 
 
 def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
-              rng: RngStream, lr: float | None = None, velocity=None, cache=None):
+              rng: RngStream, lr: float, velocity=None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
     `loss_fn(logits, row_indices) -> (loss, dloss/dlogits)` sees each
     minibatch; `velocity` carries momentum across epochs (created on first
     use).  Returns (params, velocity, rng); params are updated in place.
-    Only the activation that `params` taps is sliced per minibatch.
+    `tap`, the activation `params.connection` reads, is sliced like `x`.
     """
-    key = (params.connection.source_round, params.connection.source_layer)
-    tapped = {key: cache[key]} if cache and key in cache else {}
-    if lr is None:
-        lr = cfg.lr
     if velocity is None:
         velocity = ([np.zeros_like(w) for w in params.weights],
                     [np.zeros_like(b) for b in params.biases])
@@ -177,10 +173,10 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
     for start in range(0, x.shape[0], cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
         bx = x[idx]
-        bcache = {k: val[idx] for k, val in tapped.items()}
-        logits, acts = forward(params, bx, bcache)
+        btap = None if tap is None else tap[idx]
+        logits, acts = forward(params, bx, btap)
         _, dlogits = loss_fn(logits, idx)
-        dW, db = backward(params, bx, acts, dlogits, bcache)
+        dW, db = backward(params, bx, acts, dlogits, btap)
         for li in range(len(params.weights)):
             step_w = dW[li] + cfg.weight_decay * params.weights[li]
             vel_w[li] = cfg.momentum * vel_w[li] + step_w
@@ -216,21 +212,22 @@ class FindResult:
     restart_index: int
 
 
-def _train_candidate(spec, connection, x, cache, loss_fn, sgd_cfg, rng):
+def _train_candidate(spec, connection, x, tap, loss_fn, sgd_cfg, rng):
     params = init_params(spec, rng.split(0), connection)
     sgd_rng = rng.split(1)
     velocity = None
     for epoch in range(sgd_cfg.epochs):
         params, velocity, sgd_rng = sgd_epoch(
             params, x, loss_fn, sgd_cfg, sgd_rng,
-            lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, cache=cache)
+            lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
     return params
 
 
 def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
                       x: np.ndarray, g_logits: np.ndarray, cfg: FindWlConfig,
-                      rng: RngStream, cache=None, edge_tol: float = 0.0) -> FindResult:
-    """Search one class for a weak learner via restarts.
+                      rng: RngStream, tap=None, edge_tol: float = 0.0) -> FindResult:
+    """Search one class for a weak learner via restarts; `tap` is what
+    `connection` reads on `x`.
 
     Restarts use independent rng splits; the first restart whose trained
     candidate passes the weak-learning check wins, making the outcome
@@ -252,9 +249,9 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
             # divergence inside a candidate is routine (the barrier's wall
             # gradient can run away); it costs the restart, nothing more
             with np.errstate(over="ignore", invalid="ignore"):
-                params = _train_candidate(spec, connection, x, cache, loss_fn,
+                params = _train_candidate(spec, connection, x, tap, loss_fn,
                                           cfg.sgd, rng.split(restart))
-                logits, _ = forward(params, x, cache)
+                logits, _ = forward(params, x, tap)
         except FloatingPointError:
             continue
         resid = logits - g_logits

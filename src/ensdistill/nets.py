@@ -45,10 +45,6 @@ class ConnectionSpec:
 
 NO_CONNECTION = ConnectionSpec()
 
-# (member index, layer index) -> post-activation batch matrix, holding only
-# what a connection taps (see distill.member_logits, distill.run, sgd_epoch)
-ActivationCache = dict
-
 
 @dataclass
 class LearnerParams:
@@ -82,33 +78,31 @@ def init_params(spec: list, rng: RngStream, connection: ConnectionSpec = NO_CONN
     return LearnerParams(spec=list(spec), connection=connection, weights=weights, biases=biases)
 
 
-def _join(params: LearnerParams, h: np.ndarray, cache: ActivationCache) -> np.ndarray:
-    """Input of the connection's target layer: `h` joined with the tapped
-    activation of an earlier member."""
+def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None) -> np.ndarray:
+    """Input of the connection's target layer: `h` joined with `tap`, the
+    earlier member's activation that the connection reads."""
     conn = params.connection
-    key = (conn.source_round, conn.source_layer)
-    if key not in cache:
-        raise ConfigError(f"missing cached activation for member {key[0]} layer {key[1]}")
-    src = cache[key]
-    if src.shape[0] != h.shape[0]:
-        raise ConfigError(f"cached activation has {src.shape[0]} rows, batch has {h.shape[0]}")
+    if tap is None:
+        raise ConfigError(f"missing cached activation for member {conn.source_round} "
+                          f"layer {conn.source_layer}")
+    if tap.shape[0] != h.shape[0]:
+        raise ConfigError(f"cached activation has {tap.shape[0]} rows, batch has {h.shape[0]}")
     if conn.kind == "dense_concat":
-        return np.concatenate([h, src], axis=1)
-    if src.shape[1] != h.shape[1]:
-        raise ConfigError(f"{conn.kind} width mismatch: source {src.shape[1]} vs {h.shape[1]}")
-    return h + src if conn.kind == "residual_add" else src - h
+        return np.concatenate([h, tap], axis=1)
+    if tap.shape[1] != h.shape[1]:
+        raise ConfigError(f"{conn.kind} width mismatch: source {tap.shape[1]} vs {h.shape[1]}")
+    return h + tap if conn.kind == "residual_add" else tap - h
 
 
-def forward(params: LearnerParams, x: np.ndarray, cache: ActivationCache | None = None):
+def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None):
     """Batch logits plus this member's per-layer post-activations, which later
-    taps and `backward` read."""
-    cache = cache or {}
+    taps and `backward` read; `tap` is what `params.connection` reads on `x`."""
     conn = params.connection
     h = np.asarray(x, dtype=np.float64)
     acts = []
     for idx, layer in enumerate(params.spec):
         if conn.kind != "none" and idx == conn.target_layer:
-            h = _join(params, h, cache)
+            h = _join(params, h, tap)
         if h.shape[1] != layer.in_dim:
             raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[1]}")
         z = h @ params.weights[idx] + params.biases[idx]
@@ -119,16 +113,15 @@ def forward(params: LearnerParams, x: np.ndarray, cache: ActivationCache | None 
 
 
 def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarray,
-             cache: ActivationCache | None = None):
+             tap: np.ndarray | None = None):
     """Exact gradients of a logits-composed loss w.r.t. every weight and bias.
 
     `acts` are the activations `forward` returned for the same `x` and
-    `cache`: a layer's input is the previous layer's activation (or `x`),
+    `tap`: a layer's input is the previous layer's activation (or `x`),
     joined again at the connection's target, and a ReLU passes gradient where
-    its output is positive.  Tapped source activations are constants: no
-    gradient is returned (or propagated) for earlier members.
+    its output is positive.  The tap is a constant: no gradient is returned
+    (or propagated) for earlier members.
     """
-    cache = cache or {}
     conn = params.connection
     dW = [None] * len(params.spec)
     db = [None] * len(params.spec)
@@ -139,7 +132,7 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
         h = acts[idx - 1] if idx > 0 else np.asarray(x, dtype=np.float64)
         joined = conn.kind != "none" and idx == conn.target_layer
         if joined:
-            h = _join(params, h, cache)
+            h = _join(params, h, tap)
         dW[idx] = h.T @ dz
         db[idx] = dz.sum(axis=0)
         if idx == 0:
@@ -195,12 +188,8 @@ def flops(params: LearnerParams) -> int:
     """Analytic inference cost: 2*in*out + out per layer, plus the elementwise
     adds a residual/delta tap costs.  dense_concat adds nothing beyond the
     widened matmul, which the layer term already counts."""
-    total = 0
-    for layer in params.spec:
-        total += 2 * layer.in_dim * layer.out_dim + layer.out_dim
-    if params.connection.kind in ("residual_add", "delta"):
-        total += params.spec[params.connection.target_layer].in_dim
-    return total
+    return (sum(2 * layer.in_dim * layer.out_dim + layer.out_dim for layer in params.spec)
+            + connection_flops(params))
 
 
 def connection_flops(params: LearnerParams) -> int:

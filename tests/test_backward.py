@@ -21,20 +21,19 @@ from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, La
                              backward, expand_class, forward, init_params)
 
 
-def reference_trace(params, x, cache):
+def reference_trace(params, x, tap):
     """Forward pass keeping per-layer inputs and pre-activations."""
     conn = params.connection
     h = np.asarray(x, dtype=np.float64)
     inputs, pre_acts = [], []
     for idx, layer in enumerate(params.spec):
         if conn.kind != "none" and idx == conn.target_layer:
-            src = cache[(conn.source_round, conn.source_layer)]
             if conn.kind == "residual_add":
-                h = h + src
+                h = h + tap
             elif conn.kind == "delta":
-                h = src - h
+                h = tap - h
             elif conn.kind == "dense_concat":
-                h = np.concatenate([h, src], axis=1)
+                h = np.concatenate([h, tap], axis=1)
         inputs.append(h)
         z = h @ params.weights[idx] + params.biases[idx]
         pre_acts.append(z)
@@ -42,10 +41,9 @@ def reference_trace(params, x, cache):
     return inputs, pre_acts
 
 
-def reference_backward(params, x, dlogits, cache=None):
+def reference_backward(params, x, dlogits, tap=None):
     """The backward that traced the forward pass a second time."""
-    cache = cache or {}
-    inputs, pre_acts = reference_trace(params, x, cache)
+    inputs, pre_acts = reference_trace(params, x, tap)
     conn = params.connection
     dW = [None] * len(params.spec)
     db = [None] * len(params.spec)
@@ -62,7 +60,7 @@ def reference_backward(params, x, dlogits, cache=None):
             if conn.kind == "delta":
                 dh = -dh
             elif conn.kind == "dense_concat":
-                dh = dh[:, : dh.shape[1] - cache[(conn.source_round, conn.source_layer)].shape[1]]
+                dh = dh[:, : dh.shape[1] - tap.shape[1]]
     return dW, db
 
 
@@ -73,7 +71,7 @@ def same_bits(a, b) -> bool:
 
 @st.composite
 def tapped_nets(draw):
-    """(params, x, cache, dlogits): a 1-3 layer net, maybe tapping a non-last
+    """(params, x, tap, dlogits): a 1-3 layer net, maybe tapping a non-last
     layer of a 2-3 layer source member at any target layer."""
     d = draw(st.integers(1, 4))
     n_labels = draw(st.integers(1, 3))
@@ -85,7 +83,7 @@ def tapped_nets(draw):
     dims = [d] + draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [n_labels]
     activations = [draw(st.sampled_from(("relu", "linear"))) for _ in dims[2:]] + ["linear"]
     kind = draw(st.sampled_from(CONNECTION_KINDS))
-    conn, cache, width = NO_CONNECTION, {}, 0
+    conn, tap, width = NO_CONNECTION, None, 0
     if kind != "none":
         target = draw(st.integers(0, len(dims) - 2))
         source_dims = [d] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)) + [2]
@@ -98,7 +96,7 @@ def tapped_nets(draw):
         source_spec.append(LayerSpec(source_dims[-2], source_dims[-1], "linear"))
         source = init_params(source_spec, root.split(1))
         _, source_acts = forward(source, x)
-        cache = {(0, source_layer): source_acts[source_layer]}
+        tap = source_acts[source_layer]
         width = source_dims[source_layer + 1]
         conn = ConnectionSpec(kind, 0, source_layer, target)
     spec = [LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(len(dims) - 1)]
@@ -106,16 +104,16 @@ def tapped_nets(draw):
         spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
     params = init_params(spec, root.split(2), conn)
     dlogits, _ = root.split(3).gaussian(n_rows * n_labels)
-    return params, x, cache, dlogits.reshape(n_rows, n_labels)
+    return params, x, tap, dlogits.reshape(n_rows, n_labels)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tapped_nets())
 def test_backward_matches_two_pass_reference(case):
-    params, x, cache, dlogits = case
-    _, acts = forward(params, x, cache)
-    dW, db = backward(params, x, acts, dlogits, cache)
-    ref_dW, ref_db = reference_backward(params, x, dlogits, cache)
+    params, x, tap, dlogits = case
+    _, acts = forward(params, x, tap)
+    dW, db = backward(params, x, acts, dlogits, tap)
+    ref_dW, ref_db = reference_backward(params, x, dlogits, tap)
     assert len(dW) == len(ref_dW) == len(params.spec)
     for got, want in zip(dW + db, ref_dW + ref_db):
         assert same_bits(got, want)
@@ -137,7 +135,7 @@ def test_tapped_search_trains_the_reference_weights(monkeypatch, kind, degenerat
     base = [LayerSpec(4, 5), LayerSpec(5, 5), LayerSpec(5, 2, "linear")]
     member = init_params(base, rng.split(0))
     _, member_acts = forward(member, x)
-    cache = {(0, layer): act for layer, act in enumerate(member_acts)}
+    tap = member_acts[len(base) - 2]   # the layer expand_class taps
     spec, conn = expand_class(base, kind, 1, [member])
     state = init_uniform(32, 2) if degenerate else _biased_state(32, 2)
     cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0, max_search=2,
@@ -145,11 +143,11 @@ def test_tapped_search_trains_the_reference_weights(monkeypatch, kind, degenerat
 
     def search():
         return find_weak_learner(state, spec, conn, x, g, cfg, RngStream(41),
-                                 cache=cache, edge_tol=0.0)
+                                 tap=tap, edge_tol=0.0)
 
     got = search()
-    monkeypatch.setattr(findwl, "backward", lambda params, bx, acts, dlogits, bcache=None:
-                        reference_backward(params, bx, dlogits, bcache))
+    monkeypatch.setattr(findwl, "backward", lambda params, bx, acts, dlogits, btap=None:
+                        reference_backward(params, bx, dlogits, btap))
     want = search()
     assert (got.verdict, got.restart_index, got.clamp_count) == \
         (want.verdict, want.restart_index, want.clamp_count)

@@ -356,9 +356,27 @@ def _break_input(case, pipeline, distilled, tmp_path):
     elif case == "config-list":
         config.write_text('["T"]\n', encoding="utf-8")
         named = "config must be a JSON object"
-    if case in ("ensemble-without-members", "ensemble-is-a-list", "teacher-without-spec"):
+    elif case == "resched-empty-ensemble":
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["members"], ens_doc["meta"]["member_class_r"] = [], []
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = "empty ensemble"
+    elif case == "ensemble-not-json":
+        named = ensemble
+        named.write_text("nope", encoding="utf-8")
+    elif case == "config-not-json":
+        named = config
+        named.write_text("nope", encoding="utf-8")
+    elif case in ("teacher-not-json", "teacher-not-utf8"):
+        named = teacher
+        named.write_bytes(b"nope" if case == "teacher-not-json" else b"\xff{}")
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+    if case.startswith(("ensemble-", "teacher-", "resched-")):
+        mode = "resched" if case.startswith("resched-") else "anytime"
         return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
-                "--teacher", str(teacher), "--mode", "anytime",
+                "--teacher", str(teacher), "--mode", mode,
                 "--out", str(tmp_path / "curve.csv")], str(named)
     return ["distill", "--data", str(data_dir), "--teacher", str(teacher),
             "--config", str(config), "--out", str(tmp_path / "out.json"),
@@ -368,9 +386,11 @@ def _break_input(case, pipeline, distilled, tmp_path):
 @pytest.mark.parametrize("case, code", [
     ("empty-train-csv", 3), ("empty-logits-csv", 3), ("blank-first-line", 3),
     ("ensemble-without-members", 3), ("ensemble-is-a-list", 3), ("teacher-without-spec", 3),
-    ("config-list", 2),
+    ("config-list", 2), ("resched-empty-ensemble", 3), ("ensemble-not-json", 3),
+    ("config-not-json", 3), ("teacher-not-json", 3), ("teacher-not-utf8", 3),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)
     assert main(argv) == code
     assert named in capsys.readouterr().err
+    assert not any((tmp_path / out).exists() for out in ("curve.csv", "out.json", "history.csv"))

@@ -1,10 +1,15 @@
 """Tests for the outer boosting loop, ensemble prediction, and run I/O."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ensdistill.distill as distill_mod
 from ensdistill.core import RngStream
+from ensdistill.data import (default_teacher_recipe, gen_cube, mlp_spec, split, teacher_logits,
+                             train_teacher)
 from ensdistill.distill import (
     DistillConfig,
     Ensemble,
@@ -64,7 +69,7 @@ def test_resolve_eta_fixed_and_theorem():
 def test_always_passing_search_fills_ensemble(monkeypatch):
     calls = []
 
-    def stub(state, spec, connection, x, g_logits, cfg, rng, cache=None, edge_tol=0.0):
+    def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         calls.append(connection.kind)
         params = init_params(spec, rng.split(0), connection)
         return FindResult(params, "pass", 0.0, 0, 0)
@@ -87,7 +92,7 @@ def test_always_passing_search_fills_ensemble(monkeypatch):
 def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
     searched = []
 
-    def stub(state, spec, connection, x, g_logits, cfg, rng, cache=None, edge_tol=0.0):
+    def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         searched.append(connection.kind)
         if np.array_equal(state.kplus, state.kminus):
             params = init_params(spec, rng.split(0), connection)
@@ -105,7 +110,7 @@ def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
 
 
 def test_overflowing_candidates_escalate_instead_of_crashing(monkeypatch):
-    def stub(state, spec, connection, x, g_logits, cfg, rng, cache=None, edge_tol=0.0):
+    def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         params = init_params(spec, rng.split(0), connection)
         params.biases[-1][:] = 1e6            # eta*|l| far past the exp limit
         return FindResult(params, "pass", 0.0, 0, 0)
@@ -257,3 +262,37 @@ def test_history_rejects_wrong_header(tmp_path):
     path.write_text("round,label,edge\n1,0,0.5\n")
     with pytest.raises(ValueError):
         read_history(path)
+
+
+@pytest.fixture(scope="module")
+def cube_teacher():
+    """A 4-class cube problem whose runs reach a connection class."""
+    train, _ = split(gen_cube(2, 600, 8), 0.8, 2)
+    teacher = train_teacher(train, mlp_spec(8, [16, 16], 4),
+                            replace(default_teacher_recipe(), epochs=40), seed=2)
+    return train.x, teacher_logits(teacher, train.x)
+
+
+# sha256 of each run's saved ensemble.json and history.csv
+TAPPED_RUNS = {
+    "residual_add": ("3b7385f8f08c09d6ddd82d0cd6e8a6978f8e2c3fc972582b966c0ba4d5d25517",
+                     "5b30f5450e4706d779b744bdbc618b488eb9a12b0a5a41b79e426a9ee5320792"),
+    "dense_concat": ("f84f79bd9a2c0abf1d32a92639c619ad421c3389ee6cf0794e16862878aa258b",
+                     "8a032d161f58409a01a8d428bbd5956371d24844bf2f4082c5f98805ca9a9edf"),
+    "delta": ("750662d8bda45acc604f9858799d670a1e110873eac35f4f7245af1a137c8428",
+              "5bde813f8587fccafc38c55698ea675b2bd334572b66e95ffa4e434ff6d8114a"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TAPPED_RUNS))
+def test_tapped_run_is_byte_stable(kind, cube_teacher, tmp_path):
+    x, g = cube_teacher
+    cfg = DistillConfig(T=5, R=5, edge_tol=2.0, base_class=mlp_spec(8, [8, 8], 4),
+                        connection_kind=kind, seed=2)
+    ens, hist = run(cfg, x, g)
+    assert max(ens.class_rs) >= 2, "no member of a connection class was accepted"
+    save_ensemble(tmp_path / "ensemble.json", ens)
+    write_history(tmp_path / "history.csv", hist)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("ensemble.json", "history.csv"))
+    assert digests == TAPPED_RUNS[kind]

@@ -135,7 +135,7 @@ def test_resched_single_spec_matches_direct_training():
                               teacher_flops=1000, cfg=cfg, seed=3)
     assert len(points) == 1
     params = train_plain_student(spec, x, g, cfg, RngStream(3).split(0))
-    logits, _ = forward(params, x, {})
+    logits, _ = forward(params, x)
     assert points[0].accuracy == accuracy(logits, labels)
     assert points[0].cum_flops_fraction == flops(params) / 1000
 

@@ -27,7 +27,8 @@ def reference_member_logits(members, x):
     cache = {}
     out = []
     for member_index, params in enumerate(members):
-        logits, acts = forward(params, x, cache)
+        conn = params.connection
+        logits, acts = forward(params, x, cache.get((conn.source_round, conn.source_layer)))
         for layer_index, act in enumerate(acts):
             cache[(member_index, layer_index)] = act
         out.append(logits)

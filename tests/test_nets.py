@@ -25,15 +25,15 @@ from ensdistill.nets import (
 MLP = [LayerSpec(10, 12), LayerSpec(12, 8), LayerSpec(8, 3, "linear")]
 
 
-def _member_and_cache(seed=0, n=16):
-    """A trained-looking base member plus its activation cache for taps."""
+def _member_and_tap(seed=0, n=16):
+    """A trained-looking base member plus the activation that a connection
+    made by `expand_class` taps: its last hidden layer."""
     rng = RngStream(seed)
     params = init_params(MLP, rng.split(0))
     x, _ = rng.split(1).gaussian(n * 10)
     x = x.reshape(n, 10)
     _, post_acts = forward(params, x)
-    cache = {(0, u): post_acts[u] for u in range(len(MLP))}
-    return params, x, cache
+    return params, x, post_acts[len(MLP) - 2]
 
 
 # --- validation and init ----------------------------------------------------
@@ -90,22 +90,21 @@ def test_forward_single_linear_layer_is_matmul():
 
 
 def test_forward_residual_with_zero_source_equals_plain():
-    params, x, cache = _member_and_cache()
+    params, x, tap = _member_and_tap()
     spec, conn = expand_class(MLP, "residual_add", 1, [params])
     connected = init_params(spec, RngStream(9), conn)
     plain = init_params(spec, RngStream(9), NO_CONNECTION)
-    zero_cache = {k: np.zeros_like(v) for k, v in cache.items()}
-    a, _ = forward(connected, x, zero_cache)
+    a, _ = forward(connected, x, np.zeros_like(tap))
     b, _ = forward(plain, x)
     assert np.array_equal(a, b)
 
 
 def test_forward_missing_cache_entry_is_error():
-    params, x, _ = _member_and_cache()
+    params, x, _ = _member_and_tap()
     spec, conn = expand_class(MLP, "residual_add", 1, [params])
     connected = init_params(spec, RngStream(9), conn)
     with pytest.raises(ConfigError):
-        forward(connected, x, {})
+        forward(connected, x)
 
 
 # --- backward: finite-difference oracle -------------------------------------
@@ -115,11 +114,11 @@ def _loss_and_dlogits(logits, target):
     return 0.5 * float(np.sum(diff * diff)), diff
 
 
-def _fd_check(params, x, cache, target, h=1e-5, tol=1e-4):
+def _fd_check(params, x, tap, target, h=1e-5, tol=1e-4):
     """Central finite differences over every coordinate (>=200 for these nets)."""
-    logits, acts = forward(params, x, cache)
+    logits, acts = forward(params, x, tap)
     _, dlogits = _loss_and_dlogits(logits, target)
-    dw, db = backward(params, x, acts, dlogits, cache)
+    dw, db = backward(params, x, acts, dlogits, tap)
     checked = 0
     worst = 0.0
     for arrays, grads in ((params.weights, dw), (params.biases, db)):
@@ -129,9 +128,9 @@ def _fd_check(params, x, cache, target, h=1e-5, tol=1e-4):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + h
-                up, _ = _loss_and_dlogits(forward(params, x, cache)[0], target)
+                up, _ = _loss_and_dlogits(forward(params, x, tap)[0], target)
                 flat[i] = keep - h
-                dn, _ = _loss_and_dlogits(forward(params, x, cache)[0], target)
+                dn, _ = _loss_and_dlogits(forward(params, x, tap)[0], target)
                 flat[i] = keep
                 fd = (up - dn) / (2 * h)
                 rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
@@ -142,7 +141,7 @@ def _fd_check(params, x, cache, target, h=1e-5, tol=1e-4):
 
 
 def test_gradcheck_plain_relu_mlp():
-    params, x, _ = _member_and_cache()
+    params, x, _ = _member_and_tap()
     target, _ = RngStream(7).gaussian(x.shape[0] * 3)
     _fd_check(params, x, None, target.reshape(-1, 3))
 
@@ -157,15 +156,15 @@ def test_gradcheck_linear_hidden_layer():
 
 @pytest.mark.parametrize("kind", ["residual_add", "dense_concat", "delta"])
 def test_gradcheck_connection_kinds(kind):
-    member, x, cache = _member_and_cache()
+    member, x, tap = _member_and_tap()
     spec, conn = expand_class(MLP, kind, 1, [member])
     params = init_params(spec, RngStream(21), conn)
     target, _ = RngStream(22).gaussian(x.shape[0] * 3)
-    _fd_check(params, x, cache, target.reshape(-1, 3))
+    _fd_check(params, x, tap, target.reshape(-1, 3))
 
 
 def test_backward_zero_dlogits_gives_zero_grads():
-    params, x, _ = _member_and_cache()
+    params, x, _ = _member_and_tap()
     _, acts = forward(params, x)
     dw, db = backward(params, x, acts, np.zeros((x.shape[0], 3)))
     for g in dw + db:
@@ -173,17 +172,16 @@ def test_backward_zero_dlogits_gives_zero_grads():
 
 
 def test_backward_frozen_tap():
-    # the tap reads the cache but contributes no gradient entries of its own:
+    # the tap is read but contributes no gradient entries of its own:
     # backward returns exactly one gradient per current-member layer, while a
-    # perturbed source cache changes the forward output
-    member, x, cache = _member_and_cache()
+    # perturbed tap changes the forward output
+    member, x, tap = _member_and_tap()
     spec, conn = expand_class(MLP, "residual_add", 1, [member])
     params = init_params(spec, RngStream(30), conn)
-    logits, acts = forward(params, x, cache)
-    bumped = {k: v + 0.5 for k, v in cache.items()}
-    logits2, _ = forward(params, x, bumped)
+    logits, acts = forward(params, x, tap)
+    logits2, _ = forward(params, x, tap + 0.5)
     assert not np.array_equal(logits, logits2)
-    dw, db = backward(params, x, acts, np.ones_like(logits), cache)
+    dw, db = backward(params, x, acts, np.ones_like(logits), tap)
     assert len(dw) == len(spec)
     assert len(db) == len(spec)
 
@@ -197,7 +195,7 @@ def test_expand_r0_is_base_with_no_connection():
 
 
 def test_expand_kind_none_at_any_r_equals_base():
-    member, _, _ = _member_and_cache()
+    member, _, _ = _member_and_tap()
     for r in range(4):
         spec, conn = expand_class(MLP, "none", r, [member])
         assert spec == MLP
@@ -205,7 +203,7 @@ def test_expand_kind_none_at_any_r_equals_base():
 
 
 def test_expand_r1_taps_last_hidden_of_latest_member():
-    member, _, _ = _member_and_cache()
+    member, _, _ = _member_and_tap()
     spec, conn = expand_class(MLP, "residual_add", 1, [member])
     assert spec == MLP
     assert conn.kind == "residual_add"
@@ -215,7 +213,7 @@ def test_expand_r1_taps_last_hidden_of_latest_member():
 
 
 def test_expand_dense_concat_widens_target():
-    member, _, _ = _member_and_cache()
+    member, _, _ = _member_and_tap()
     spec, conn = expand_class(MLP, "dense_concat", 1, [member])
     assert spec[2].in_dim == 8 + 8
     assert spec[:2] == MLP[:2]
@@ -263,7 +261,7 @@ def test_flops_residual_adds_target_width():
 # --- model file format ------------------------------------------------------
 
 def test_params_json_round_trip_value_exact():
-    member, x, cache = _member_and_cache()
+    member, x, tap = _member_and_tap()
     spec, conn = expand_class(MLP, "dense_concat", 1, [member])
     params = init_params(spec, RngStream(17), conn)
     doc = json.loads(json.dumps(params_to_dict(params)))
@@ -272,8 +270,8 @@ def test_params_json_round_trip_value_exact():
     assert back.connection == params.connection
     for a, b in zip(params.weights + params.biases, back.weights + back.biases):
         assert np.array_equal(a, b)
-    la, _ = forward(params, x, cache)
-    lb, _ = forward(back, x, cache)
+    la, _ = forward(params, x, tap)
+    lb, _ = forward(back, x, tap)
     assert np.array_equal(la, lb)
 
 

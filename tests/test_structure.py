@@ -1,8 +1,9 @@
-"""Artifact files are encoded in one place.
+"""Decisions that live in one module.
 
 Every CSV and JSON artifact is written and read through the codec in
-`ensdistill.core`, so only `core` may import `csv`.  `cli` may import `json`
-as well: it parses the teacher file from the bytes it has just hashed.
+`ensdistill.core`, so only `core` may import `csv` or `json`.  Only
+`distill` addresses activations by (member, layer): the weak-learner search
+is handed the one array a candidate's connection reads.
 """
 
 import ast
@@ -23,10 +24,16 @@ def imported_modules(path: Path) -> set:
     return names
 
 
-@pytest.mark.parametrize("module, allowed", [("csv", {"core"}), ("json", {"core", "cli"})])
+@pytest.mark.parametrize("module, allowed", [("csv", {"core"}), ("json", {"core"})])
 def test_only_the_codec_imports_the_format_modules(module, allowed):
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) >= 9
     importers = {path.stem for path in files if module in imported_modules(path)}
     assert importers <= allowed, f"{module} imported by {sorted(importers - allowed)}"
     assert "core" in importers
+
+
+def test_the_search_reads_no_tap_address():
+    tree = ast.parse((PACKAGE / "findwl.py").read_text(encoding="utf-8"))
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not reads & {"source_round", "source_layer"}
