@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -78,7 +79,7 @@ def cmd_gen_data(args) -> int:
         ds = data_mod.gen_cube(args.seed, args.n, args.d)
     train, test = data_mod.split(ds, 0.8, args.seed)
     data_mod.save_dataset_csv(out / "dataset.csv", ds)
-    data_mod.save_meta(out / "meta.json", ds.meta)
+    write_json(out / "meta.json", ds.meta)
     data_mod.save_dataset_csv(out / "train.csv", train)
     data_mod.save_dataset_csv(out / "test.csv", test)
     print(f"wrote {args.dataset} n={ds.n} d={ds.d} to {out} "
@@ -112,7 +113,10 @@ def cmd_distill(args) -> int:
     data_dir = Path(args.data)
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
     g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
-    doc = read_json(args.config) if args.config else {}
+    try:
+        doc = read_json(args.config) if args.config else {}
+    except ValueError as exc:   # not UTF-8 JSON; an unreadable file stays an I/O error
+        raise ConfigError(str(exc)) from exc
     cfg = build_config(doc, train.d, g.shape[1])
     if args.seed is not None:
         cfg.seed = args.seed
@@ -177,6 +181,15 @@ def cmd_verify(args) -> int:
     print(f"verify: {report.status} (measured {report.measured_sup_error:.6g} "
           f"vs bound {report.theorem_bound:.6g})")
     if report.status == "premise_violated":
+        premises = (
+            (report.premise_rounds_ok,
+             f"rounds T={report.T} < ln(2N)={math.log(2.0 * report.n_samples):.3g}"),
+            (report.premise_eta_ok, f"eta*G={report.eta * report.g_inf_config:.6g} > 1"),
+            (report.premise_residuals_ok, f"observed max|l|={report.observed_max_residual:.6g}"
+                                          f" > --g-inf {report.g_inf_config:.6g}"))
+        for ok, failure in premises:
+            if not ok:
+                print(f"premise failed: {failure}")
         return EXIT_PREMISE
     return EXIT_OK if report.status == "pass" else EXIT_CLAIM
 

@@ -47,7 +47,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 # same mixer with a domain-separation constant, so child streams never alias
 # the parent's value sequence.
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SPLIT_SALT = np.uint64(0x2545F4914F6CDD1D)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, read_csv, read_json, softmax, write_csv, write_json
+from .core import RngStream, read_csv, softmax, write_csv
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
 from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
@@ -21,7 +21,6 @@ from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 class LabeledDataset:
     x: np.ndarray                      # n x d features
     labels: np.ndarray                 # n int class indices
-    teacher_logits: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -124,10 +123,8 @@ def split(ds: LabeledDataset, fraction: float = 0.8,
     perm, _ = RngStream(seed).permutation(n)
     parts = []
     for name, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):
-        logits = ds.teacher_logits[idx] if ds.teacher_logits is not None else None
         meta = dict(ds.meta, part=name, split_fraction=fraction, split_seed=seed)
-        parts.append(LabeledDataset(x=ds.x[idx], labels=ds.labels[idx],
-                                    teacher_logits=logits, meta=meta))
+        parts.append(LabeledDataset(x=ds.x[idx], labels=ds.labels[idx], meta=meta))
     return parts[0], parts[1]
 
 
@@ -144,16 +141,13 @@ def default_teacher_recipe() -> SgdConfig:
                      batch_size=128, lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
 
 
-def hard_label_loss(labels: np.ndarray, n_classes: int):
-    """Cross-entropy against integer labels, for teacher training."""
+def hard_label_grad(labels: np.ndarray, n_classes: int):
+    """Gradient of the cross-entropy against integer labels w.r.t. the
+    logits, for teacher training."""
     onehot = np.eye(n_classes)[labels]
 
     def fn(logits: np.ndarray, idx: np.ndarray):
-        targets = onehot[idx]
-        p = softmax(logits)
-        n = logits.shape[0]
-        loss = -float((targets * np.log(np.maximum(p, 1e-300))).sum()) / n
-        return loss, (p - targets) / n
+        return (softmax(logits) - onehot[idx]) / logits.shape[0]
     return fn
 
 
@@ -167,12 +161,12 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
         raise ValueError(f"labels reach {int(train.labels.max())} but spec has {n_classes} outputs")
     root = RngStream(seed)
     params = init_params(spec, root.split(0))
-    loss_fn = hard_label_loss(train.labels, n_classes)
+    grad_fn = hard_label_grad(train.labels, n_classes)
     sgd_rng = root.split(1)
     velocity = None
     for epoch in range(recipe.epochs):
         params, velocity, sgd_rng = sgd_epoch(
-            params, train.x, loss_fn, recipe, sgd_rng,
+            params, train.x, grad_fn, recipe, sgd_rng,
             lr=lr_at_epoch(epoch, recipe), velocity=velocity)
     return params
 
@@ -222,7 +216,3 @@ def load_logits_csv(path) -> np.ndarray:
     for n_rows, row in enumerate(read_csv(path, _logits_header), start=1):
         values.extend(map(float, row))
     return _matrix(values, n_rows, path)
-
-
-save_meta = write_json
-load_meta = read_json

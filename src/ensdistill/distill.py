@@ -143,7 +143,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         member_index = len(ens.members)
         # expand_class taps only the newest member, so older layers can go
         cache = {(member_index, layer_index): act for layer_index, act in enumerate(acts)}
-        state, record = md_update(state, resid, eta, round_index=member_index + 1)
+        state, record = md_update(state, resid, eta)
         state.validate()
         ens.members.append(result.params)
         ens.class_rs.append(r)

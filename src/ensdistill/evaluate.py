@@ -1,8 +1,8 @@
 """Evaluation protocol at desk scale.
 
 Anytime accuracy/cost curves over ensemble prefixes, the independently-trained
-averaging baseline, confidence-threshold early exit, empirical margin
-measurement, and the convergence-bound verifier that replays a run's weight
+averaging baseline, confidence-threshold early exit, and the
+convergence-bound verifier that replays a run's weight
 updates from its artifacts and checks the recorded history against them.
 """
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, read_csv, softmax, write_csv, write_json
+from .core import RngStream, softmax, write_csv, write_json
 from .distill import Ensemble, ensemble_predict, member_logits, prefix_logits
-from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_loss_fn
+from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_grad_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
 from .nets import flops, forward, init_params
 
@@ -68,12 +68,12 @@ def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
                         cfg: FindWlConfig, rng: RngStream):
     """Distillation only: no game weights, no barrier, no connections."""
     params = init_params(spec, rng.split(0))
-    loss_fn = total_loss_fn(g_logits, None, cfg, 0.0)   # no barrier, so no bound
+    grad_fn = total_grad_fn(g_logits, None, cfg, 0.0)   # no barrier, so no bound
     sgd_rng = rng.split(1)
     velocity = None
     for epoch in range(cfg.sgd.epochs):
         params, velocity, sgd_rng = sgd_epoch(
-            params, x, loss_fn, cfg.sgd, sgd_rng,
+            params, x, grad_fn, cfg.sgd, sgd_rng,
             lr=lr_at_epoch(epoch, cfg.sgd), velocity=velocity)
     return params
 
@@ -139,24 +139,6 @@ def early_exit(ens: Ensemble, x: np.ndarray, threshold: float):
         preds[hit] = np.argmax(prefix[hit], axis=1)
         done |= hit
     return preds, chosen, cum_flops[chosen - 1]
-
-
-def margin_measure(teacher_logits: np.ndarray, epsilon: float) -> float:
-    """Fraction of rows whose decision margin is within epsilon.
-
-    Margin is top-1 minus top-2 logit (absolute logit when there is only
-    one output).  The comparison is inclusive, so epsilon=0 counts exactly
-    the tied rows.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    g = np.asarray(teacher_logits, dtype=np.float64)
-    if g.shape[1] == 1:
-        margins = np.abs(g[:, 0])
-    else:
-        part = np.partition(g, g.shape[1] - 2, axis=1)
-        margins = part[:, -1] - part[:, -2]
-    return float(np.mean(margins <= epsilon))
 
 
 # --- bound verification -----------------------------------------------------
@@ -254,8 +236,8 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
     state = init_uniform(n, n_labels)
     gammas, zs = [], []
     normalizer_held = True
-    for round_index, resid in enumerate(residuals, start=1):
-        state, record = md_update(state, resid, eta, round_index=round_index)
+    for resid in residuals:
+        state, record = md_update(state, resid, eta)
         gammas.append(record.edge_gamma)
         zs.append(record.z)
         if eta * g_inf_config <= 1.0 + 1e-12 and not normalizer_inequality_ok(
@@ -320,11 +302,6 @@ CURVE_COLUMNS = ("prefix_k", "cum_flops_fraction", "accuracy")
 def write_curve_csv(path, points: list) -> None:
     write_csv(path, CURVE_COLUMNS, ([p.prefix_k, float(p.cum_flops_fraction), float(p.accuracy)]
                                     for p in points))
-
-
-def read_curve_csv(path) -> list:
-    return [CurvePoint(int(k), float(frac), float(acc))
-            for k, frac, acc in read_csv(path, CURVE_COLUMNS)]
 
 
 def save_bound_report(path, report: BoundReport) -> None:

@@ -156,13 +156,14 @@ def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
     return cfg.lr * cfg.lr_factor ** drops
 
 
-def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
+def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
               rng: RngStream, lr: float, velocity=None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
-    `loss_fn(logits, row_indices) -> (loss, dloss/dlogits)` sees each
-    minibatch; `velocity` carries momentum across epochs (created on first
-    use).  Returns (params, velocity, rng); params are updated in place.
+    `grad_fn(logits, row_indices) -> dloss/dlogits` sees each minibatch; the
+    step reads only the gradient, so no loss value is computed.  `velocity`
+    carries momentum across epochs (created on first use).  Returns
+    (params, velocity, rng); params are updated in place.
     `tap`, the activation `params.connection` reads, is sliced like `x`.
     """
     if velocity is None:
@@ -175,7 +176,7 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
         bx = x[idx]
         btap = None if tap is None else tap[idx]
         logits, acts = forward(params, bx, btap)
-        _, dlogits = loss_fn(logits, idx)
+        dlogits = grad_fn(logits, idx)
         dW, db = backward(params, bx, acts, dlogits, btap)
         for li in range(len(params.weights)):
             step_w = dW[li] + cfg.weight_decay * params.weights[li]
@@ -187,17 +188,15 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, loss_fn, cfg: SgdConfig,
     return params, (vel_w, vel_b), rng
 
 
-def total_loss_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
-    """Minibatch training objective: the distillation loss plus the barrier
-    toward `mask`; `mask=None` means no barrier, the distillation loss alone."""
+def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
+    """Gradient of the minibatch training objective w.r.t. the logits: the
+    distillation loss plus the barrier toward `mask`; `mask=None` means no
+    barrier, the distillation loss alone."""
     def fn(logits: np.ndarray, idx: np.ndarray):
-        dl_val, dl_grad = distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)
+        dl_grad = distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)[1]
         if mask is None:
-            return dl_val, dl_grad
-        resid = logits - g_logits[idx]
-        b_val, _ = barrier_loss(resid, mask[idx], b, cfg.barrier_gamma)
-        b_grad = barrier_grad(resid, mask[idx], b, cfg.barrier_gamma)
-        return dl_val + b_val, dl_grad + b_grad
+            return dl_grad
+        return dl_grad + barrier_grad(logits - g_logits[idx], mask[idx], b, cfg.barrier_gamma)
     return fn
 
 
@@ -212,13 +211,13 @@ class FindResult:
     restart_index: int
 
 
-def _train_candidate(spec, connection, x, tap, loss_fn, sgd_cfg, rng):
+def _train_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng):
     params = init_params(spec, rng.split(0), connection)
     sgd_rng = rng.split(1)
     velocity = None
     for epoch in range(sgd_cfg.epochs):
         params, velocity, sgd_rng = sgd_epoch(
-            params, x, loss_fn, sgd_cfg, sgd_rng,
+            params, x, grad_fn, sgd_cfg, sgd_rng,
             lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
     return params
 
@@ -241,7 +240,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     mask = iplus_mask(state)
     # equal paired weights give the barrier no direction to push, so a
     # degenerate round's candidate trains (and competes) on distillation alone
-    loss_fn = total_loss_fn(g_logits, None if degenerate else mask, cfg, b)
+    grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
     best = None
     best_key = None
     for restart in range(cfg.max_search):
@@ -249,7 +248,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
             # divergence inside a candidate is routine (the barrier's wall
             # gradient can run away); it costs the restart, nothing more
             with np.errstate(over="ignore", invalid="ignore"):
-                params = _train_candidate(spec, connection, x, tap, loss_fn,
+                params = _train_candidate(spec, connection, x, tap, grad_fn,
                                           cfg.sgd, rng.split(restart))
                 logits, _ = forward(params, x, tap)
         except FloatingPointError:

@@ -2,8 +2,8 @@
 
 Keeps the paired per-(sample, label) weight matrices, computes signed-residual
 edges, runs the exponential-weight (entropy mirror descent) update with
-per-label normalization, and provides the closed-form replay and weak-oracle
-diagnostics used to verify the convergence accounting.
+per-label normalization, and provides the closed-form replay used to verify
+the convergence accounting.
 """
 from __future__ import annotations
 
@@ -32,14 +32,6 @@ class WeightState:
     kplus: np.ndarray
     kminus: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.kplus.shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.kplus.shape[1]
-
     def validate(self, tol: float = 1e-9) -> None:
         for name, k in (("kplus", self.kplus), ("kminus", self.kminus)):
             check_finite(name, k)
@@ -54,7 +46,6 @@ class WeightState:
 class EdgeRecord:
     """Per-round log row: the edge and normalizer per label."""
 
-    round_index: int
     edge_gamma: np.ndarray  # length L
     z: np.ndarray           # length L, all > 0
 
@@ -70,14 +61,6 @@ def init_uniform(n_samples: int, n_labels: int) -> WeightState:
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{what}: shape {a.shape} vs {b.shape}")
-
-
-def residual(f_logits: np.ndarray, g_logits: np.ndarray) -> np.ndarray:
-    """Elementwise f - g, the quantity the game weights respond to."""
-    f = np.asarray(f_logits, dtype=np.float64)
-    g = np.asarray(g_logits, dtype=np.float64)
-    _check_same_shape(f, g, "residual")
-    return f - g
 
 
 def edge(state: WeightState, l: np.ndarray) -> np.ndarray:
@@ -101,8 +84,7 @@ def weak_learning_check(state: WeightState, l: np.ndarray, edge_tol: float = 0.0
     return CHECK_PASS if np.all(gamma > edge_tol) else CHECK_FAIL
 
 
-def md_update(state: WeightState, l: np.ndarray, eta: float,
-              round_index: int = -1) -> tuple[WeightState, EdgeRecord]:
+def md_update(state: WeightState, l: np.ndarray, eta: float) -> tuple[WeightState, EdgeRecord]:
     """One exponential-weight step: k+ *= exp(-eta*l), k- *= exp(+eta*l),
     then renormalize each label column to total mass one.
 
@@ -122,7 +104,7 @@ def md_update(state: WeightState, l: np.ndarray, eta: float,
     z = up.sum(axis=0) + dn.sum(axis=0)
     new_state = WeightState(kplus=up / z, kminus=dn / z)
     new_state.validate()
-    return new_state, EdgeRecord(round_index=round_index, edge_gamma=gamma, z=z)
+    return new_state, EdgeRecord(edge_gamma=gamma, z=z)
 
 
 def recompute_from_history(initial_state: WeightState, residual_history: list,
@@ -159,23 +141,3 @@ def normalizer_inequality_ok(edge_gamma: np.ndarray, z: np.ndarray, eta: float,
     bound = -eta * np.asarray(edge_gamma) + (eta * g_inf) ** 2
     return bool(np.all(np.log(np.asarray(z)) <= bound + slack))
 
-
-def functional_gradient(p: np.ndarray, f_logits: np.ndarray,
-                        g_logits: np.ndarray) -> np.ndarray:
-    """Per-label weighted mean residual under a column-stochastic weighting."""
-    p = np.asarray(p, dtype=np.float64)
-    r = residual(f_logits, g_logits)
-    _check_same_shape(p, r, "functional_gradient")
-    col_sums = p.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > 1e-9:
-        raise ValueError(f"weighting columns must sum to 1, got {col_sums}")
-    return (p * r).sum(axis=0)
-
-
-def gwl_check(u: np.ndarray, grad: np.ndarray, alpha: float, beta: float) -> bool:
-    """Generalized weak-oracle inequality: <u, grad> >= alpha*|u|*|grad| - beta."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    grad = np.asarray(grad, dtype=np.float64).ravel()
-    if u.shape != grad.shape:
-        raise ShapeError(f"gwl_check: length {u.shape[0]} vs {grad.shape[0]}")
-    return bool(u @ grad >= alpha * np.linalg.norm(u) * np.linalg.norm(grad) - beta)

@@ -33,7 +33,7 @@ def constructed_oracle_run(n, t_rounds, seed=7, r_max=2):
         params = LearnerParams(
             spec=[LayerSpec(n, 1, "linear")], connection=NO_CONNECTION,
             weights=[l.copy()], biases=[np.zeros(1)])
-        state, record = md_update(state, l, float(eta), round_index=t + 1)
+        state, record = md_update(state, l, float(eta))
         state.validate()
         ens.members.append(params)
         ens.class_rs.append(1)

@@ -35,7 +35,8 @@ from ensdistill.findwl import (
     SgdConfig,
     barrier_loss,
     default_logit_bound,
-    total_loss_fn,
+    distill_loss,
+    total_grad_fn,
 )
 from ensdistill.game import (
     WeightState,
@@ -125,8 +126,8 @@ def _replay_and_check_invariants(residuals, etas):
     first = np.asarray(residuals[0])
     state = init_uniform(first.shape[0], first.shape[1])
     rounds = 0
-    for t, (l, eta) in enumerate(zip(residuals, etas), start=1):
-        state, _ = md_update(state, l, eta, round_index=t)
+    for l, eta in zip(residuals, etas):
+        state, _ = md_update(state, l, eta)
         sums = (state.kplus + state.kminus).sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
         assert state.kplus.min() >= 0.0 and state.kminus.min() >= 0.0
@@ -172,8 +173,8 @@ def test_criterion_02_closed_form_matches_iterated_updates():
     checked = 0
     for n, n_labels, residuals, etas in _random_histories(47, 50):
         state = init_uniform(n, n_labels)
-        for t, (l, eta) in enumerate(zip(residuals, etas), start=1):
-            state, _ = md_update(state, l, eta, round_index=t)
+        for l, eta in zip(residuals, etas):
+            state, _ = md_update(state, l, eta)
         direct = recompute_from_history(init_uniform(n, n_labels), residuals, etas)
         worst = max(worst,
                     float(np.max(np.abs(direct.kplus - state.kplus))),
@@ -189,16 +190,16 @@ def test_criterion_03_per_round_normalizer_inequality():
     for n, t_rounds in ((20, 8), (100, 32), (100, 128)):
         ens, _, _, _ = constructed_oracle_run(n, t_rounds)
         state = init_uniform(n, 1)
-        for t, l in enumerate((m.weights[0] for m in ens.members), start=1):
-            state, rec = md_update(state, l, ens.eta, round_index=t)
+        for l in (m.weights[0] for m in ens.members):
+            state, rec = md_update(state, l, ens.eta)
             ok &= normalizer_inequality_ok(rec.edge_gamma, rec.z, ens.eta, 1.0)
             rounds += 1
     for n, n_labels, residuals, _ in _random_histories(53, 15):
         g_inf = max(float(np.max(np.abs(l))) for l in residuals)
         eta = 0.9 / g_inf
         state = init_uniform(n, n_labels)
-        for t, l in enumerate(residuals, start=1):
-            state, rec = md_update(state, l, eta, round_index=t)
+        for l in residuals:
+            state, rec = md_update(state, l, eta)
             ok &= normalizer_inequality_ok(rec.edge_gamma, rec.z, eta, g_inf)
             rounds += 1
     _report(3, ok and rounds > 300,
@@ -225,15 +226,15 @@ def _fd_composed_loss(kind: str, mode: str, seed: int):
     bits, rng = rng.uniform(n * 4)
     mask = bits.reshape(n, 4) > 0.4
     cfg = FindWlConfig(loss_mode=mode, barrier_gamma=0.7)
-    loss_fn = total_loss_fn(g, mask, cfg, default_logit_bound(g))
-    idx = np.arange(n)
+    b = default_logit_bound(g)
 
     def value():
         logits, _ = forward(params, x, tap)
-        return loss_fn(logits, idx)[0]
+        return (distill_loss(logits, g, mode, cfg.temperature)[0]
+                + barrier_loss(logits - g, mask, b, cfg.barrier_gamma)[0])
 
     logits, acts = forward(params, x, tap)
-    _, dlogits = loss_fn(logits, idx)
+    dlogits = total_grad_fn(g, mask, cfg, b)(logits, np.arange(n))
     dw, db = backward(params, x, acts, dlogits, tap)
     h = 1e-5
     checked, worst = 0, 0.0

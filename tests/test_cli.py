@@ -276,7 +276,13 @@ def test_verify_short_run_exits_premise_code(tmp_path, capsys):
     rc = main(["verify", "--history", str(hist_path), "--ensemble", str(ens_path),
                "--data", str(data_dir), "--g-inf", "1.0"])
     assert rc == 4
-    assert "premise_violated" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "premise_violated" in out
+    # two rounds on 20 rows: too few rounds, and the run's eta, sqrt(ln 40 / 2),
+    # times --g-inf 1 exceeds 1; the residuals (at most 1) stay within --g-inf
+    assert "premise failed: rounds T=2 < ln(2N)=3.69\n" in out
+    assert "premise failed: eta*G=1.3581 > 1\n" in out
+    assert "premise failed: observed max|l|" not in out
 
 
 def test_verify_missing_history_is_io_error(tmp_path):
@@ -387,7 +393,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("empty-train-csv", 3), ("empty-logits-csv", 3), ("blank-first-line", 3),
     ("ensemble-without-members", 3), ("ensemble-is-a-list", 3), ("teacher-without-spec", 3),
     ("config-list", 2), ("resched-empty-ensemble", 3), ("ensemble-not-json", 3),
-    ("config-not-json", 3), ("teacher-not-json", 3), ("teacher-not-utf8", 3),
+    ("config-not-json", 2), ("teacher-not-json", 3), ("teacher-not-utf8", 3),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ensdistill.core import read_csv
 from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv,
                              save_dataset_csv, save_logits_csv)
 from ensdistill.distill import (Ensemble, RoundRecord, RunHistory, load_ensemble,
                                 read_history, save_ensemble, write_history)
-from ensdistill.evaluate import CurvePoint, read_curve_csv, write_curve_csv
+from ensdistill.evaluate import CURVE_COLUMNS, CurvePoint, write_curve_csv
 from ensdistill.nets import CONNECTION_KINDS, ConnectionSpec, LayerSpec, LearnerParams
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
@@ -108,10 +109,10 @@ def test_every_artifact_round_trips_bit_for_bit(ds, logits, hist, curve, ens):
 
         points = [CurvePoint(k, frac, acc) for k, frac, acc in curve]
         write_curve_csv(tmp / "curve.csv", points)
-        loaded = read_curve_csv(tmp / "curve.csv")
-        assert [p.prefix_k for p in loaded] == [p.prefix_k for p in points]
-        for key in ("cum_flops_fraction", "accuracy"):
-            assert floats_bits([getattr(p, key) for p in loaded]) == \
+        loaded = list(read_csv(tmp / "curve.csv", CURVE_COLUMNS))
+        assert [int(k) for k, _, _ in loaded] == [p.prefix_k for p in points]
+        for col, key in ((1, "cum_flops_fraction"), (2, "accuracy")):
+            assert floats_bits([float(row[col]) for row in loaded]) == \
                 floats_bits([getattr(p, key) for p in points])
 
         save_ensemble(tmp / "ensemble.json", ens)
@@ -126,8 +127,8 @@ def test_every_artifact_round_trips_bit_for_bit(ds, logits, hist, curve, ens):
                                                         b.weights + b.biases))
 
 
-@pytest.mark.parametrize("reader", [load_dataset_csv, load_logits_csv, read_history,
-                                    read_curve_csv], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("reader", [load_dataset_csv, load_logits_csv, read_history],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("text", ["", "\r\n0.5,1\r\n", "a,b\r\n0.5,1\r\n"],
                          ids=["empty", "blank-first-line", "wrong-header"])
 def test_csv_readers_name_the_file_of_a_bad_header(reader, text, tmp_path):
@@ -141,10 +142,11 @@ def test_csv_readers_name_the_file_of_a_bad_header(reader, text, tmp_path):
     (load_dataset_csv, "x0,x1,label\r\n0.5,1\r\n"),
     (load_logits_csv, "l0,l1\r\n0.5,1\r\n0.5\r\n"),
     (read_history, "round,label,edge_gamma,z,eta,class_r,clamp_count\r\n1,0,0.5,1.0\r\n"),
-    (read_curve_csv, "prefix_k,cum_flops_fraction,accuracy\r\n1,0.5,0.5\r\n\r\n"),
+    (read_history, "round,label,edge_gamma,z,eta,class_r,clamp_count\r\n"
+                   "1,0,0.5,1.0,1.0,1,0\r\n\r\n"),
     (load_dataset_csv, "x0,label\r\n"),
     (load_logits_csv, "l0\r\n"),
-], ids=["dataset-short-row", "logits-short-row", "history-short-row", "curve-blank-row",
+], ids=["dataset-short-row", "logits-short-row", "history-short-row", "history-blank-row",
         "dataset-no-rows", "logits-no-rows"])
 def test_csv_readers_name_the_file_of_a_truncated_body(reader, text, tmp_path):
     path = tmp_path / "artifact.csv"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ensdistill.core import RngStream
+from ensdistill.core import RngStream, read_json, write_json
 from ensdistill.data import (
     LabeledDataset,
     cube_labels,
@@ -14,19 +14,17 @@ from ensdistill.data import (
     ellipsoid_labels,
     gen_cube,
     gen_ellipsoid,
-    hard_label_loss,
+    hard_label_grad,
     load_dataset_csv,
     load_logits_csv,
-    load_meta,
     mlp_spec,
     save_dataset_csv,
     save_logits_csv,
-    save_meta,
     split,
     teacher_logits,
     train_teacher,
 )
-from ensdistill.evaluate import accuracy, margin_measure
+from ensdistill.evaluate import accuracy
 from ensdistill.nets import LayerSpec
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "ellipsoid_seed7.json").read_text())
@@ -129,9 +127,7 @@ def test_split_deterministic():
 
 def test_split_carries_logits_and_meta():
     ds = gen_ellipsoid(23, 20, d=4)
-    ds.teacher_logits = np.arange(40, dtype=np.float64).reshape(20, 2)
     train, test = split(ds, 0.8, seed=1)
-    assert train.teacher_logits.shape == (16, 2)
     assert train.meta["part"] == "train"
     assert test.meta["part"] == "test"
     assert train.meta["split_seed"] == 1
@@ -167,9 +163,7 @@ def test_default_recipe_values():
 
 
 def test_hard_label_loss_value_and_grad():
-    fn = hard_label_loss(np.array([0]), 2)
-    loss, grad = fn(np.zeros((1, 2)), np.array([0]))
-    assert abs(loss - np.log(2.0)) < 1e-12
+    grad = hard_label_grad(np.array([0]), 2)(np.zeros((1, 2)), np.array([0]))
     assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
 
 
@@ -193,8 +187,6 @@ def test_teacher_golden_run():
     assert accuracy(train_logits, train.labels) >= 0.95
     assert abs(accuracy(train_logits, train.labels) - GOLDEN["teacher_train_accuracy"]) <= 2e-3
     assert abs(accuracy(test_logits, test.labels) - GOLDEN["teacher_test_accuracy"]) <= 2e-3
-    assert abs(margin_measure(train_logits, 0.5) - GOLDEN["margin_mu_train_eps_0.5"]) <= 5e-3
-    assert abs(margin_measure(test_logits, 0.5) - GOLDEN["margin_mu_test_eps_0.5"]) <= 5e-3
 
 
 # --- file I/O ---------------------------------------------------------------
@@ -229,5 +221,5 @@ def test_logits_csv_round_trip(tmp_path):
 def test_meta_round_trip(tmp_path):
     ds = gen_cube(5, 30, d=6, classes=2, vertices=4)
     path = tmp_path / "meta.json"
-    save_meta(path, ds.meta)
-    assert load_meta(path) == ds.meta
+    write_json(path, ds.meta)
+    assert read_json(path) == ds.meta

@@ -204,7 +204,7 @@ def test_telescoping_residual_identity():
     residuals = [l - g for l in member_logits(ens.members, x)]
     state = init_uniform(*g.shape)
     for rec, resid in zip(hist.rounds, residuals, strict=True):
-        state, replay = md_update(state, resid, ens.eta, round_index=rec.round_index)
+        state, replay = md_update(state, resid, ens.eta)
         assert replay.edge_gamma.tobytes() == rec.edge_gamma.tobytes()
         assert replay.z.tobytes() == rec.z.tobytes()
     mean_resid = np.mean(residuals, axis=0)

@@ -1,4 +1,4 @@
-"""Curves, baselines, early exit, margins, and the bound verifier."""
+"""Curves, baselines, early exit, and the bound verifier."""
 
 import json
 import math
@@ -8,9 +8,10 @@ import pytest
 
 from oracle_runs import constructed_oracle_run, history_rows
 
-from ensdistill.core import RngStream
+from ensdistill.core import RngStream, read_csv
 from ensdistill.distill import Ensemble
 from ensdistill.evaluate import (
+    CURVE_COLUMNS,
     BoundReport,
     CurvePoint,
     accuracy,
@@ -18,9 +19,7 @@ from ensdistill.evaluate import (
     baseline_resched,
     early_exit,
     ensemble_flops_direct,
-    margin_measure,
     member_flops,
-    read_curve_csv,
     save_bound_report,
     standalone_spec,
     train_plain_student,
@@ -222,24 +221,6 @@ def test_early_exit_rejects_empty_ensemble():
         early_exit(_ensemble_of([]), np.zeros((1, 2)), 0.5)
 
 
-def test_margin_counts_are_inclusive():
-    g = np.array([[3.0, 1.0, 0.0], [2.0, 2.0, -1.0]])
-    assert margin_measure(g, 0.0) == 0.5          # exactly the tied row
-    assert margin_measure(g, 1.9) == 0.5
-    assert margin_measure(g, 2.0) == 1.0          # margin == epsilon counts
-
-
-def test_margin_single_output_uses_absolute_logit():
-    g = np.array([[0.2], [-0.8]])
-    assert margin_measure(g, 0.5) == 0.5
-    assert margin_measure(g, 0.8) == 1.0
-
-
-def test_margin_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
-        margin_measure(np.zeros((2, 2)), -0.1)
-
-
 # --- bound verification -----------------------------------------------------
 
 def test_verify_bound_passes_on_constructed_run():
@@ -330,7 +311,8 @@ def test_curve_csv_round_trip_is_exact(tmp_path):
     points = [CurvePoint(1, 0.1 / 3, 0.875), CurvePoint(2, 0.2 / 3, 2 / 3)]
     path = tmp_path / "curve.csv"
     write_curve_csv(path, points)
-    assert read_curve_csv(path) == points
+    assert [CurvePoint(int(k), float(frac), float(acc))
+            for k, frac, acc in read_csv(path, CURVE_COLUMNS)] == points
     header = path.read_text().splitlines()[0]
     assert header == "prefix_k,cum_flops_fraction,accuracy"
 

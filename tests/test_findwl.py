@@ -15,7 +15,7 @@ from ensdistill.findwl import (
     iplus_mask,
     lr_at_epoch,
     sgd_epoch,
-    total_loss_fn,
+    total_grad_fn,
 )
 from ensdistill.game import WeightState, edge, init_uniform
 from ensdistill.nets import NO_CONNECTION, LayerSpec, backward, forward, init_params
@@ -195,11 +195,11 @@ def test_sgd_lr_zero_is_identity():
     params = init_params(spec, RngStream(1))
     before = [w.copy() for w in params.weights]
 
-    def loss_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")
+    def grad_fn(logits, idx):
+        return distill_loss(logits, target[idx], "squared_error")[1]
 
     cfg = SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=8)
-    params, _, _ = sgd_epoch(params, x, loss_fn, cfg, RngStream(2), lr=0.0)
+    params, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(2), lr=0.0)
     for w, orig in zip(params.weights, before):
         assert np.array_equal(w, orig)
 
@@ -209,8 +209,8 @@ def test_sgd_convex_loss_non_increasing():
     spec = [LayerSpec(4, 2, "linear")]
     params = init_params(spec, RngStream(3))
 
-    def loss_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")
+    def grad_fn(logits, idx):
+        return distill_loss(logits, target[idx], "squared_error")[1]
 
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
@@ -218,11 +218,11 @@ def test_sgd_convex_loss_non_increasing():
     velocity = None
     for epoch in range(cfg.epochs):
         logits, _ = forward(params, x)
-        losses.append(loss_fn(logits, np.arange(32))[0])
-        params, velocity, rng = sgd_epoch(params, x, loss_fn, cfg, rng,
+        losses.append(distill_loss(logits, target, "squared_error")[0])
+        params, velocity, rng = sgd_epoch(params, x, grad_fn, cfg, rng,
                                           lr=cfg.lr, velocity=velocity)
     logits, _ = forward(params, x)
-    losses.append(loss_fn(logits, np.arange(32))[0])
+    losses.append(distill_loss(logits, target, "squared_error")[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
@@ -234,16 +234,16 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     w0 = params.weights[0].copy()
     b0 = params.biases[0].copy()
 
-    def loss_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")
+    def grad_fn(logits, idx):
+        return distill_loss(logits, target[idx], "squared_error")[1]
 
     lr = 0.1
     cfg = SgdConfig(lr=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=32)
-    stepped, _, _ = sgd_epoch(params, x, loss_fn, cfg, RngStream(9), lr=lr)
+    stepped, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(9), lr=lr)
 
     ref = init_params(spec, RngStream(8))
     logits, acts = forward(ref, x)
-    _, dlogits = loss_fn(logits, np.arange(32))
+    dlogits = grad_fn(logits, np.arange(32))
     dw, db = backward(ref, x, acts, dlogits)
     assert np.allclose(stepped.weights[0], w0 - lr * dw[0], atol=1e-12)
     assert np.allclose(stepped.biases[0], b0 - lr * db[0], atol=1e-12)
@@ -270,13 +270,9 @@ def test_total_loss_is_distill_plus_barrier():
     mask = mvals.reshape(10, 2) > 0.5
     cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0)
     b = default_logit_bound(g)
-    fn = total_loss_fn(g, mask, cfg, b)
-    idx = np.arange(10)
-    total, grad = fn(logits, idx)
-    dl, dlg = distill_loss(logits, g, "squared_error")
-    bl, _ = barrier_loss(logits - g, mask, b, 2.0)
+    grad = total_grad_fn(g, mask, cfg, b)(logits, np.arange(10))
+    _, dlg = distill_loss(logits, g, "squared_error")
     bg = barrier_grad(logits - g, mask, b, 2.0)
-    assert abs(total - (dl + bl)) < 1e-12
     assert np.allclose(grad, dlg + bg, atol=1e-12)
 
 

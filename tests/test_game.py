@@ -1,22 +1,22 @@
-"""Tests for the distribution player: weights, edge, updates, diagnostics."""
+"""Tests for the distribution player: weights, edge, updates, closed-form replay."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ensdistill.core import RngStream, ShapeError
+from ensdistill.core import RngStream
 from ensdistill.game import (
     CHECK_DEGENERATE,
     CHECK_FAIL,
     CHECK_PASS,
     WeightState,
     edge,
-    functional_gradient,
-    gwl_check,
     init_uniform,
     md_update,
     normalizer_inequality_ok,
     recompute_from_history,
-    residual,
     weak_learning_check,
 )
 
@@ -58,23 +58,6 @@ def test_init_rejects_bad_sizes():
         init_uniform(0, 1)
     with pytest.raises(ValueError):
         init_uniform(1, 0)
-
-
-# --- residual ---------------------------------------------------------------
-
-def test_residual_zero_when_equal():
-    f = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.all(residual(f, f) == 0.0)
-
-
-def test_residual_hand_example():
-    assert np.array_equal(residual(np.array([[1.0, 3.0]]), np.array([[0.0, 5.0]])),
-                          np.array([[1.0, -2.0]]))
-
-
-def test_residual_shape_mismatch():
-    with pytest.raises(ShapeError):
-        residual(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 # --- edge -------------------------------------------------------------------
@@ -215,55 +198,36 @@ def test_recompute_zero_history_returns_initial():
     assert np.allclose(closed.kminus, initial.kminus, atol=1e-15)
 
 
-# --- functional gradient ----------------------------------------------------
-
-def test_functional_gradient_uniform_is_mean_residual():
-    n, labels = 6, 2
-    p = np.full((n, labels), 1.0 / n)
-    f, _ = RngStream(5).gaussian(n * labels)
-    f = f.reshape(n, labels)
-    g = np.zeros((n, labels))
-    assert np.allclose(functional_gradient(p, f, g), f.mean(axis=0), atol=1e-12)
-
-
-def test_functional_gradient_point_mass_picks_row():
-    p = np.zeros((4, 2))
-    p[2, :] = 1.0
-    f, _ = RngStream(6).gaussian(8)
-    f = f.reshape(4, 2)
-    g = np.zeros((4, 2))
-    assert np.allclose(functional_gradient(p, f, g), f[2], atol=1e-15)
+@st.composite
+def bounded_histories(draw):
+    """n x L residual histories of T rounds under the theorem's premise
+    eta * max|l| <= 1, with each round's eta drawn on its own."""
+    n, n_labels = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    residuals, etas = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        eta = draw(st.floats(1e-3, 1e3))
+        bound = 1.0 / eta
+        residuals.append(draw(arrays(np.float64, (n, n_labels),
+                                     elements=st.floats(-bound, bound))))
+        etas.append(eta)
+    return n, n_labels, residuals, etas
 
 
-def test_functional_gradient_hand_example():
-    p = np.array([[0.25], [0.75]])
-    f = np.array([[4.0], [0.0]])
-    g = np.zeros((2, 1))
-    assert abs(functional_gradient(p, f, g)[0] - 1.0) < 1e-15
-
-
-def test_functional_gradient_rejects_nonstochastic_columns():
-    p = np.array([[0.2], [0.2]])
-    with pytest.raises(ValueError):
-        functional_gradient(p, np.zeros((2, 1)), np.zeros((2, 1)))
-
-
-# --- generalized weak-oracle check ------------------------------------------
-
-def test_gwl_equality_case():
-    u = np.array([3.0, 4.0])
-    assert gwl_check(u, u, alpha=1.0, beta=0.0)
-
-
-def test_gwl_orthogonal_fails():
-    assert not gwl_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]), alpha=0.5, beta=0.0)
-
-
-def test_gwl_large_beta_dominates():
-    u = np.array([1.0, 2.0])
-    grad = np.array([-2.0, 1.0])
-    beta = 2 * np.linalg.norm(u) * np.linalg.norm(grad)
-    assert gwl_check(u, grad, alpha=1.0, beta=beta)
+@settings(max_examples=100, deadline=None)
+@given(bounded_histories())
+def test_every_update_keeps_the_simplex_and_matches_the_replay(history):
+    n, n_labels, residuals, etas = history
+    initial = init_uniform(n, n_labels)
+    state = initial
+    for t, (l, eta) in enumerate(zip(residuals, etas), start=1):
+        state, _ = md_update(state, l, eta)
+        sums = (state.kplus + state.kminus).sum(axis=0)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-9
+        for k in (state.kplus, state.kminus):
+            assert k.min() >= 0.0 and k.max() <= 1.0
+        closed = recompute_from_history(initial, residuals[:t], etas[:t])
+        assert np.max(np.abs(closed.kplus - state.kplus)) <= 1e-9
+        assert np.max(np.abs(closed.kminus - state.kminus)) <= 1e-9
 
 
 # --- normalizer inequality --------------------------------------------------

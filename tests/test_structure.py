@@ -3,7 +3,9 @@
 Every CSV and JSON artifact is written and read through the codec in
 `ensdistill.core`, so only `core` may import `csv` or `json`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
-is handed the one array a candidate's connection reads.
+is handed the one array a candidate's connection reads.  And every top-level
+name in the package is read by the package itself, apart from the deliberate
+second paths that tests check the first ones against.
 """
 
 import ast
@@ -37,3 +39,44 @@ def test_the_search_reads_no_tap_address():
     tree = ast.parse((PACKAGE / "findwl.py").read_text(encoding="utf-8"))
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not reads & {"source_round", "source_layer"}
+
+
+# top-level names that no package code reads, each kept on purpose
+UNREAD_ON_PURPOSE = {
+    "recompute_from_history": "closed-form replay, criterion 2's reference for the iterated game",
+    "ensemble_flops_direct": "the second FLOP accounting path, checked against nets.flops",
+}
+
+
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _read_names(stmt) -> set:
+    reads = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):   # module.name, e.g. data_mod.split
+            reads.add(node.attr)
+    return reads
+
+
+def test_every_top_level_name_is_read_by_the_package():
+    defined, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined_names(stmt)
+            defined += [(path.stem, name, len(reads)) for name in names
+                        if not (name.startswith("__") and name.endswith("__"))]
+            reads.append(_read_names(stmt))
+    # a definition's own body (a recursive call, say) does not count as a read
+    unread = [f"{module}.{name}" for module, name, own in defined
+              if name not in UNREAD_ON_PURPOSE
+              and not any(name in r for i, r in enumerate(reads) if i != own)]
+    assert not unread, f"read by no code in src/ensdistill: {unread}"
+    assert set(UNREAD_ON_PURPOSE) <= {name for _, name, _ in defined}
