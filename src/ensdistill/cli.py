@@ -29,24 +29,54 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PREMISE = 4
 
-_SGD_KEYS = ("lr", "momentum", "weight_decay", "epochs", "batch_size", "lr_drops", "lr_factor")
-_FINDWL_KEYS = ("barrier_gamma", "logit_bound_b", "temperature", "max_search", "loss_mode", "sgd")
-_TOP_KEYS = ("T", "R", "eta", "eta_mode", "g_inf", "edge_tol", "base_hidden",
-             "connection_kind", "seed", "findwl")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _take(doc: dict, allowed, where: str) -> dict:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each config value must be, by the words its error uses
+_KINDS = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "a string": lambda v: isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a JSON object": lambda v: isinstance(v, dict),
+}
+_SGD_KEYS = {"lr": "a number", "momentum": "a number", "weight_decay": "a number",
+             "epochs": "an integer", "batch_size": "an integer",
+             "lr_drops": "a list of numbers", "lr_factor": "a number"}
+_FINDWL_KEYS = {"barrier_gamma": "a number", "logit_bound_b": "a number or null",
+                "temperature": "a number", "max_search": "an integer",
+                "loss_mode": "a string", "sgd": "a JSON object"}
+_TOP_KEYS = {"T": "an integer", "R": "an integer", "eta": "a number", "eta_mode": "a string",
+             "g_inf": "a number or null", "edge_tol": "a number",
+             "base_hidden": "a list of integers", "connection_kind": "a string",
+             "seed": "an integer", "findwl": "a JSON object"}
+
+
+def _take(doc: dict, kinds: dict, where: str) -> dict:
+    """`doc` after checking that it is an object whose every key is one of
+    `kinds` and holds a value of that key's kind."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, not a {type(doc).__name__}")
-    for key in doc:
-        if key not in allowed:
+    for key, value in doc.items():
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r} in {where}")
+        if not _KINDS[kinds[key]](value):
+            raise ConfigError(f"config key {key!r} in {where} must be {kinds[key]}, "
+                              f"got {value!r}")
     return doc
 
 
 def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillConfig:
-    """Construct the run configuration from a JSON document; unknown keys are
-    rejected by name, missing keys fall back to package defaults."""
+    """Construct the run configuration from a JSON document; unknown keys and
+    values of the wrong type are rejected by name, missing keys fall back to
+    package defaults."""
     _take(doc, _TOP_KEYS, "config")
     fw_doc = dict(_take(doc.get("findwl", {}), _FINDWL_KEYS, "config.findwl"))
     sgd_doc = dict(_take(fw_doc.pop("sgd", {}), _SGD_KEYS, "config.findwl.sgd"))

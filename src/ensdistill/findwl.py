@@ -130,7 +130,7 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
     g = np.asarray(g_logits, dtype=np.float64)
     if f.shape != g.shape:
         raise ShapeError(f"distill_loss: shape {f.shape} vs {g.shape}")
-    n = f.shape[0]
+    n = f.shape[-2]
     if mode == "squared_error":
         diff = f - g
         return 0.5 * float((diff * diff).sum()) / n, diff / n
@@ -157,7 +157,7 @@ def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
 
 
 def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
-              rng: RngStream, lr: float, velocity=None, tap=None):
+              rng: RngStream | list, lr: float, velocity=None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
     `grad_fn(logits, row_indices) -> dloss/dlogits` sees each minibatch; the
@@ -165,17 +165,32 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     carries momentum across epochs (created on first use).  Returns
     (params, velocity, rng); params are updated in place.
     `tap`, the activation `params.connection` reads, is sliced like `x`.
+
+    A stack of nets (see `nets.forward`) takes `rng` as a list with one
+    stream per slice, each drawing that slice's permutation.  A slice whose
+    logits go non-finite leaves the stack at the end of the epoch, and its
+    stream comes back as None; None entries stand for no slice.
     """
     if velocity is None:
         velocity = ([np.zeros_like(w) for w in params.weights],
                     [np.zeros_like(b) for b in params.biases])
     vel_w, vel_b = velocity
-    perm, rng = rng.permutation(x.shape[0])
-    for start in range(0, x.shape[0], cfg.batch_size):
-        idx = perm[start:start + cfg.batch_size]
+    n = x.shape[0]
+    stacked = isinstance(rng, list)
+    if stacked:
+        draws = [None if stream is None else stream.permutation(n) for stream in rng]
+        perm = np.stack([draw[0] for draw in draws if draw is not None])
+        rng = [None if draw is None else draw[1] for draw in draws]
+        finite = np.ones(len(perm), dtype=bool)
+    else:
+        perm, rng = rng.permutation(n)
+    for start in range(0, n, cfg.batch_size):
+        idx = perm[..., start:start + cfg.batch_size]
         bx = x[idx]
         btap = None if tap is None else tap[idx]
         logits, acts = forward(params, bx, btap)
+        if stacked:
+            finite &= np.isfinite(logits).all(axis=(-2, -1))
         dlogits = grad_fn(logits, idx)
         dW, db = backward(params, bx, acts, dlogits, btap)
         for li in range(len(params.weights)):
@@ -185,6 +200,13 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
             step_b = db[li] + cfg.weight_decay * params.biases[li]
             vel_b[li] = cfg.momentum * vel_b[li] + step_b
             params.biases[li] -= lr * vel_b[li]
+    if stacked and not finite.all():
+        for arrays in (params.weights, params.biases, vel_w, vel_b):
+            arrays[:] = [a[finite] for a in arrays]
+        slots = [slot for slot, stream in enumerate(rng) if stream is not None]
+        for slot, ok in zip(slots, finite):
+            if not ok:
+                rng[slot] = None
     return params, (vel_w, vel_b), rng
 
 
@@ -211,15 +233,39 @@ class FindResult:
     restart_index: int
 
 
-def _train_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng):
-    params = init_params(spec, rng.split(0), connection)
-    sgd_rng = rng.split(1)
+def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
+    """Train one candidate per restart stream in `rngs` as one stack.
+
+    Yields, in the order of `rngs`, (position in `rngs`, params, logits on
+    `x`) for each candidate whose logits stayed finite in every minibatch and
+    on all of `x`.  Divergence inside a candidate is routine (the barrier's
+    wall gradient can run away); it costs the restart, nothing more."""
+    nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
+    stack = LearnerParams(spec=nets[0].spec, connection=connection,
+                          weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
+                          biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
+    streams = [rng.split(1) for rng in rngs]
     velocity = None
-    for epoch in range(sgd_cfg.epochs):
-        params, velocity, sgd_rng = sgd_epoch(
-            params, x, grad_fn, sgd_cfg, sgd_rng,
-            lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
-    return params
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(sgd_cfg.epochs):
+            if all(stream is None for stream in streams):
+                return
+            stack, velocity, streams = sgd_epoch(
+                stack, x, grad_fn, sgd_cfg, streams,
+                lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
+    live = [pos for pos, stream in enumerate(streams) if stream is not None]
+    for k, pos in enumerate(live):
+        params = LearnerParams(spec=stack.spec, connection=connection,
+                               weights=[w[k] for w in stack.weights],
+                               biases=[b[k] for b in stack.biases])
+        try:
+            # one net at a time, keeping only its logits: activations on all
+            # of x are the search's largest arrays
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = forward(params, x, tap)[0]
+        except FloatingPointError:
+            continue
+        yield pos, params, logits
 
 
 def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
@@ -233,6 +279,10 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     independent of any execution order.  When the state is degenerate the
     check cannot pass, so the lowest-total-loss candidate is returned instead.
     A result with params=None means every restart failed.
+
+    Restarts train as stacks: a degenerate round trains all of them as one;
+    any other round trains restart 0 alone, and the rest as one stack only
+    if restart 0 does not pass.
     """
     cfg.validate()
     b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
@@ -241,28 +291,29 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     # equal paired weights give the barrier no direction to push, so a
     # degenerate round's candidate trains (and competes) on distillation alone
     grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
+    chunks = [range(cfg.max_search)] if degenerate else [range(1), range(1, cfg.max_search)]
     best = None
     best_key = None
-    for restart in range(cfg.max_search):
-        try:
-            # divergence inside a candidate is routine (the barrier's wall
-            # gradient can run away); it costs the restart, nothing more
-            with np.errstate(over="ignore", invalid="ignore"):
-                params = _train_candidate(spec, connection, x, tap, grad_fn,
-                                          cfg.sgd, rng.split(restart))
-                logits, _ = forward(params, x, tap)
-        except FloatingPointError:
-            continue
-        resid = logits - g_logits
-        dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
-        b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
-        total = dl_val if degenerate else dl_val + b_val
-        verdict = weak_learning_check(state, resid, edge_tol)
-        if verdict == CHECK_PASS:
-            return FindResult(params, CHECK_PASS, total, clamps, restart)
-        if best is None or total < best_key:
-            best = FindResult(params, verdict, total, clamps, restart)
-            best_key = total
+    for chunk in filter(None, chunks):
+        passed = None
+        for pos, params, logits in _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
+                                                [rng.split(restart) for restart in chunk]):
+            restart = chunk[pos]
+            resid = logits - g_logits
+            dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+            b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
+            total = dl_val if degenerate else dl_val + b_val
+            # every trained candidate that stayed finite is checked, so a
+            # restart the check never saw is one that diverged
+            verdict = weak_learning_check(state, resid, edge_tol)
+            if verdict == CHECK_PASS:
+                if passed is None:
+                    passed = FindResult(params, CHECK_PASS, total, clamps, restart)
+            elif best is None or total < best_key:
+                best = FindResult(params, verdict, total, clamps, restart)
+                best_key = total
+        if passed is not None:
+            return passed
     if best is not None and best.verdict == CHECK_DEGENERATE:
         return best
     return FindResult(None, "none", best.train_loss if best else float("nan"),

@@ -85,31 +85,39 @@ def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None) -> np.nd
     if tap is None:
         raise ConfigError(f"missing cached activation for member {conn.source_round} "
                           f"layer {conn.source_layer}")
-    if tap.shape[0] != h.shape[0]:
-        raise ConfigError(f"cached activation has {tap.shape[0]} rows, batch has {h.shape[0]}")
+    if tap.shape[-2] != h.shape[-2]:
+        raise ConfigError(f"cached activation has {tap.shape[-2]} rows, batch has {h.shape[-2]}")
     if conn.kind == "dense_concat":
-        return np.concatenate([h, tap], axis=1)
-    if tap.shape[1] != h.shape[1]:
-        raise ConfigError(f"{conn.kind} width mismatch: source {tap.shape[1]} vs {h.shape[1]}")
+        return np.concatenate([h, tap], axis=-1)
+    if tap.shape[-1] != h.shape[-1]:
+        raise ConfigError(f"{conn.kind} width mismatch: source {tap.shape[-1]} vs {h.shape[-1]}")
     return h + tap if conn.kind == "residual_add" else tap - h
 
 
 def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None):
     """Batch logits plus this member's per-layer post-activations, which later
-    taps and `backward` read; `tap` is what `params.connection` reads on `x`."""
+    taps and `backward` read; `tap` is what `params.connection` reads on `x`.
+
+    Weights of shape (S, in, out) and biases (S, out) make `params` a stack
+    of S nets with one spec and connection.  `x`, `tap`, the logits and the
+    activations then carry the same leading axis: one minibatch per slice.
+    Only a single net's non-finite logits raise: a stack's caller drops the
+    slices that diverged.
+    """
     conn = params.connection
     h = np.asarray(x, dtype=np.float64)
     acts = []
     for idx, layer in enumerate(params.spec):
         if conn.kind != "none" and idx == conn.target_layer:
             h = _join(params, h, tap)
-        if h.shape[1] != layer.in_dim:
-            raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[1]}")
-        z = h @ params.weights[idx] + params.biases[idx]
+        if h.shape[-1] != layer.in_dim:
+            raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[-1]}")
+        z = h @ params.weights[idx] + params.biases[idx][..., None, :]
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         acts.append(h)
-    logits = check_finite("logits", acts[-1])
-    return logits, acts
+    if h.ndim == 2:
+        check_finite("logits", h)
+    return h, acts
 
 
 def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarray,
@@ -120,7 +128,8 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
     `tap`: a layer's input is the previous layer's activation (or `x`),
     joined again at the connection's target, and a ReLU passes gradient where
     its output is positive.  The tap is a constant: no gradient is returned
-    (or propagated) for earlier members.
+    (or propagated) for earlier members.  A stack of nets (see `forward`)
+    gets one gradient per slice, stacked like its weights and biases.
     """
     conn = params.connection
     dW = [None] * len(params.spec)
@@ -133,16 +142,16 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
         joined = conn.kind != "none" and idx == conn.target_layer
         if joined:
             h = _join(params, h, tap)
-        dW[idx] = h.T @ dz
-        db[idx] = dz.sum(axis=0)
+        dW[idx] = h.swapaxes(-1, -2) @ dz
+        db[idx] = dz.sum(axis=-2)
         if idx == 0:
             break
-        dh = dz @ params.weights[idx].T
+        dh = dz @ params.weights[idx].swapaxes(-1, -2)
         if joined:
             if conn.kind == "delta":
                 dh = -dh
             elif conn.kind == "dense_concat":
-                dh = dh[:, : acts[idx - 1].shape[1]]   # drop the tap's columns
+                dh = dh[..., : acts[idx - 1].shape[-1]]   # drop the tap's columns
             # residual_add: identity on the current path
     return dW, db
 

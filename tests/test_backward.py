@@ -3,7 +3,8 @@
 `backward` takes the activations `forward` returned instead of running the
 forward pass again.  The reference below is the re-tracing backward it
 replaced; random nets with every connection kind and any target layer must
-give the same gradient bits, and a tapped search must train the same weights.
+give the same gradient bits, and a tapped search, which trains its restarts
+as a stack, must train the same weights as the reference run net by net.
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from ensdistill.core import RngStream
 from ensdistill.findwl import FindWlConfig, SgdConfig, find_weak_learner
 from ensdistill.game import WeightState, init_uniform
 from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec,
-                             backward, expand_class, forward, init_params)
+                             LearnerParams, backward, expand_class, forward, init_params)
 
 
 def reference_trace(params, x, tap):
@@ -62,6 +63,20 @@ def reference_backward(params, x, dlogits, tap=None):
             elif conn.kind == "dense_concat":
                 dh = dh[:, : dh.shape[1] - tap.shape[1]]
     return dW, db
+
+
+def reference_backward_per_net(params, x, acts, dlogits, tap=None):
+    """`reference_backward` with `backward`'s signature; a stack of nets is
+    differentiated one net at a time and its gradients restacked."""
+    if params.weights[0].ndim == 2:
+        return reference_backward(params, x, dlogits, tap)
+    grads = [reference_backward(
+        LearnerParams(params.spec, params.connection, [w[s] for w in params.weights],
+                      [b[s] for b in params.biases]),
+        x[s], dlogits[s], None if tap is None else tap[s])
+        for s in range(len(params.weights[0]))]
+    return ([np.stack(dws) for dws in zip(*(dW for dW, _ in grads))],
+            [np.stack(dbs) for dbs in zip(*(db for _, db in grads))])
 
 
 def same_bits(a, b) -> bool:
@@ -146,8 +161,7 @@ def test_tapped_search_trains_the_reference_weights(monkeypatch, kind, degenerat
                                  tap=tap, edge_tol=0.0)
 
     got = search()
-    monkeypatch.setattr(findwl, "backward", lambda params, bx, acts, dlogits, btap=None:
-                        reference_backward(params, bx, dlogits, btap))
+    monkeypatch.setattr(findwl, "backward", reference_backward_per_net)
     want = search()
     assert (got.verdict, got.restart_index, got.clamp_count) == \
         (want.verdict, want.restart_index, want.clamp_count)

@@ -326,6 +326,15 @@ def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     assert named in capsys.readouterr().err
 
 
+# a config whose one value has the wrong type, and the key its error names
+_WRONG_TYPE = {
+    "config-T-string": ({"T": "7"}, "'T'"),
+    "config-base-hidden-string": ({"base_hidden": "ab"}, "'base_hidden'"),
+    "config-lr-drops-number": ({"findwl": {"sgd": {"lr_drops": 5}}}, "'lr_drops'"),
+    "config-max-search-fraction": ({"findwl": {"max_search": 2.5}}, "'max_search'"),
+}
+
+
 def _break_input(case, pipeline, distilled, tmp_path):
     """Copies of the shared artifacts with one input broken as `case` says;
     returns the argv that reads it and the text its error must name."""
@@ -359,6 +368,9 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
         named = "'spec'"
+    elif case in _WRONG_TYPE:
+        doc, named = _WRONG_TYPE[case]
+        _write_config(config, doc)
     elif case == "config-list":
         config.write_text('["T"]\n', encoding="utf-8")
         named = "config must be a JSON object"
@@ -394,6 +406,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("ensemble-without-members", 3), ("ensemble-is-a-list", 3), ("teacher-without-spec", 3),
     ("config-list", 2), ("resched-empty-ensemble", 3), ("ensemble-not-json", 3),
     ("config-not-json", 2), ("teacher-not-json", 3), ("teacher-not-utf8", 3),
+    ("config-T-string", 2), ("config-base-hidden-string", 2), ("config-lr-drops-number", 2),
+    ("config-max-search-fraction", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)

@@ -1,7 +1,11 @@
 """Tests for the numeric substrate: finiteness, softmax, and the RNG."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensdistill.core import (
     RngStream,
@@ -108,6 +112,21 @@ def test_split_handles_large_and_negative_seeds():
     b, _ = neg.uniform(4)
     assert np.all(np.isfinite(a))
     assert np.all(np.isfinite(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(20, 200),
+       tags=st.lists(st.integers(0, 2 ** 64 - 1), min_size=2, max_size=2, unique=True))
+def test_split_children_are_independent(seed, n, tags):
+    # a restart stack draws one permutation per slice from sibling streams;
+    # siblings, and a child and its parent, must share no stretch of values
+    # (split reads a tag modulo 2**64, so tags are drawn below it)
+    parent = RngStream(seed)
+    a, b = (parent.split(tag) for tag in tags)
+    prefixes = [stream.uniform(64)[0] for stream in (parent, a, b)]
+    for one, other in itertools.combinations(prefixes, 2):
+        assert not set(one) & set(other)
+    assert not np.array_equal(a.permutation(n)[0], b.permutation(n)[0])
 
 
 # --- permutation ------------------------------------------------------------

@@ -1,0 +1,228 @@
+"""Restarts trained as one stack against restarts trained one at a time.
+
+The weak-learner search trains its restarts as a stack: weights of shape
+(S, in, out), one permutation per slice, one SGD loop.  The reference here is
+the unstacked path through the same `sgd_epoch`, `forward` and `backward`:
+every slice of a stack must hold the bits its restart gets when trained
+alone, a slice that diverges must leave the stack without touching the
+others, and the search must return what the restart-by-restart loop did.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ensdistill.findwl as findwl
+from ensdistill.core import RngStream
+from ensdistill.findwl import (LOSS_MODES, FindResult, FindWlConfig, SgdConfig,
+                               barrier_loss, default_logit_bound, distill_loss,
+                               find_weak_learner, iplus_mask, lr_at_epoch, total_grad_fn)
+from ensdistill.game import CHECK_DEGENERATE, CHECK_FAIL, CHECK_PASS, WeightState, init_uniform
+from ensdistill.nets import CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec, forward
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def solo_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng):
+    """One restart trained without a stack axis, as the search did before
+    stacking; a diverging candidate raises FloatingPointError."""
+    params = findwl.init_params(spec, rng.split(0), connection)
+    sgd_rng = rng.split(1)
+    velocity = None
+    for epoch in range(sgd_cfg.epochs):
+        params, velocity, sgd_rng = findwl.sgd_epoch(
+            params, x, grad_fn, sgd_cfg, sgd_rng,
+            lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
+    return params
+
+
+def loop_reference(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
+    """The search before stacking: restarts trained and checked one at a time."""
+    b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
+    degenerate = np.array_equal(state.kplus, state.kminus)
+    mask = iplus_mask(state)
+    grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
+    best = None
+    for restart in range(cfg.max_search):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                params = solo_candidate(spec, connection, x, tap, grad_fn, cfg.sgd,
+                                        rng.split(restart))
+                logits, _ = forward(params, x, tap)
+        except FloatingPointError:
+            continue
+        resid = logits - g_logits
+        dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+        b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
+        total = dl_val if degenerate else dl_val + b_val
+        verdict = findwl.weak_learning_check(state, resid, edge_tol)
+        if verdict == CHECK_PASS:
+            return FindResult(params, CHECK_PASS, total, clamps, restart)
+        if best is None or total < best.train_loss:
+            best = FindResult(params, verdict, total, clamps, restart)
+    if best is not None and best.verdict == CHECK_DEGENERATE:
+        return best
+    return FindResult(None, "none", best.train_loss if best else float("nan"),
+                      best.clamp_count if best else 0, -1)
+
+
+def assert_same_net(got, want):
+    assert len(got.weights) == len(want.weights)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert same_bits(a, b)
+
+
+def assert_same_result(got, want):
+    assert (got.verdict, got.restart_index, got.clamp_count) == \
+        (want.verdict, want.restart_index, want.clamp_count)
+    assert same_bits(got.train_loss, want.train_loss)
+    assert (got.params is None) == (want.params is None)
+    if got.params is not None:
+        assert_same_net(got.params, want.params)
+
+
+@st.composite
+def stack_cases(draw):
+    """A 1-3 layer class with any connection kind, data whose row count the
+    batch size does not divide, a degenerate or barrier objective, and 1-4
+    restart streams."""
+    d = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 3))
+    batch = draw(st.integers(2, 6))
+    n_rows = batch * draw(st.integers(1, 3)) + draw(st.integers(1, batch - 1))
+    root = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    u, _ = root.split(0).uniform(n_rows * d)
+    x = 2.0 * u.reshape(n_rows, d) - 1.0
+    dims = [d] + draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [n_labels]
+    activations = [draw(st.sampled_from(("relu", "linear"))) for _ in dims[2:]] + ["linear"]
+    spec = [LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(len(dims) - 1)]
+    kind = draw(st.sampled_from(CONNECTION_KINDS))
+    connection, tap = NO_CONNECTION, None
+    if kind != "none":
+        target = draw(st.integers(0, len(spec) - 1))
+        width = dims[target] if kind != "dense_concat" else draw(st.integers(1, 5))
+        t, _ = root.split(1).gaussian(n_rows * width)
+        tap = np.maximum(t.reshape(n_rows, width), 0.0)   # a ReLU layer's output
+        connection = ConnectionSpec(kind, 0, 0, target)
+        if kind == "dense_concat":
+            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+    g, _ = root.split(2).gaussian(n_rows * n_labels)
+    g = g.reshape(n_rows, n_labels)
+    mask = None
+    if not draw(st.booleans()):   # a barrier toward a random mask
+        m, _ = root.split(3).uniform(n_rows * n_labels)
+        mask = m.reshape(n_rows, n_labels) > 0.5
+    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0,
+                       sgd=SgdConfig(lr=0.05, epochs=draw(st.integers(1, 3)),
+                                     batch_size=batch))
+    grad_fn = total_grad_fn(g, mask, cfg, default_logit_bound(g))
+    rngs = [root.split(10 + s) for s in range(draw(st.integers(1, 4)))]
+    return spec, connection, x, tap, grad_fn, cfg.sgd, rngs
+
+
+@settings(max_examples=120, deadline=None)
+@given(stack_cases())
+def test_stacked_restarts_equal_solo_restarts(case):
+    spec, connection, x, tap, grad_fn, sgd_cfg, rngs = case
+    solo = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = list(findwl._train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs))
+        for pos, rng in enumerate(rngs):
+            try:
+                params = solo_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng)
+                solo.append((pos, params, forward(params, x, tap)[0]))
+            except FloatingPointError:
+                pass
+    assume(solo)   # a step size that diverges everywhere compares nothing
+    assert [pos for pos, _, _ in trained] == [pos for pos, _, _ in solo]
+    for (_, got, got_logits), (_, want, want_logits) in zip(trained, solo):
+        assert_same_net(got, want)
+        assert same_bits(got_logits, want_logits)
+
+
+def _blow_up(restart_rng):
+    """`findwl.init_params` with the weights of the restart drawn from
+    `restart_rng` scaled until its logits overflow."""
+    original = findwl.init_params
+
+    def init(spec, rng, connection=NO_CONNECTION):
+        params = original(spec, rng, connection)
+        if rng == restart_rng.split(0):
+            params.weights = [w * 1e200 for w in params.weights]
+        return params
+    return init
+
+
+def _search_problem():
+    rng = RngStream(70)
+    x, rng = rng.gaussian(24 * 3)
+    g, _ = rng.gaussian(24 * 2)
+    spec = [LayerSpec(3, 6), LayerSpec(6, 2, "linear")]
+    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0, max_search=4,
+                       sgd=SgdConfig(lr=0.02, epochs=4, batch_size=5))
+    return spec, x.reshape(24, 3), 3.0 * g.reshape(24, 2), cfg
+
+
+def test_a_diverging_slice_leaves_only_its_restart(monkeypatch):
+    spec, x, g, cfg = _search_problem()
+    root = RngStream(71)
+    rngs = [root.split(restart) for restart in range(4)]
+    monkeypatch.setattr(findwl, "init_params", _blow_up(rngs[2]))
+    grad_fn = total_grad_fn(g, None, cfg, default_logit_bound(g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = list(findwl._train_stack(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd,
+                                           rngs))
+        with pytest.raises(FloatingPointError):
+            solo_candidate(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd, rngs[2])
+    assert [pos for pos, _, _ in trained] == [0, 1, 3]
+    for pos, params, _ in trained:
+        assert_same_net(params, solo_candidate(spec, NO_CONNECTION, x, None, grad_fn,
+                                               cfg.sgd, rngs[pos]))
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_search_with_a_diverging_restart_matches_the_restart_loop(monkeypatch, degenerate):
+    spec, x, g, cfg = _search_problem()
+    state = init_uniform(24, 2) if degenerate else \
+        WeightState(np.full((24, 2), 0.8 / 24), np.full((24, 2), 0.2 / 24))
+    # no edge reaches this tolerance, so restart 0 fails and restarts 1-3
+    # train as one stack in the non-degenerate round
+    edge_tol = 1e3
+    root = RngStream(72)
+    monkeypatch.setattr(findwl, "init_params", _blow_up(root.split(2)))
+    checked = []
+    check = findwl.weak_learning_check
+    monkeypatch.setattr(findwl, "weak_learning_check",
+                        lambda *args: checked.append(1) or check(*args))
+    got = find_weak_learner(state, spec, NO_CONNECTION, x, g, cfg, root, edge_tol=edge_tol)
+    assert len(checked) == 3   # every restart but the diverged one
+    want = loop_reference(state, spec, NO_CONNECTION, x, g, cfg, root, edge_tol=edge_tol)
+    assert_same_result(got, want)
+    assert got.verdict == (CHECK_DEGENERATE if degenerate else "none")
+
+
+def test_the_lowest_passing_restart_of_a_stack_wins(monkeypatch):
+    spec, x, g, cfg = _search_problem()
+    state = WeightState(np.full((24, 2), 0.8 / 24), np.full((24, 2), 0.2 / 24))
+    root = RngStream(73)
+
+    def search(run):
+        # restarts 0 and 1 fail, 2 and 3 pass, whatever their residuals
+        verdicts = iter([CHECK_FAIL, CHECK_FAIL, CHECK_PASS, CHECK_PASS])
+        checked = []
+        monkeypatch.setattr(findwl, "weak_learning_check",
+                            lambda *args: checked.append(1) or next(verdicts))
+        return run(state, spec, NO_CONNECTION, x, g, cfg, root), len(checked)
+
+    got, got_checks = search(find_weak_learner)
+    want, want_checks = search(loop_reference)
+    assert_same_result(got, want)
+    assert got.restart_index == 2
+    # the stack trained restart 3 beside restart 2, so it was checked too
+    assert (got_checks, want_checks) == (4, 3)
