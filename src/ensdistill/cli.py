@@ -37,26 +37,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# what each config value must be, by the words its error uses
-_KINDS = {
-    "an integer": _is_int,
-    "a number": _is_number,
-    "a number or null": lambda v: v is None or _is_number(v),
-    "a string": lambda v: isinstance(v, str),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-    "a JSON object": lambda v: isinstance(v, dict),
-}
-_SGD_KEYS = {"lr": "a number", "momentum": "a number", "weight_decay": "a number",
-             "epochs": "an integer", "batch_size": "an integer",
-             "lr_drops": "a list of numbers", "lr_factor": "a number"}
-_FINDWL_KEYS = {"barrier_gamma": "a number", "logit_bound_b": "a number or null",
-                "temperature": "a number", "max_search": "an integer",
-                "loss_mode": "a string", "sgd": "a JSON object"}
-_TOP_KEYS = {"T": "an integer", "R": "an integer", "eta": "a number", "eta_mode": "a string",
-             "g_inf": "a number or null", "edge_tol": "a number",
-             "base_hidden": "a list of integers", "connection_kind": "a string",
-             "seed": "an integer", "findwl": "a JSON object"}
+# what each config value must be: (test, the words its error uses); None
+# marks a nested section, which its own `_take` checks
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_SGD_KEYS = {"lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
+             "epochs": _INT, "batch_size": _INT,
+             "lr_drops": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                          "a list of numbers"),
+             "lr_factor": _NUMBER}
+_FINDWL_KEYS = {"barrier_gamma": _NUMBER, "logit_bound_b": _NUMBER_OR_NULL,
+                "temperature": _NUMBER, "max_search": _INT, "loss_mode": _STRING,
+                "sgd": None}
+_TOP_KEYS = {"T": _INT, "R": _INT, "eta": _NUMBER, "eta_mode": _STRING,
+             "g_inf": _NUMBER_OR_NULL, "edge_tol": _NUMBER,
+             "base_hidden": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                             "a list of integers"),
+             "connection_kind": _STRING, "seed": _INT, "findwl": None}
 
 
 def _take(doc: dict, kinds: dict, where: str) -> dict:
@@ -67,8 +66,9 @@ def _take(doc: dict, kinds: dict, where: str) -> dict:
     for key, value in doc.items():
         if key not in kinds:
             raise ConfigError(f"unknown config key {key!r} in {where}")
-        if not _KINDS[kinds[key]](value):
-            raise ConfigError(f"config key {key!r} in {where} must be {kinds[key]}, "
+        kind = kinds[key]
+        if kind is not None and not kind[0](value):
+            raise ConfigError(f"config key {key!r} in {where} must be {kind[1]}, "
                               f"got {value!r}")
     return doc
 

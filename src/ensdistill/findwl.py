@@ -291,14 +291,13 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     # equal paired weights give the barrier no direction to push, so a
     # degenerate round's candidate trains (and competes) on distillation alone
     grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
+    # a degenerate round cannot pass, so it trains every restart; any other
+    # round often passes at restart 0, where a stack of S would cost ~2x
     chunks = [range(cfg.max_search)] if degenerate else [range(1), range(1, cfg.max_search)]
-    best = None
-    best_key = None
+    passed = best = None
     for chunk in filter(None, chunks):
-        passed = None
         for pos, params, logits in _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
                                                 [rng.split(restart) for restart in chunk]):
-            restart = chunk[pos]
             resid = logits - g_logits
             dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
             b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
@@ -308,10 +307,9 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
             verdict = weak_learning_check(state, resid, edge_tol)
             if verdict == CHECK_PASS:
                 if passed is None:
-                    passed = FindResult(params, CHECK_PASS, total, clamps, restart)
-            elif best is None or total < best_key:
-                best = FindResult(params, verdict, total, clamps, restart)
-                best_key = total
+                    passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos])
+            elif best is None or total < best.train_loss:
+                best = FindResult(params, verdict, total, clamps, chunk[pos])
         if passed is not None:
             return passed
     if best is not None and best.verdict == CHECK_DEGENERATE:
