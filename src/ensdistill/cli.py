@@ -107,13 +107,15 @@ def cmd_gen_data(args) -> int:
         ds = data_mod.gen_ellipsoid(args.seed, args.n, args.d)
     else:
         ds = data_mod.gen_cube(args.seed, args.n, args.d)
-    train, test = data_mod.split(ds, 0.8, args.seed)
-    data_mod.save_dataset_csv(out / "dataset.csv", ds)
+    train, test = data_mod.split_rows(ds.n, 0.8, args.seed)
+    # each row is formatted once; the split files reuse its line
+    lines = data_mod.dataset_lines(ds)
+    data_mod.save_dataset_csv(out / "dataset.csv", ds, lines)
     write_json(out / "meta.json", ds.meta)
-    data_mod.save_dataset_csv(out / "train.csv", train)
-    data_mod.save_dataset_csv(out / "test.csv", test)
+    data_mod.save_dataset_csv(out / "train.csv", ds, [lines[i] for i in train])
+    data_mod.save_dataset_csv(out / "test.csv", ds, [lines[i] for i in test])
     print(f"wrote {args.dataset} n={ds.n} d={ds.d} to {out} "
-          f"(train {train.n} / test {test.n})")
+          f"(train {len(train)} / test {len(test)})")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ of the pipeline promise byte-identical reruns.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -116,6 +117,11 @@ class RngStream:
 # --- artifact codec -----------------------------------------------------------
 # UTF-8.  CSV: the csv module's default dialect, one header row, each cell as
 # str(cell), which is repr for a Python float.  JSON: indent 2, final newline.
+# No number needs quoting, so a row of numbers is its cells' str joined by
+# commas plus CRLF: gen-data formats each dataset row once that way and
+# writes all three of its files from those lines (`write_csv_lines`).
+# Numeric files (datasets, logits) are parsed by numpy's C reader
+# (`read_numeric_csv`); the rest go through the csv module (`read_csv`).
 
 def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -124,19 +130,67 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def write_csv_lines(path, header, lines) -> None:
+    """Write `header`, then `lines`: rows already formatted as `write_csv`
+    would write them, each ending in CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
+def _check_header(path, found, header) -> int:
+    """The column count of a CSV file whose first row is `found`."""
+    expected = list(header(len(found)) if callable(header) else header)
+    if not found or found != expected:
+        raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
+    return len(found)
+
+
 def read_csv(path, header):
     """Yield the rows (lists of str) under a CSV file's `header`: its column
     names, or a function of their count that returns them."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, [])   # [] for an empty file or a blank first line
-        expected = list(header(len(found)) if callable(header) else header)
-        if not found or found != expected:
-            raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
+        width = _check_header(path, next(reader, []), header)  # [] if empty or blank
         for row in reader:
-            if len(row) != len(found):
-                raise ValueError(f"{path} line {reader.line_num}: expected {len(found)} fields")
+            if len(row) != width:
+                raise ValueError(f"{path} line {reader.line_num}: expected {width} fields")
             yield row
+
+
+def read_numeric_csv(path, header, dtype):
+    """The data rows of a numeric CSV file as one record array, parsed by
+    `np.loadtxt` straight from the open file; `dtype(width)` is the record
+    type of a row of `width` fields.
+
+    The header is checked as `read_csv` checks it.  loadtxt skips blank lines,
+    so each line's field count is checked before numpy sees the line, and the
+    first line that fails is reported with its number, as `read_csv` reports
+    it.  Every rejection names the file.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        width = _check_header(path, next(csv.reader(fh), []), header)
+        bad = []        # number of the first line with another field count
+
+        def lines():
+            for num, line in enumerate(fh, start=2):
+                if line.count(",") != width - 1 or line.isspace():
+                    bad.append(num)
+                    return
+                yield line
+        rows = lines()
+        first = next(rows, None)
+        try:
+            body = None if first is None else np.loadtxt(
+                itertools.chain([first], rows), dtype=dtype(width), delimiter=",",
+                comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if bad:
+        raise ValueError(f"{path} line {bad[0]}: expected {width} fields")
+    if body is None:
+        raise ValueError(f"{path} has no data rows")
+    return body
 
 
 def write_json(path, doc) -> None:

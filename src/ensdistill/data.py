@@ -7,12 +7,11 @@ sidecar so labels can be re-derived from files alone.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, read_csv, softmax, write_csv
+from .core import RngStream, read_numeric_csv, softmax, write_csv, write_csv_lines
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
 from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
@@ -111,18 +110,23 @@ def gen_cube(seed: int, n: int, d: int = 32, classes: int = 4,
     return LabeledDataset(x=x, labels=labels, meta=meta)
 
 
-def split(ds: LabeledDataset, fraction: float = 0.8,
-          seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic shuffled split; every row lands in exactly one part."""
+def split_rows(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of a deterministic shuffled split of n rows into a
+    train and a test part; every row lands in exactly one part."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError("fraction must be in (0, 1)")
-    n = ds.n
     n_train = int(round(n * fraction))
     if n_train < 1 or n - n_train < 1:
         raise ConfigError(f"split of {n} rows at {fraction} leaves an empty part")
     perm, _ = RngStream(seed).permutation(n)
+    return perm[:n_train], perm[n_train:]
+
+
+def split(ds: LabeledDataset, fraction: float = 0.8,
+          seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
+    """The train and test parts of `ds` picked by `split_rows`."""
     parts = []
-    for name, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):
+    for name, idx in zip(("train", "test"), split_rows(ds.n, fraction, seed)):
         meta = dict(ds.meta, part=name, split_fraction=fraction, split_seed=seed)
         parts.append(LabeledDataset(x=ds.x[idx], labels=ds.labels[idx], meta=meta))
     return parts[0], parts[1]
@@ -186,24 +190,30 @@ def _logits_header(width: int) -> list:
     return [f"l{i}" for i in range(width)]
 
 
-def _matrix(values: array, n_rows: int, path) -> np.ndarray:
-    if not n_rows:
-        raise ValueError(f"{path} has no data rows")
-    return np.frombuffer(values, dtype=np.float64).reshape(n_rows, -1)
+def dataset_lines(ds: LabeledDataset) -> list:
+    """Each row of `ds` as its line in a dataset CSV file, as `write_csv`
+    would write it (see the codec comment in `core`)."""
+    return [",".join(map(repr, row)) + "," + str(label) + "\r\n"
+            for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
 
 
-def save_dataset_csv(path, ds: LabeledDataset) -> None:
-    write_csv(path, _dataset_header(ds.d + 1),
-              (row.tolist() + [label] for row, label in zip(ds.x, ds.labels.tolist())))
+def save_dataset_csv(path, ds: LabeledDataset, lines: list | None = None) -> None:
+    """Write `ds`, or, if given, `lines` (rows of `ds` from `dataset_lines`)
+    under its header."""
+    write_csv_lines(path, _dataset_header(ds.d + 1),
+                    dataset_lines(ds) if lines is None else lines)
+
+
+def _dataset_record(width: int) -> np.dtype:
+    return np.dtype([("x", np.float64, (width - 1,)), ("label", np.int64)])
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    values, labels = array("d"), []
-    for row in read_csv(path, _dataset_header):
-        values.extend(map(float, row[:-1]))
-        labels.append(int(row[-1]))
-    return LabeledDataset(x=_matrix(values, len(labels), path),
-                          labels=np.array(labels, dtype=np.int64))
+    """`x` and `labels` are views of the parsed records, so nothing is copied:
+    `x` steps d + 1 floats per row, which numpy and BLAS read in place with
+    the same results as a contiguous copy (checked in tests/test_codec.py)."""
+    body = read_numeric_csv(path, _dataset_header, _dataset_record)
+    return LabeledDataset(x=body["x"], labels=body["label"])
 
 
 def save_logits_csv(path, logits: np.ndarray) -> None:
@@ -211,8 +221,10 @@ def save_logits_csv(path, logits: np.ndarray) -> None:
     write_csv(path, _logits_header(logits.shape[1]), (row.tolist() for row in logits))
 
 
+def _logits_record(width: int) -> np.dtype:
+    # one field holds the whole row, so that field is a C-contiguous matrix
+    return np.dtype([("l", np.float64, (width,))])
+
+
 def load_logits_csv(path) -> np.ndarray:
-    values, n_rows = array("d"), 0
-    for n_rows, row in enumerate(read_csv(path, _logits_header), start=1):
-        values.extend(map(float, row))
-    return _matrix(values, n_rows, path)
+    return read_numeric_csv(path, _logits_header, _logits_record)["l"]

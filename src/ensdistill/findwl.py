@@ -80,10 +80,8 @@ def iplus_mask(state: WeightState) -> np.ndarray:
     return state.kplus > state.kminus
 
 
-def _clamp(l: np.ndarray, b: float) -> tuple[np.ndarray, int]:
-    limit = 2.0 * b * (1.0 - _CLAMP_MARGIN)
-    count = int(np.count_nonzero(np.abs(l) >= limit))
-    return np.clip(l, -limit, limit), count
+def _clamp_limit(b: float) -> float:
+    return 2.0 * b * (1.0 - _CLAMP_MARGIN)
 
 
 def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
@@ -99,10 +97,11 @@ def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
         raise ValueError("barrier_gamma must be > 0")
     if l.shape != mask.shape:
         raise ShapeError(f"barrier_loss: shape {l.shape} vs mask {mask.shape}")
-    lc, count = _clamp(np.asarray(l, dtype=np.float64), b)
-    scaled = lc / (2.0 * b)
+    l = np.asarray(l, dtype=np.float64)
+    limit = _clamp_limit(b)
+    scaled = np.clip(l, -limit, limit) / (2.0 * b)
     terms = np.where(mask, np.log1p(scaled), np.log1p(-scaled))
-    return -float(terms.sum()) / barrier_gamma, count
+    return -float(terms.sum()) / barrier_gamma, int(np.count_nonzero(np.abs(l) >= limit))
 
 
 def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
@@ -112,9 +111,29 @@ def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
         raise ValueError("logit bound B must be > 0")
     if barrier_gamma <= 0:
         raise ValueError("barrier_gamma must be > 0")
-    lc, _ = _clamp(np.asarray(l, dtype=np.float64), b)
+    limit = _clamp_limit(b)
+    lc = np.clip(np.asarray(l, dtype=np.float64), -limit, limit)
     grad = np.where(mask, 1.0 / (2.0 * b + lc), -1.0 / (2.0 * b - lc))
     return -grad / barrier_gamma
+
+
+def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
+                 temperature: float = 2.0) -> np.ndarray:
+    """Gradient of `distill_loss` w.r.t. the student logits, without the
+    loss value, which no SGD step reads."""
+    f = np.asarray(f_logits, dtype=np.float64)
+    g = np.asarray(g_logits, dtype=np.float64)
+    if f.shape != g.shape:
+        raise ShapeError(f"distill_loss: shape {f.shape} vs {g.shape}")
+    n = f.shape[-2]
+    if mode == "squared_error":
+        return (f - g) / n
+    if mode == "ce_temperature":
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        tau = temperature
+        return (tau / n) * (softmax(f / tau) - softmax(g / tau))
+    raise ValueError(f"unknown loss_mode {mode!r}")
 
 
 def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
@@ -126,24 +145,15 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
     magnitudes stay comparable across temperatures.
     squared_error: 0.5 * ||f - g||^2 / n_rows, the game's own loss.
     """
+    grad = distill_grad(f_logits, g_logits, mode, temperature)
     f = np.asarray(f_logits, dtype=np.float64)
     g = np.asarray(g_logits, dtype=np.float64)
-    if f.shape != g.shape:
-        raise ShapeError(f"distill_loss: shape {f.shape} vs {g.shape}")
     n = f.shape[-2]
     if mode == "squared_error":
         diff = f - g
-        return 0.5 * float((diff * diff).sum()) / n, diff / n
-    if mode == "ce_temperature":
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        tau = temperature
-        targets = softmax(g / tau)
-        logq = log_softmax(f / tau)
-        loss = -(tau * tau) * float((targets * logq).sum()) / n
-        grad = (tau / n) * (softmax(f / tau) - targets)
-        return loss, grad
-    raise ValueError(f"unknown loss_mode {mode!r}")
+        return 0.5 * float((diff * diff).sum()) / n, grad
+    tau = temperature
+    return -(tau * tau) * float((softmax(g / tau) * log_softmax(f / tau)).sum()) / n, grad
 
 
 def default_logit_bound(g_logits: np.ndarray) -> float:
@@ -215,10 +225,11 @@ def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConf
     distillation loss plus the barrier toward `mask`; `mask=None` means no
     barrier, the distillation loss alone."""
     def fn(logits: np.ndarray, idx: np.ndarray):
-        dl_grad = distill_loss(logits, g_logits[idx], cfg.loss_mode, cfg.temperature)[1]
+        g = g_logits[idx]
+        dl_grad = distill_grad(logits, g, cfg.loss_mode, cfg.temperature)
         if mask is None:
             return dl_grad
-        return dl_grad + barrier_grad(logits - g_logits[idx], mask[idx], b, cfg.barrier_gamma)
+        return dl_grad + barrier_grad(logits - g, mask[idx], b, cfg.barrier_gamma)
     return fn
 
 

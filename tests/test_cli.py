@@ -87,6 +87,31 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# sha256 of dataset.csv, train.csv, test.csv and meta.json for each gen-data run
+GEN_DATA_RUNS = {
+    ("ellipsoid", "300", "6", "11"): (
+        "665f1a11da0f18972e397d517bb97a5941a4798821f3cb2d25ab5520a67d5a7e",
+        "26156b68bddfa81605ca781739078db115d04aa0807493031a7b414756e91870",
+        "b6b46d33de5b6637e4151937b8b4cb66ab138e4b56b7b9f48af6f6d1597006c6",
+        "a671001265c8cb852330ff5d44a2ea171aa221448ab059f19ce1723d4403af08"),
+    ("cube", "240", "5", "4"): (
+        "cb592480755386f8b72adfd58deb4a1a7e28ce1b8c9e4202276e0620cefb606b",
+        "14b43daf5653433a2b6793ec7f0060c0eda14293f49564df69b4578befbea962",
+        "21f7aa32165c29bed1bad83d6c9b7aab584b43a7e5996e319715078477931327",
+        "13d88ed7bc27a610d861a136f6704e3bdb39334a90bddddb7c7db3ae2781c452"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GEN_DATA_RUNS), ids=lambda run: run[0])
+def test_gen_data_bytes_are_pinned(run, tmp_path):
+    dataset, n, d, seed = run
+    assert main(["gen-data", "--dataset", dataset, "--n", n, "--d", d, "--seed", seed,
+                 "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("dataset.csv", "train.csv", "test.csv", "meta.json"))
+    assert digests == GEN_DATA_RUNS[run]
+
+
 def test_gen_data_rejects_unknown_dataset(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--dataset", "foo", "--n", "10",

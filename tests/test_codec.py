@@ -3,11 +3,14 @@
 Matrices are drawn over the whole finite float64 range, with -0.0,
 subnormals and +-1e308 forced in, so a writer that prints a float any other
 way than its repr, or a reader that parses it any other way than exactly,
-shows up as a changed bit.
+shows up as a changed bit.  The numeric reader behind the dataset and logits
+files is also checked against the csv-module reader it replaced, on valid
+and on broken files.
 """
 
 import re
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ensdistill.core import read_csv
-from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv,
+from ensdistill.core import RngStream, read_csv
+from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv, mlp_spec,
                              save_dataset_csv, save_logits_csv)
 from ensdistill.distill import (Ensemble, RoundRecord, RunHistory, load_ensemble,
                                 read_history, save_ensemble, write_history)
 from ensdistill.evaluate import CURVE_COLUMNS, CurvePoint, write_curve_csv
-from ensdistill.nets import CONNECTION_KINDS, ConnectionSpec, LayerSpec, LearnerParams
+from ensdistill.nets import (CONNECTION_KINDS, ConnectionSpec, LayerSpec, LearnerParams,
+                             forward, init_params)
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
            1e308, -1e308, 1.7976931348623157e308, 0.1, -1.0 / 3.0)
@@ -153,3 +157,121 @@ def test_csv_readers_name_the_file_of_a_truncated_body(reader, text, tmp_path):
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         reader(path)
+
+
+# --- the numeric reader against the csv-module reader it replaced ------------
+
+def _dataset_columns(width):
+    return [f"x{i}" for i in range(width - 1)] + ["label"]
+
+
+def _logits_columns(width):
+    return [f"l{i}" for i in range(width)]
+
+
+def csv_module_dataset(path):
+    """The dataset reader before numpy parsed the body: csv rows, float, int."""
+    values, labels = array("d"), []
+    for row in read_csv(path, _dataset_columns):
+        values.extend(map(float, row[:-1]))
+        labels.append(int(row[-1]))
+    if not labels:
+        raise ValueError(f"{path} has no data rows")
+    return (np.frombuffer(values, dtype=np.float64).reshape(len(labels), -1),
+            np.array(labels, dtype=np.int64))
+
+
+def csv_module_logits(path):
+    values, n_rows = array("d"), 0
+    for n_rows, row in enumerate(read_csv(path, _logits_columns), start=1):
+        values.extend(map(float, row))
+    if not n_rows:
+        raise ValueError(f"{path} has no data rows")
+    return np.frombuffer(values, dtype=np.float64).reshape(n_rows, -1)
+
+
+def numeric_dataset(path):
+    ds = load_dataset_csv(path)
+    return ds.x, ds.labels
+
+
+READERS = {"dataset": (csv_module_dataset, numeric_dataset),
+           "logits": (csv_module_logits, lambda path: load_logits_csv(path))}
+VALID = ("none", "no-final-newline", "lf-endings", "quoted-cell")
+BROKEN = ("blank-line", "short-row", "long-row", "trailing-comma")
+LABEL_ONLY = ("non-integer-label", "label-out-of-range")
+
+
+@st.composite
+def numeric_files(draw):
+    """(kind, mutation, file text): a dataset or logits file as the codec
+    writes it, then changed by one mutation."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    x = draw(matrices(rows=st.integers(0, 6)))
+    rows = [[repr(v) for v in row] for row in x.tolist()]
+    if kind == "dataset":
+        header = _dataset_columns(x.shape[1] + 1)
+        for row in rows:
+            row.append(str(draw(INT64)))
+    else:
+        header = _logits_columns(x.shape[1])
+    mutation = draw(st.sampled_from(VALID + BROKEN + (LABEL_ONLY if kind == "dataset" else ())))
+    if rows and mutation not in VALID[:3]:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(0, len(row) - 1))
+        if mutation == "quoted-cell":
+            row[cell] = f'"{row[cell]}"'
+        elif mutation == "short-row":
+            del row[cell]
+        elif mutation == "long-row":
+            row.insert(cell, repr(draw(FLOATS)))
+        elif mutation == "trailing-comma":
+            row.append("")
+        elif mutation == "non-integer-label":
+            row[-1] = draw(st.sampled_from(["1.5", "1.0", "1e3", "abc", "", "0x1f", "nan"]))
+        elif mutation == "label-out-of-range":
+            row[-1] = str(draw(st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30])))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if mutation == "blank-line" and rows:
+        lines.insert(draw(st.integers(2, len(lines))), "")
+    eol = "\n" if mutation == "lf-endings" else "\r\n"
+    return kind, mutation, eol.join(lines) + ("" if mutation == "no-final-newline" else eol)
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path), None
+    except (ValueError, OverflowError) as exc:
+        return None, exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_files())
+def test_numeric_reader_agrees_with_the_csv_module_reader(case):
+    kind, mutation, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        oracle, numeric = READERS[kind]
+        old, old_exc = _outcome(oracle, path)
+        new, new_exc = _outcome(numeric, path)
+    assert (old_exc is None) == (new_exc is None), (mutation, old_exc, new_exc)
+    if new_exc is None:
+        old, new = (old, new) if kind == "dataset" else ((old,), (new,))
+        assert all(same_bits(a, b) for a, b in zip(old, new)), mutation
+    else:
+        assert isinstance(new_exc, ValueError) and str(path) in str(new_exc), new_exc
+        if str(path) in str(old_exc):   # a header, field-count or empty-body rejection
+            assert str(new_exc) == str(old_exc)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (300, 32)])
+def test_a_loaded_dataset_computes_as_its_contiguous_copy(n, d, tmp_path):
+    rng = np.random.default_rng(n + d)
+    ds = LabeledDataset(x=rng.uniform(-1.0, 1.0, (n, d)), labels=rng.integers(0, 4, n))
+    save_dataset_csv(tmp_path / "dataset.csv", ds)
+    loaded = load_dataset_csv(tmp_path / "dataset.csv")
+    assert not loaded.x.flags["C_CONTIGUOUS"] or d == 1 or n == 1
+    params = init_params(mlp_spec(d, [24, 24], 4), RngStream(d))
+    for x in (loaded.x, loaded.x[-1:]):
+        assert same_bits(forward(params, x)[0], forward(params, np.ascontiguousarray(x))[0])
