@@ -117,43 +117,44 @@ def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
     return -grad / barrier_gamma
 
 
-def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
-                 temperature: float = 2.0) -> np.ndarray:
-    """Gradient of `distill_loss` w.r.t. the student logits, without the
-    loss value, which no SGD step reads."""
+def _distill_inputs(f_logits, g_logits, mode: str, temperature: float):
     f = np.asarray(f_logits, dtype=np.float64)
     g = np.asarray(g_logits, dtype=np.float64)
     if f.shape != g.shape:
-        raise ShapeError(f"distill_loss: shape {f.shape} vs {g.shape}")
-    n = f.shape[-2]
-    if mode == "squared_error":
-        return (f - g) / n
-    if mode == "ce_temperature":
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        tau = temperature
-        return (tau / n) * (softmax(f / tau) - softmax(g / tau))
-    raise ValueError(f"unknown loss_mode {mode!r}")
+        raise ShapeError(f"distill loss: shape {f.shape} vs {g.shape}")
+    if mode not in LOSS_MODES:
+        raise ValueError(f"unknown loss_mode {mode!r}")
+    if mode == "ce_temperature" and temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    return f, g, f.shape[-2]
 
 
 def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
-                 temperature: float = 2.0) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. the student logits.
+                 temperature: float = 2.0) -> float:
+    """Distillation loss of the student logits against the teacher's.
 
     ce_temperature: temperature-softened cross-entropy against the teacher's
     soft targets, averaged over rows and rescaled by tau^2 so gradient
     magnitudes stay comparable across temperatures.
     squared_error: 0.5 * ||f - g||^2 / n_rows, the game's own loss.
     """
-    grad = distill_grad(f_logits, g_logits, mode, temperature)
-    f = np.asarray(f_logits, dtype=np.float64)
-    g = np.asarray(g_logits, dtype=np.float64)
-    n = f.shape[-2]
+    f, g, n = _distill_inputs(f_logits, g_logits, mode, temperature)
     if mode == "squared_error":
         diff = f - g
-        return 0.5 * float((diff * diff).sum()) / n, grad
+        return 0.5 * float((diff * diff).sum()) / n
     tau = temperature
-    return -(tau * tau) * float((softmax(g / tau) * log_softmax(f / tau)).sum()) / n, grad
+    return -(tau * tau) * float((softmax(g / tau) * log_softmax(f / tau)).sum()) / n
+
+
+def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
+                 temperature: float = 2.0) -> np.ndarray:
+    """Gradient of `distill_loss` w.r.t. the student logits.  An SGD step
+    reads only this, so it is built without the loss value."""
+    f, g, n = _distill_inputs(f_logits, g_logits, mode, temperature)
+    if mode == "squared_error":
+        return (f - g) / n
+    tau = temperature
+    return (tau / n) * (softmax(f / tau) - softmax(g / tau))
 
 
 def default_logit_bound(g_logits: np.ndarray) -> float:
@@ -310,7 +311,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
         for pos, params, logits in _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
                                                 [rng.split(restart) for restart in chunk]):
             resid = logits - g_logits
-            dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+            dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
             b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
             total = dl_val if degenerate else dl_val + b_val
             # every trained candidate that stayed finite is checked, so a

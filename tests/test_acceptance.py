@@ -230,7 +230,7 @@ def _fd_composed_loss(kind: str, mode: str, seed: int):
 
     def value():
         logits, _ = forward(params, x, tap)
-        return (distill_loss(logits, g, mode, cfg.temperature)[0]
+        return (distill_loss(logits, g, mode, cfg.temperature)
                 + barrier_loss(logits - g, mask, b, cfg.barrier_gamma)[0])
 
     logits, acts = forward(params, x, tap)

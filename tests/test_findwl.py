@@ -10,6 +10,7 @@ from ensdistill.findwl import (
     barrier_grad,
     barrier_loss,
     default_logit_bound,
+    distill_grad,
     distill_loss,
     find_weak_learner,
     iplus_mask,
@@ -123,7 +124,8 @@ def test_default_logit_bound():
 def test_squared_error_zero_at_match():
     f, _ = RngStream(1).gaussian(12)
     f = f.reshape(4, 3)
-    loss, grad = distill_loss(f, f, "squared_error")
+    loss = distill_loss(f, f, "squared_error")
+    grad = distill_grad(f, f, "squared_error")
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -131,7 +133,8 @@ def test_squared_error_zero_at_match():
 def test_squared_error_value_and_grad():
     f = np.array([[1.0, 0.0], [0.0, 2.0]])
     g = np.zeros((2, 2))
-    loss, grad = distill_loss(f, g, "squared_error")
+    loss = distill_loss(f, g, "squared_error")
+    grad = distill_grad(f, g, "squared_error")
     assert abs(loss - 0.5 * 5.0 / 2) < 1e-15
     assert np.allclose(grad, f / 2, atol=1e-15)
 
@@ -139,7 +142,7 @@ def test_squared_error_value_and_grad():
 def test_ce_gradient_zero_at_match():
     f, _ = RngStream(2).gaussian(12)
     f = f.reshape(4, 3)
-    _, grad = distill_loss(f, f, "ce_temperature", temperature=2.0)
+    grad = distill_grad(f, f, "ce_temperature", temperature=2.0)
     assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -147,7 +150,7 @@ def test_ce_hand_example():
     # soft targets softmax([0, 2 ln 2]) = [0.2, 0.8]; CE against uniform = ln 2
     f = np.array([[0.0, 0.0]])
     g = np.array([[0.0, 2 * np.log(2.0)]])
-    loss, _ = distill_loss(f, g, "ce_temperature", temperature=1.0)
+    loss = distill_loss(f, g, "ce_temperature", temperature=1.0)
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
@@ -160,15 +163,15 @@ def test_distill_grad_finite_difference(mode, temperature):
     g, _ = rng.gaussian(256)
     f = f.reshape(32, 8)
     g = g.reshape(32, 8)
-    _, grad = distill_loss(f, g, mode, temperature)
+    grad = distill_grad(f, g, mode, temperature)
     h = 1e-5
     checked = 0
     for i in range(32):
         for j in range(8):
             up = f.copy(); up[i, j] += h
             dn = f.copy(); dn[i, j] -= h
-            fd = (distill_loss(up, g, mode, temperature)[0]
-                  - distill_loss(dn, g, mode, temperature)[0]) / (2 * h)
+            fd = (distill_loss(up, g, mode, temperature)
+                  - distill_loss(dn, g, mode, temperature)) / (2 * h)
             assert abs(grad[i, j] - fd) / max(abs(grad[i, j]), abs(fd), 1e-6) <= 1e-4
             checked += 1
     assert checked >= 200
@@ -178,6 +181,8 @@ def test_distill_rejects_unknown_mode():
     z = np.zeros((1, 1))
     with pytest.raises(ValueError):
         distill_loss(z, z, "huber")
+    with pytest.raises(ValueError):
+        distill_grad(z, z, "huber")
 
 
 # --- SGD --------------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_sgd_lr_zero_is_identity():
     before = [w.copy() for w in params.weights]
 
     def grad_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")[1]
+        return distill_grad(logits, target[idx], "squared_error")
 
     cfg = SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=8)
     params, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(2), lr=0.0)
@@ -210,7 +215,7 @@ def test_sgd_convex_loss_non_increasing():
     params = init_params(spec, RngStream(3))
 
     def grad_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")[1]
+        return distill_grad(logits, target[idx], "squared_error")
 
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
@@ -218,11 +223,11 @@ def test_sgd_convex_loss_non_increasing():
     velocity = None
     for epoch in range(cfg.epochs):
         logits, _ = forward(params, x)
-        losses.append(distill_loss(logits, target, "squared_error")[0])
+        losses.append(distill_loss(logits, target, "squared_error"))
         params, velocity, rng = sgd_epoch(params, x, grad_fn, cfg, rng,
                                           lr=cfg.lr, velocity=velocity)
     logits, _ = forward(params, x)
-    losses.append(distill_loss(logits, target, "squared_error")[0])
+    losses.append(distill_loss(logits, target, "squared_error"))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
@@ -235,7 +240,7 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     b0 = params.biases[0].copy()
 
     def grad_fn(logits, idx):
-        return distill_loss(logits, target[idx], "squared_error")[1]
+        return distill_grad(logits, target[idx], "squared_error")
 
     lr = 0.1
     cfg = SgdConfig(lr=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=32)
@@ -271,7 +276,7 @@ def test_total_loss_is_distill_plus_barrier():
     cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0)
     b = default_logit_bound(g)
     grad = total_grad_fn(g, mask, cfg, b)(logits, np.arange(10))
-    _, dlg = distill_loss(logits, g, "squared_error")
+    dlg = distill_grad(logits, g, "squared_error")
     bg = barrier_grad(logits - g, mask, b, 2.0)
     assert np.allclose(grad, dlg + bg, atol=1e-12)
 

@@ -58,7 +58,7 @@ def loop_reference(state, spec, connection, x, g_logits, cfg, rng, tap=None, edg
         except FloatingPointError:
             continue
         resid = logits - g_logits
-        dl_val, _ = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+        dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
         b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
         total = dl_val if degenerate else dl_val + b_val
         verdict = findwl.weak_learning_check(state, resid, edge_tol)
