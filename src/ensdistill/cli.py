@@ -112,8 +112,9 @@ def cmd_gen_data(args) -> int:
     lines = data_mod.dataset_lines(ds)
     data_mod.save_dataset_csv(out / "dataset.csv", ds, lines)
     write_json(out / "meta.json", ds.meta)
-    data_mod.save_dataset_csv(out / "train.csv", ds, [lines[i] for i in train])
-    data_mod.save_dataset_csv(out / "test.csv", ds, [lines[i] for i in test])
+    for name, rows in (("train.csv", train), ("test.csv", test)):
+        part = data_mod.LabeledDataset(x=ds.x[rows], labels=ds.labels[rows])
+        data_mod.save_dataset_csv(out / name, part, [lines[i] for i in rows])
     print(f"wrote {args.dataset} n={ds.n} d={ds.d} to {out} "
           f"(train {len(train)} / test {len(test)})")
     return EXIT_OK

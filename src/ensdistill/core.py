@@ -8,8 +8,10 @@ of the pipeline promise byte-identical reruns.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +122,18 @@ class RngStream:
 # No number needs quoting, so a row of numbers is its cells' str joined by
 # commas plus CRLF: gen-data formats each dataset row once that way and
 # writes all three of its files from those lines (`write_csv_lines`).
-# Numeric files (datasets, logits) are parsed by numpy's C reader
-# (`read_numeric_csv`); the rest go through the csv module (`read_csv`).
+# Numeric files (datasets, logits) are read by `read_numeric_csv`; the rest
+# go through the csv module (`read_csv`).
+#
+# The writer of a numeric file also saves `<file>.npz` beside it
+# (`write_numeric_sidecar`): `records`, the record array that parsing the
+# file gives, and `csv_sha256`, the sha256 of the file's bytes.  The CSV
+# stays the artifact: `read_numeric_csv` returns the sidecar's records only
+# while the file still hashes to `csv_sha256` and the records have the type
+# it asks for, and parses the file, through numpy's C reader, otherwise.
+# Since repr round-trips every finite float and str every int, the two
+# paths give the same bits; only NaN payloads differ, and the dataset and
+# logits loaders refuse non-finite cells on both paths.  Readers never write.
 
 def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -158,18 +170,61 @@ def read_csv(path, header):
             yield row
 
 
-def read_numeric_csv(path, header, dtype):
-    """The data rows of a numeric CSV file as one record array, parsed by
-    `np.loadtxt` straight from the open file; `dtype(width)` is the record
-    type of a row of `width` fields.
+def _file_sha256(path) -> str:
+    """The sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
-    The header is checked as `read_csv` checks it.  loadtxt skips blank lines,
-    so each line's field count is checked before numpy sees the line, and the
-    first line that fails is reported with its number, as `read_csv` reports
-    it.  Every rejection names the file.
+
+def write_numeric_sidecar(path, records) -> None:
+    """Save `records`, the rows of the numeric CSV file just written at
+    `path` as `read_numeric_csv` parses them, to `<path>.npz`, with the
+    sha256 of the file.  np.savez stamps no time, so equal inputs give equal
+    bytes."""
+    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(_file_sha256(path)))
+
+
+def _npz_member(npz, name) -> np.ndarray:
+    with npz.open(f"{name}.npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _sidecar_records(path, record):
+    """The records of `path`'s sidecar, or None if it is missing or
+    unreadable, was saved for other bytes, or does not hold a non-empty
+    array of `record`."""
+    try:
+        with zipfile.ZipFile(f"{path}.npz") as npz:
+            digest = _npz_member(npz, "csv_sha256")
+            if str(digest) != _file_sha256(path):
+                return None
+            records = _npz_member(npz, "records")
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if records.dtype != record or records.ndim != 1 or not len(records):
+        return None
+    return records
+
+
+def read_numeric_csv(path, header, dtype):
+    """The data rows of a numeric CSV file as one record array;
+    `dtype(width)` is the record type of a row of `width` fields.
+
+    The header is checked as `read_csv` checks it.  The records then come
+    from the file's sidecar if it matches (see the codec comment), or else
+    are parsed by `np.loadtxt` straight from the open file.  loadtxt skips
+    blank lines, so each line's field count is checked before numpy sees the
+    line, and the first line that fails is reported with its number, as
+    `read_csv` reports it.  Every rejection names the file.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         width = _check_header(path, next(csv.reader(fh), []), header)
+        saved = _sidecar_records(path, dtype(width))
+        if saved is not None:
+            return saved
         bad = []        # number of the first line with another field count
 
         def lines():

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, read_numeric_csv, softmax, write_csv, write_csv_lines
+from .core import (RngStream, read_numeric_csv, softmax, write_csv, write_csv_lines,
+                   write_numeric_sidecar)
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
 from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
@@ -197,28 +198,36 @@ def dataset_lines(ds: LabeledDataset) -> list:
             for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
 
 
-def save_dataset_csv(path, ds: LabeledDataset, lines: list | None = None) -> None:
-    """Write `ds`, or, if given, `lines` (rows of `ds` from `dataset_lines`)
-    under its header."""
-    write_csv_lines(path, _dataset_header(ds.d + 1),
-                    dataset_lines(ds) if lines is None else lines)
-
-
 def _dataset_record(width: int) -> np.dtype:
     return np.dtype([("x", np.float64, (width - 1,)), ("label", np.int64)])
 
 
+def save_dataset_csv(path, ds: LabeledDataset, lines: list | None = None) -> None:
+    """Write `ds`, or, if given, `lines` (rows of `ds` from `dataset_lines`)
+    under its header, and the sidecar of its records."""
+    write_csv_lines(path, _dataset_header(ds.d + 1),
+                    dataset_lines(ds) if lines is None else lines)
+    records = np.empty(ds.n, _dataset_record(ds.d + 1))
+    records["x"], records["label"] = ds.x, ds.labels
+    write_numeric_sidecar(path, records)
+
+
+def _refuse_rows(path, bad: np.ndarray, what: str) -> None:
+    """Reject a loaded file whose rows are flagged in `bad`, naming the line
+    of the first one (the header is line 1)."""
+    if bad.any():
+        raise ValueError(f"{path} line {int(np.argmax(bad)) + 2}: {what}")
+
+
 def load_dataset_csv(path) -> LabeledDataset:
-    """`x` and `labels` are views of the parsed records, so nothing is copied:
+    """`x` and `labels` are views of the loaded records, so nothing is copied:
     `x` steps d + 1 floats per row, which numpy and BLAS read in place with
-    the same results as a contiguous copy (checked in tests/test_codec.py)."""
+    the same results as a contiguous copy (checked in tests/test_codec.py).
+    A non-finite feature or a negative label is refused."""
     body = read_numeric_csv(path, _dataset_header, _dataset_record)
+    _refuse_rows(path, ~np.isfinite(body["x"]).all(axis=1), "non-finite feature")
+    _refuse_rows(path, body["label"] < 0, "negative label")
     return LabeledDataset(x=body["x"], labels=body["label"])
-
-
-def save_logits_csv(path, logits: np.ndarray) -> None:
-    logits = np.asarray(logits, dtype=np.float64)
-    write_csv(path, _logits_header(logits.shape[1]), (row.tolist() for row in logits))
 
 
 def _logits_record(width: int) -> np.dtype:
@@ -226,5 +235,17 @@ def _logits_record(width: int) -> np.dtype:
     return np.dtype([("l", np.float64, (width,))])
 
 
+def save_logits_csv(path, logits: np.ndarray) -> None:
+    """Write `logits` and the sidecar of its records."""
+    logits = np.asarray(logits, dtype=np.float64)
+    write_csv(path, _logits_header(logits.shape[1]), (row.tolist() for row in logits))
+    records = np.empty(len(logits), _logits_record(logits.shape[1]))
+    records["l"] = logits
+    write_numeric_sidecar(path, records)
+
+
 def load_logits_csv(path) -> np.ndarray:
-    return read_numeric_csv(path, _logits_header, _logits_record)["l"]
+    """The logits matrix; a non-finite entry is refused."""
+    logits = read_numeric_csv(path, _logits_header, _logits_record)["l"]
+    _refuse_rows(path, ~np.isfinite(logits).all(axis=1), "non-finite logit")
+    return logits

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -77,14 +78,23 @@ def test_gen_data_writes_dataset_and_split(tmp_path):
     assert meta["seed"] == 1
 
 
-def test_gen_data_rerun_is_byte_identical(tmp_path):
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_gen_data_rerun_is_byte_identical(tmp_path, monkeypatch):
     args = ["gen-data", "--dataset", "ellipsoid", "--n", "80", "--d", "3",
             "--seed", "5", "--out"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + [str(a)]) == 0
+    # a day later: no file, sidecars included, may carry the time it was written
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now + 86400.0)
     assert main(args + [str(b)]) == 0
-    for name in ("dataset.csv", "meta.json", "train.csv", "test.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    monkeypatch.undo()
+    assert sorted(_files(a)) == ["dataset.csv", "dataset.csv.npz", "meta.json", "test.csv",
+                                 "test.csv.npz", "train.csv", "train.csv.npz"]
+    assert _files(a) == _files(b)
 
 
 # sha256 of dataset.csv, train.csv, test.csv and meta.json for each gen-data run
@@ -125,6 +135,45 @@ def test_train_teacher_outputs(pipeline):
     assert [layer.out_dim for layer in params.spec] == [8, 2]
     assert _rows(pipeline["data"] / "train_logits.csv") == 48
     assert _rows(pipeline["data"] / "test_logits.csv") == 12
+
+
+def test_only_gen_data_and_train_teacher_write_into_the_data_directory(tmp_path):
+    data_dir, teacher = tmp_path / "data", tmp_path / "teacher.json"
+    assert main(["gen-data", "--dataset", "ellipsoid", "--n", "60", "--d", "2", "--seed", "3",
+                 "--out", str(data_dir)]) == 0
+    generated = set(_files(data_dir))
+    assert main(["train-teacher", "--data", str(data_dir), "--spec", "8", "--out", str(teacher),
+                 "--seed", "3", "--epochs", "15", "--batch-size", "32"]) == 0
+    before = _files(data_dir)
+    assert set(before) - generated == {"train_logits.csv", "train_logits.csv.npz",
+                                       "test_logits.csv", "test_logits.csv.npz"}
+    config = tmp_path / "config.json"
+    _write_config(config, FAST_CONFIG)
+    ens, hist = str(tmp_path / "ensemble.json"), str(tmp_path / "history.csv")
+    evaluation = ["eval", "--ensemble", ens, "--data", str(data_dir), "--teacher", str(teacher)]
+    for argv in (["distill", "--data", str(data_dir), "--teacher", str(teacher),
+                  "--config", str(config), "--out", ens, "--history", hist],
+                 evaluation + ["--mode", "anytime", "--out", str(tmp_path / "a.csv")],
+                 evaluation + ["--mode", "early-exit", "--threshold", "0.9",
+                               "--out", str(tmp_path / "e.csv")],
+                 evaluation + ["--mode", "resched", "--out", str(tmp_path / "r.csv")],
+                 ["verify", "--history", hist, "--ensemble", ens, "--data", str(data_dir),
+                  "--g-inf", "50"]):
+        assert main(argv) in ((0, 1, 4) if argv[0] == "verify" else (0,)), argv
+        assert _files(data_dir) == before, argv[0]
+
+
+@pytest.mark.parametrize("cell, named", [("feature", "non-finite feature"),
+                                         ("label", "negative label")])
+def test_train_teacher_refuses_a_bad_cell(cell, named, pipeline, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data_dir)
+    _set_cell(data_dir / "train.csv", 0 if cell == "feature" else -1,
+              "nan" if cell == "feature" else "-1")
+    assert main(["train-teacher", "--data", str(data_dir), "--spec", "8",
+                 "--out", str(tmp_path / "t.json"), "--epochs", "1"]) == 3
+    assert f"{data_dir / 'train.csv'} line 2: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_train_teacher_missing_data_dir_is_io_error(tmp_path, capsys):
@@ -360,6 +409,15 @@ _WRONG_TYPE = {
 }
 
 
+def _set_cell(path, column, text):
+    """Replace a cell of the first data row of a CSV file."""
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    row = lines[1].split(",")
+    row[column] = text
+    lines[1] = ",".join(row)
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+
 def _break_input(case, pipeline, distilled, tmp_path):
     """Copies of the shared artifacts with one input broken as `case` says;
     returns the argv that reads it and the text its error must name."""
@@ -379,6 +437,13 @@ def _break_input(case, pipeline, distilled, tmp_path):
     elif case == "blank-first-line":
         named = data_dir / "train.csv"
         named.write_bytes(b"\r\n" + named.read_bytes())
+    elif case in ("nan-feature", "negative-label"):
+        named = data_dir / "train.csv"
+        _set_cell(named, 0 if case == "nan-feature" else -1,
+                  "nan" if case == "nan-feature" else "-1")
+    elif case == "inf-logit":
+        named = data_dir / "train_logits.csv"
+        _set_cell(named, 0, "inf")
     elif case == "ensemble-without-members":
         ensemble.write_text('{"meta": {}}\n', encoding="utf-8")
         named = "'members'"
@@ -428,6 +493,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
 
 @pytest.mark.parametrize("case, code", [
     ("empty-train-csv", 3), ("empty-logits-csv", 3), ("blank-first-line", 3),
+    ("nan-feature", 3), ("negative-label", 3), ("inf-logit", 3),
     ("ensemble-without-members", 3), ("ensemble-is-a-list", 3), ("teacher-without-spec", 3),
     ("config-list", 2), ("resched-empty-ensemble", 3), ("ensemble-not-json", 3),
     ("config-not-json", 2), ("teacher-not-json", 3), ("teacher-not-utf8", 3),

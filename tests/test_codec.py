@@ -5,7 +5,9 @@ subnormals and +-1e308 forced in, so a writer that prints a float any other
 way than its repr, or a reader that parses it any other way than exactly,
 shows up as a changed bit.  The numeric reader behind the dataset and logits
 files is also checked against the csv-module reader it replaced, on valid
-and on broken files.
+and on broken files, and the binary sidecar each numeric file is written
+with is checked against the parse of that file.  The round trip and the
+differential cases read with no sidecar present, so they test the parse.
 """
 
 import re
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ensdistill.core import RngStream, read_csv
+from ensdistill.core import RngStream, read_csv, read_numeric_csv, write_numeric_sidecar
 from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv, mlp_spec,
                              save_dataset_csv, save_logits_csv)
 from ensdistill.distill import (Ensemble, RoundRecord, RunHistory, load_ensemble,
@@ -32,6 +34,7 @@ SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
            1e308, -1e308, 1.7976931348623157e308, 0.1, -1.0 / 3.0)
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+LABELS = st.integers(0, 2 ** 63 - 1)      # the dataset loader refuses negative labels
 
 
 def matrices(rows=st.integers(1, 6), cols=st.integers(1, 5)):
@@ -49,10 +52,9 @@ def floats_bits(values) -> bytes:
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, labels=LABELS):
     x = draw(matrices())
-    labels = draw(arrays(np.int64, x.shape[0], elements=INT64))
-    return LabeledDataset(x=x, labels=labels)
+    return LabeledDataset(x=x, labels=draw(arrays(np.int64, x.shape[0], elements=labels)))
 
 
 @st.composite
@@ -95,10 +97,12 @@ def test_every_artifact_round_trips_bit_for_bit(ds, logits, hist, curve, ens):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_dataset_csv(tmp / "dataset.csv", ds)
+        (tmp / "dataset.csv.npz").unlink()
         back = load_dataset_csv(tmp / "dataset.csv")
         assert same_bits(back.x, ds.x) and same_bits(back.labels, ds.labels)
 
         save_logits_csv(tmp / "logits.csv", logits)
+        (tmp / "logits.csv.npz").unlink()
         assert same_bits(load_logits_csv(tmp / "logits.csv"), logits)
 
         write_history(tmp / "history.csv", hist)
@@ -169,16 +173,26 @@ def _logits_columns(width):
     return [f"l{i}" for i in range(width)]
 
 
+def _refuse_first(path, flags, what):
+    for line, bad in enumerate(flags, start=2):
+        if bad:
+            raise ValueError(f"{path} line {line}: {what}")
+
+
 def csv_module_dataset(path):
-    """The dataset reader before numpy parsed the body: csv rows, float, int."""
+    """The dataset reader before numpy parsed the body: csv rows, float, int;
+    then the cell checks every dataset load makes."""
     values, labels = array("d"), []
     for row in read_csv(path, _dataset_columns):
         values.extend(map(float, row[:-1]))
         labels.append(int(row[-1]))
     if not labels:
         raise ValueError(f"{path} has no data rows")
-    return (np.frombuffer(values, dtype=np.float64).reshape(len(labels), -1),
-            np.array(labels, dtype=np.int64))
+    x = np.frombuffer(values, dtype=np.float64).reshape(len(labels), -1)
+    labels = np.array(labels, dtype=np.int64)
+    _refuse_first(path, (not np.isfinite(row).all() for row in x), "non-finite feature")
+    _refuse_first(path, labels < 0, "negative label")
+    return x, labels
 
 
 def csv_module_logits(path):
@@ -187,7 +201,9 @@ def csv_module_logits(path):
         values.extend(map(float, row))
     if not n_rows:
         raise ValueError(f"{path} has no data rows")
-    return np.frombuffer(values, dtype=np.float64).reshape(n_rows, -1)
+    logits = np.frombuffer(values, dtype=np.float64).reshape(n_rows, -1)
+    _refuse_first(path, (not np.isfinite(row).all() for row in logits), "non-finite logit")
+    return logits
 
 
 def numeric_dataset(path):
@@ -198,8 +214,8 @@ def numeric_dataset(path):
 READERS = {"dataset": (csv_module_dataset, numeric_dataset),
            "logits": (csv_module_logits, load_logits_csv)}
 VALID = ("none", "no-final-newline", "lf-endings", "quoted-cell")
-BROKEN = ("blank-line", "short-row", "long-row", "trailing-comma")
-LABEL_ONLY = ("non-integer-label", "label-out-of-range")
+BROKEN = ("blank-line", "short-row", "long-row", "trailing-comma", "non-finite-cell")
+LABEL_ONLY = ("non-integer-label", "label-out-of-range", "negative-label")
 
 
 @st.composite
@@ -212,7 +228,7 @@ def numeric_files(draw):
     if kind == "dataset":
         header = _dataset_columns(x.shape[1] + 1)
         for row in rows:
-            row.append(str(draw(INT64)))
+            row.append(str(draw(LABELS)))
     else:
         header = _logits_columns(x.shape[1])
     mutation = draw(st.sampled_from(VALID + BROKEN + (LABEL_ONLY if kind == "dataset" else ())))
@@ -227,10 +243,15 @@ def numeric_files(draw):
             row.insert(cell, repr(draw(FLOATS)))
         elif mutation == "trailing-comma":
             row.append("")
+        elif mutation == "non-finite-cell":
+            floats = len(row) - (kind == "dataset")
+            row[draw(st.integers(0, floats - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
         elif mutation == "non-integer-label":
             row[-1] = draw(st.sampled_from(["1.5", "1.0", "1e3", "abc", "", "0x1f", "nan"]))
         elif mutation == "label-out-of-range":
             row[-1] = str(draw(st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30])))
+        elif mutation == "negative-label":
+            row[-1] = str(draw(st.integers(-2 ** 63, -1)))
     lines = [",".join(header)] + [",".join(row) for row in rows]
     if mutation == "blank-line" and rows:
         lines.insert(draw(st.integers(2, len(lines))), "")
@@ -263,7 +284,7 @@ def test_numeric_reader_agrees_with_the_csv_module_reader(case):
         assert all(same_bits(a, b) for a, b in zip(old, new)), mutation
     else:
         assert isinstance(new_exc, ValueError) and str(path) in str(new_exc), new_exc
-        if str(path) in str(old_exc):   # a header, field-count or empty-body rejection
+        if str(path) in str(old_exc):   # any rejection but a parse error's
             assert str(new_exc) == str(old_exc)
 
 
@@ -277,3 +298,137 @@ def test_a_loaded_dataset_computes_as_its_contiguous_copy(n, d, tmp_path):
     params = init_params(mlp_spec(d, [24, 24], 4), RngStream(d))
     for x in (loaded.x, loaded.x[-1:]):
         assert same_bits(forward(params, x)[0], forward(params, np.ascontiguousarray(x))[0])
+
+
+# --- the sidecar beside each numeric file --------------------------------------
+
+def _dataset_record(width):
+    return np.dtype([("x", np.float64, (width - 1,)), ("label", np.int64)])
+
+
+def _logits_record(width):
+    return np.dtype([("l", np.float64, (width,))])
+
+
+def parsed(path, header, record):
+    """`read_numeric_csv` of `path` with its sidecar moved away and back."""
+    sidecar = Path(f"{path}.npz")
+    aside = sidecar.with_suffix(".aside")
+    sidecar.rename(aside)
+    try:
+        return read_numeric_csv(path, header, record)
+    finally:
+        aside.rename(sidecar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(labels=INT64), matrices())
+def test_a_sidecar_holds_what_parsing_its_file_gives(ds, logits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset_csv(tmp / "dataset.csv", ds)
+        save_logits_csv(tmp / "logits.csv", logits)
+        for path, header, record in ((tmp / "dataset.csv", _dataset_columns, _dataset_record),
+                                     (tmp / "logits.csv", _logits_columns, _logits_record)):
+            with np.load(f"{path}.npz", allow_pickle=False) as npz:
+                saved = npz["records"]
+            assert same_bits(read_numeric_csv(path, header, record), saved)
+            assert same_bits(parsed(path, header, record), saved)
+
+
+def _small_dataset(tmp_path):
+    ds = LabeledDataset(x=np.array([[0.5, -0.25], [1e-310, 3.0]]), labels=np.array([1, 0]))
+    path = tmp_path / "dataset.csv"
+    save_dataset_csv(path, ds)
+    return path
+
+
+def test_a_file_edited_to_the_same_length_is_read_as_edited(tmp_path):
+    path = _small_dataset(tmp_path)
+    sidecar = Path(f"{path}.npz").read_bytes()
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"0.5,", b"0.7,").replace(b",0\r\n", b",2\r\n"))
+    assert len(path.read_bytes()) == len(raw)
+    ds = load_dataset_csv(path)
+    assert ds.x[0, 0] == 0.7 and ds.labels.tolist() == [1, 2]
+    assert Path(f"{path}.npz").read_bytes() == sidecar      # readers never write
+
+
+def _wrong_type(path):
+    records = np.zeros(2, [("x", np.float64, (2,)), ("label", np.int32)])
+    write_numeric_sidecar(path, records)
+
+
+def _overwrite(data: bytes):
+    return lambda path: Path(f"{path}.npz").write_bytes(data)
+
+
+def _truncate(path):
+    sidecar = Path(f"{path}.npz")
+    sidecar.write_bytes(sidecar.read_bytes()[:-40])
+
+
+def _without_digest(path):
+    with np.load(f"{path}.npz") as npz:
+        records = npz["records"]
+    np.savez(f"{path}.npz", records=records)
+
+
+def _flat_records(path):
+    with np.load(f"{path}.npz") as npz:
+        records = npz["records"]
+    write_numeric_sidecar(path, records.reshape(1, 2))
+
+
+@pytest.mark.parametrize("spoil", [
+    _wrong_type, _truncate, _overwrite(b""), _overwrite(b"PK\x03\x04 not a zip"),
+    _overwrite(np.random.default_rng(0).bytes(300)), _without_digest, _flat_records,
+], ids=["wrong-record-type", "truncated", "empty", "garbage", "random-bytes", "no-digest",
+        "two-dimensional"])
+def test_a_spoiled_sidecar_is_ignored(spoil, tmp_path):
+    path = _small_dataset(tmp_path)
+    spoil(path)
+    spoiled = Path(f"{path}.npz").read_bytes()
+    ds = load_dataset_csv(path)
+    assert same_bits(ds.x, np.array([[0.5, -0.25], [1e-310, 3.0]]))
+    assert ds.labels.tolist() == [1, 0]
+    assert Path(f"{path}.npz").read_bytes() == spoiled
+
+
+def test_a_bad_header_is_refused_even_beside_a_matching_sidecar(tmp_path):
+    path = _small_dataset(tmp_path)
+    with np.load(f"{path}.npz") as npz:
+        records = npz["records"]
+    path.write_bytes(path.read_bytes().replace(b"x0,x1,label", b"x0,x9,label"))
+    write_numeric_sidecar(path, records)       # the sidecar now matches the file
+    with pytest.raises(ValueError, match="bad header"):
+        load_dataset_csv(path)
+
+
+_BAD_CELLS = {
+    "nan-feature": ("dataset", np.array([[0.5, 1.0], [np.nan, 2.0]]), [0, 1], 3,
+                    "non-finite feature"),
+    "inf-feature": ("dataset", np.array([[-np.inf, 1.0], [0.5, 2.0]]), [0, 1], 2,
+                    "non-finite feature"),
+    "negative-label": ("dataset", np.array([[0.5, 1.0], [0.5, 2.0]]), [0, -1], 3,
+                       "negative label"),
+    "inf-logit": ("logits", np.array([[0.5, 1.0], [2.0, np.inf]]), None, 3, "non-finite logit"),
+    "nan-logit": ("logits", np.array([[np.nan, 1.0], [2.0, 0.5]]), None, 2, "non-finite logit"),
+}
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "parsed"])
+@pytest.mark.parametrize("case", sorted(_BAD_CELLS))
+def test_loaders_refuse_bad_cells_by_file_and_line(case, sidecar, tmp_path):
+    kind, values, labels, line, what = _BAD_CELLS[case]
+    path = tmp_path / f"{kind}.csv"
+    if kind == "dataset":
+        save_dataset_csv(path, LabeledDataset(x=values, labels=np.array(labels)))
+        load = load_dataset_csv
+    else:
+        save_logits_csv(path, values)
+        load = load_logits_csv
+    if not sidecar:
+        Path(f"{path}.npz").unlink()
+    with pytest.raises(ValueError, match=re.escape(f"{path} line {line}: {what}")):
+        load(path)
