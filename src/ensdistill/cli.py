@@ -107,16 +107,12 @@ def cmd_gen_data(args) -> int:
         ds = data_mod.gen_ellipsoid(args.seed, args.n, args.d)
     else:
         ds = data_mod.gen_cube(args.seed, args.n, args.d)
-    train, test = data_mod.split_rows(ds.n, 0.8, args.seed)
-    # each row is formatted once; the split files reuse its line
-    lines = data_mod.dataset_lines(ds)
-    data_mod.save_dataset_csv(out / "dataset.csv", ds, lines)
+    train, test = data_mod.split(ds, 0.8, args.seed)
     write_json(out / "meta.json", ds.meta)
-    for name, rows in (("train.csv", train), ("test.csv", test)):
-        part = data_mod.LabeledDataset(x=ds.x[rows], labels=ds.labels[rows])
-        data_mod.save_dataset_csv(out / name, part, [lines[i] for i in rows])
+    data_mod.save_dataset_csv(out / "train.csv", train)
+    data_mod.save_dataset_csv(out / "test.csv", test)
     print(f"wrote {args.dataset} n={ds.n} d={ds.d} to {out} "
-          f"(train {len(train)} / test {len(test)})")
+          f"(train {train.n} / test {test.n})")
     return EXIT_OK
 
 
@@ -135,7 +131,6 @@ def cmd_train_teacher(args) -> int:
     train_logits = data_mod.teacher_logits(params, train.x)
     test_logits = data_mod.teacher_logits(params, test.x)
     data_mod.save_logits_csv(data_dir / "train_logits.csv", train_logits)
-    data_mod.save_logits_csv(data_dir / "test_logits.csv", test_logits)
     train_acc = eval_mod.accuracy(train_logits, train.labels)
     test_acc = eval_mod.accuracy(test_logits, test.labels)
     print(f"teacher trained: train accuracy {train_acc:.4f}, test accuracy {test_acc:.4f}")

@@ -120,8 +120,8 @@ class RngStream:
 # UTF-8.  CSV: the csv module's default dialect, one header row, each cell as
 # str(cell), which is repr for a Python float.  JSON: indent 2, final newline.
 # No number needs quoting, so a row of numbers is its cells' str joined by
-# commas plus CRLF: gen-data formats each dataset row once that way and
-# writes all three of its files from those lines (`write_csv_lines`).
+# commas plus CRLF: `data.save_dataset_csv` formats each dataset row that
+# way and writes the lines as they are (`write_csv_lines`).
 # Numeric files (datasets, logits) are read by `read_numeric_csv`; the rest
 # go through the csv module (`read_csv`).
 #

@@ -111,23 +111,18 @@ def gen_cube(seed: int, n: int, d: int = 32, classes: int = 4,
     return LabeledDataset(x=x, labels=labels, meta=meta)
 
 
-def split_rows(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The row indices of a deterministic shuffled split of n rows into a
-    train and a test part; every row lands in exactly one part."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("fraction must be in (0, 1)")
-    n_train = int(round(n * fraction))
-    if n_train < 1 or n - n_train < 1:
-        raise ConfigError(f"split of {n} rows at {fraction} leaves an empty part")
-    perm, _ = RngStream(seed).permutation(n)
-    return perm[:n_train], perm[n_train:]
-
-
 def split(ds: LabeledDataset, fraction: float = 0.8,
           seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
-    """The train and test parts of `ds` picked by `split_rows`."""
+    """The train and test parts of a deterministic shuffled split of `ds`;
+    every row lands in exactly one part."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError("fraction must be in (0, 1)")
+    n_train = int(round(ds.n * fraction))
+    if n_train < 1 or ds.n - n_train < 1:
+        raise ConfigError(f"split of {ds.n} rows at {fraction} leaves an empty part")
+    perm, _ = RngStream(seed).permutation(ds.n)
     parts = []
-    for name, idx in zip(("train", "test"), split_rows(ds.n, fraction, seed)):
+    for name, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):
         meta = dict(ds.meta, part=name, split_fraction=fraction, split_seed=seed)
         parts.append(LabeledDataset(x=ds.x[idx], labels=ds.labels[idx], meta=meta))
     return parts[0], parts[1]
@@ -202,11 +197,10 @@ def _dataset_record(width: int) -> np.dtype:
     return np.dtype([("x", np.float64, (width - 1,)), ("label", np.int64)])
 
 
-def save_dataset_csv(path, ds: LabeledDataset, lines: list | None = None) -> None:
-    """Write `ds`, or, if given, `lines` (rows of `ds` from `dataset_lines`)
-    under its header, and the sidecar of its records."""
-    write_csv_lines(path, _dataset_header(ds.d + 1),
-                    dataset_lines(ds) if lines is None else lines)
+def save_dataset_csv(path, ds: LabeledDataset) -> None:
+    """Write `ds` under its header, each row as `dataset_lines` formats it,
+    and the sidecar of its records."""
+    write_csv_lines(path, _dataset_header(ds.d + 1), dataset_lines(ds))
     records = np.empty(ds.n, _dataset_record(ds.d + 1))
     records["x"], records["label"] = ds.x, ds.labels
     write_numeric_sidecar(path, records)

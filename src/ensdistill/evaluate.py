@@ -162,17 +162,6 @@ class BoundReport:
     prediction_paths_agree: bool = True
     status: str = "pass"           # "pass" | "bound_violation" | "premise_violated"
 
-    @property
-    def premises_ok(self) -> bool:
-        return self.premise_rounds_ok and self.premise_eta_ok and self.premise_residuals_ok
-
-    @property
-    def passed(self):
-        """True/False for a claim, None when the premises fail."""
-        if self.status == "premise_violated":
-            return None
-        return self.status == "pass"
-
     def to_dict(self) -> dict:
         return {
             "n_samples": self.n_samples, "n_labels": self.n_labels, "T": self.T,

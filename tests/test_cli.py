@@ -68,11 +68,15 @@ def test_gen_data_writes_dataset_and_split(tmp_path):
     rc = main(["gen-data", "--dataset", "cube", "--n", "100", "--d", "5",
                "--seed", "1", "--out", str(out)])
     assert rc == 0
-    for name in ("dataset.csv", "meta.json", "train.csv", "test.csv"):
-        assert (out / name).exists()
-    assert _rows(out / "dataset.csv") == 100
     assert _rows(out / "train.csv") == 80
     assert _rows(out / "test.csv") == 20
+    # the two parts hold every generated row exactly once
+    parts = [data_mod.load_dataset_csv(out / name) for name in ("train.csv", "test.csv")]
+    split = sorted(row + [label] for part in parts
+                   for row, label in zip(part.x.tolist(), part.labels.tolist()))
+    ds = data_mod.gen_cube(1, 100, 5)
+    assert split == sorted(row + [label]
+                           for row, label in zip(ds.x.tolist(), ds.labels.tolist()))
     meta = json.loads((out / "meta.json").read_text())
     assert meta["generator"] == "cube"
     assert meta["seed"] == 1
@@ -92,20 +96,18 @@ def test_gen_data_rerun_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: now + 86400.0)
     assert main(args + [str(b)]) == 0
     monkeypatch.undo()
-    assert sorted(_files(a)) == ["dataset.csv", "dataset.csv.npz", "meta.json", "test.csv",
-                                 "test.csv.npz", "train.csv", "train.csv.npz"]
+    assert sorted(_files(a)) == ["meta.json", "test.csv", "test.csv.npz", "train.csv",
+                                 "train.csv.npz"]
     assert _files(a) == _files(b)
 
 
-# sha256 of dataset.csv, train.csv, test.csv and meta.json for each gen-data run
+# sha256 of train.csv, test.csv and meta.json for each gen-data run
 GEN_DATA_RUNS = {
     ("ellipsoid", "300", "6", "11"): (
-        "665f1a11da0f18972e397d517bb97a5941a4798821f3cb2d25ab5520a67d5a7e",
         "26156b68bddfa81605ca781739078db115d04aa0807493031a7b414756e91870",
         "b6b46d33de5b6637e4151937b8b4cb66ab138e4b56b7b9f48af6f6d1597006c6",
         "a671001265c8cb852330ff5d44a2ea171aa221448ab059f19ce1723d4403af08"),
     ("cube", "240", "5", "4"): (
-        "cb592480755386f8b72adfd58deb4a1a7e28ce1b8c9e4202276e0620cefb606b",
         "14b43daf5653433a2b6793ec7f0060c0eda14293f49564df69b4578befbea962",
         "21f7aa32165c29bed1bad83d6c9b7aab584b43a7e5996e319715078477931327",
         "13d88ed7bc27a610d861a136f6704e3bdb39334a90bddddb7c7db3ae2781c452"),
@@ -118,7 +120,7 @@ def test_gen_data_bytes_are_pinned(run, tmp_path):
     assert main(["gen-data", "--dataset", dataset, "--n", n, "--d", d, "--seed", seed,
                  "--out", str(tmp_path)]) == 0
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                    for name in ("dataset.csv", "train.csv", "test.csv", "meta.json"))
+                    for name in ("train.csv", "test.csv", "meta.json"))
     assert digests == GEN_DATA_RUNS[run]
 
 
@@ -134,7 +136,6 @@ def test_train_teacher_outputs(pipeline):
     params = params_from_dict(doc)
     assert [layer.out_dim for layer in params.spec] == [8, 2]
     assert _rows(pipeline["data"] / "train_logits.csv") == 48
-    assert _rows(pipeline["data"] / "test_logits.csv") == 12
 
 
 def test_only_gen_data_and_train_teacher_write_into_the_data_directory(tmp_path):
@@ -145,8 +146,7 @@ def test_only_gen_data_and_train_teacher_write_into_the_data_directory(tmp_path)
     assert main(["train-teacher", "--data", str(data_dir), "--spec", "8", "--out", str(teacher),
                  "--seed", "3", "--epochs", "15", "--batch-size", "32"]) == 0
     before = _files(data_dir)
-    assert set(before) - generated == {"train_logits.csv", "train_logits.csv.npz",
-                                       "test_logits.csv", "test_logits.csv.npz"}
+    assert set(before) - generated == {"train_logits.csv", "train_logits.csv.npz"}
     config = tmp_path / "config.json"
     _write_config(config, FAST_CONFIG)
     ens, hist = str(tmp_path / "ensemble.json"), str(tmp_path / "history.csv")

@@ -227,11 +227,10 @@ def test_verify_bound_passes_on_constructed_run():
     ens, hist, x, g = constructed_oracle_run(20, 8)
     report = verify_bound(history_rows(hist), ens, x, g, g_inf_config=1.0)
     assert report.status == "pass"
-    assert report.passed is True
     assert report.history_consistent
     assert report.prediction_paths_agree
     assert report.normalizer_inequality_held
-    assert report.premises_ok
+    assert report.premise_rounds_ok and report.premise_eta_ok and report.premise_residuals_ok
     assert report.theorem_bound == pytest.approx(math.sqrt(math.log(40.0) / 8))
     assert report.measured_sup_error <= report.theorem_bound
     # with x = I the residuals are the stored weight columns themselves
@@ -252,7 +251,6 @@ def test_verify_bound_flags_short_runs_as_premise_violation():
     report = verify_bound(history_rows(hist), ens, x, g, g_inf_config=1.0)
     assert report.status == "premise_violated"
     assert report.premise_rounds_ok is False
-    assert report.passed is None
 
 
 def test_verify_bound_flags_undersized_g_inf():
@@ -269,7 +267,6 @@ def test_verify_bound_rejects_tampered_edge():
     report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
     assert report.history_consistent is False
     assert report.status == "bound_violation"
-    assert report.passed is False
 
 
 def test_verify_bound_rejects_tampered_normalizer():
