@@ -21,7 +21,8 @@ from . import distill as distill_mod
 from . import evaluate as eval_mod
 from .core import parse_json, read_json, write_csv, write_json
 from .findwl import FindWlConfig
-from .nets import ConfigError, flops, params_from_dict, params_to_dict
+from .nets import (FINITE_NONNEGATIVE, FINITE_POSITIVE, ConfigError, flops, params_from_dict,
+                   params_to_dict)
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -89,10 +90,7 @@ def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillCo
     hidden = doc.get("base_hidden", [24, 24])
     base_class = data_mod.mlp_spec(in_dim, hidden, n_labels)
     cfg = replace(distill_mod.DistillConfig(), **top, findwl=findwl, base_class=base_class)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 
@@ -120,9 +118,8 @@ def cmd_train_teacher(args) -> int:
     data_dir = Path(args.data)
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
-    hidden = [int(w) for w in args.spec.split(",") if w]
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
-    spec = data_mod.mlp_spec(train.d, hidden, n_classes)
+    spec = data_mod.mlp_spec(train.d, args.spec, n_classes)
     recipe = replace(data_mod.default_teacher_recipe(), lr=args.lr, momentum=args.momentum,
                      weight_decay=args.weight_decay, epochs=args.epochs,
                      batch_size=args.batch_size)
@@ -233,9 +230,16 @@ def _flag(convert, accept, expected: str):
     return parse
 
 
+def widths(text: str) -> list:
+    return [int(w) for w in text.split(",") if w]
+
+
 POSITIVE_INT = _flag(int, lambda v: v >= 1, "an integer >= 1")
-POSITIVE_FLOAT = _flag(float, lambda v: v > 0.0, "a number > 0")
+POSITIVE_FLOAT = _flag(float, *FINITE_POSITIVE)
+NONNEGATIVE_FLOAT = _flag(float, *FINITE_NONNEGATIVE)
+MOMENTUM = _flag(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 UNIT_INTERVAL = _flag(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+WIDTHS = _flag(widths, lambda v: all(w >= 1 for w in v), "comma-separated integers >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,13 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-teacher", help="fit the teacher MLP on hard labels")
     p.add_argument("--data", required=True)
-    p.add_argument("--spec", required=True, help="comma-separated hidden widths, e.g. 64,64")
+    p.add_argument("--spec", type=WIDTHS, required=True,
+                   help="comma-separated hidden widths, e.g. 64,64")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     recipe = data_mod.default_teacher_recipe()
-    p.add_argument("--lr", type=float, default=recipe.lr)
-    p.add_argument("--momentum", type=float, default=recipe.momentum)
-    p.add_argument("--weight-decay", type=float, default=recipe.weight_decay)
+    p.add_argument("--lr", type=NONNEGATIVE_FLOAT, default=recipe.lr)
+    p.add_argument("--momentum", type=MOMENTUM, default=recipe.momentum)
+    p.add_argument("--weight-decay", type=NONNEGATIVE_FLOAT, default=recipe.weight_decay)
     p.add_argument("--epochs", type=POSITIVE_INT, default=recipe.epochs)
     p.add_argument("--batch-size", type=POSITIVE_INT, default=recipe.batch_size)
     p.set_defaults(func=cmd_train_teacher)

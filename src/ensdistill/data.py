@@ -186,11 +186,19 @@ def _logits_header(width: int) -> list:
     return [f"l{i}" for i in range(width)]
 
 
-def dataset_lines(ds: LabeledDataset) -> list:
-    """Each row of `ds` as its line in a dataset CSV file, as `write_csv`
-    would write it (see the codec comment in `core`)."""
-    return [",".join(map(repr, row)) + "," + str(label) + "\r\n"
-            for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
+# rows `dataset_lines` turns into Python objects at a time
+_FORMAT_ROWS = 4096
+
+
+def dataset_lines(ds: LabeledDataset):
+    """Yield each row of `ds` as its line in a dataset CSV file, as
+    `write_csv` would write it (see the codec comment in `core`).  Rows are
+    converted `_FORMAT_ROWS` at a time, so memory stays bounded whatever the
+    row count."""
+    for start in range(0, ds.n, _FORMAT_ROWS):
+        block = slice(start, start + _FORMAT_ROWS)
+        for row, label in zip(ds.x[block].tolist(), ds.labels[block].tolist()):
+            yield ",".join(map(repr, row)) + "," + str(label) + "\r\n"
 
 
 def _dataset_record(width: int) -> np.dtype:

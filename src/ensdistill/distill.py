@@ -16,8 +16,9 @@ import numpy as np
 from .core import RngStream, read_csv, read_json, write_csv, write_json
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
-from .nets import (CONNECTION_KINDS, LayerSpec, expand_class, forward,
-                   params_from_dict, params_to_dict, validate_spec)
+from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, LayerSpec,
+                   check_fields, expand_class, forward, params_from_dict, params_to_dict,
+                   validate_spec)
 
 HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
 _HISTORY_TYPES = (int, int, float, float, float, int, int)
@@ -43,22 +44,19 @@ class DistillConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.T < 1 or self.R < 1:
-            raise ValueError("T and R must be >= 1")
-        if self.eta_mode == "fixed":
-            if self.eta <= 0:
-                raise ValueError("eta must be > 0")
-        elif self.eta_mode == "theorem":
-            if self.g_inf is None or self.g_inf <= 0:
-                raise ValueError("theorem eta mode requires g_inf > 0")
-        else:
-            raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
-        if self.edge_tol < 0:
-            raise ValueError("edge_tol must be >= 0")
-        if self.connection_kind not in CONNECTION_KINDS:
-            raise ValueError(f"unknown connection_kind {self.connection_kind!r}")
+        check_fields(self, _DISTILL_RULES)
+        # eta_mode picks the field that sets the rate; the other one is unread
+        check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": _RATE_RULE})
         validate_spec(self.base_class)
         self.findwl.validate()
+
+
+_DISTILL_RULES = {"T": AT_LEAST_ONE, "R": AT_LEAST_ONE,
+                  "eta_mode": (lambda v: v in ("fixed", "theorem"), "'fixed' or 'theorem'"),
+                  "edge_tol": FINITE_NONNEGATIVE,
+                  "connection_kind": (lambda v: v in CONNECTION_KINDS,
+                                      f"one of {CONNECTION_KINDS}")}
+_RATE_RULE = (lambda v: v is not None and FINITE_POSITIVE[0](v), FINITE_POSITIVE[1])
 
 
 def resolve_eta(cfg: DistillConfig, n_samples: int) -> float:

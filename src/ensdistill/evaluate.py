@@ -119,26 +119,21 @@ def early_exit(ens: Ensemble, x: np.ndarray, threshold: float):
     first prefix whose top softmax probability reaches the threshold.
 
     Returns (predictions, members_evaluated, flops_spent) arrays.  The
-    simulation evaluates every member once and then reads off where each row
-    would have exited; the reported FLOPs are what a sequential evaluator
-    would actually have spent.
+    simulation evaluates every member once, holding one prefix at a time, and
+    reads off where each row would have exited: at the first prefix whose
+    confidence reaches the threshold, or else at the last.  The reported
+    FLOPs are what a sequential evaluator would actually have spent.
     """
     if not ens.members:
         raise ValueError("empty ensemble")
-    prefixes = list(prefix_logits(ens.members, x))
-    n = x.shape[0]
-    n_members = len(prefixes)
-    cum_flops = np.cumsum(member_flops(ens))
-    chosen = np.full(n, n_members, dtype=np.int64)
-    preds = np.argmax(prefixes[-1], axis=1)
-    done = np.zeros(n, dtype=bool)
-    for k, prefix in enumerate(prefixes, start=1):
-        conf = softmax(prefix).max(axis=1)
-        hit = (~done) & (conf >= threshold)
+    n_members = len(ens.members)
+    chosen = np.zeros(x.shape[0], dtype=np.int64)   # 0: not exited yet
+    preds = np.zeros(x.shape[0], dtype=np.int64)
+    for k, prefix in enumerate(prefix_logits(ens.members, x), start=1):
+        hit = (chosen == 0) & ((softmax(prefix).max(axis=1) >= threshold) | (k == n_members))
         chosen[hit] = k
         preds[hit] = np.argmax(prefix[hit], axis=1)
-        done |= hit
-    return preds, chosen, cum_flops[chosen - 1]
+    return preds, chosen, np.cumsum(member_flops(ens))[chosen - 1]
 
 
 # --- bound verification -----------------------------------------------------

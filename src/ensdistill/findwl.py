@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import RngStream, ShapeError, log_softmax, softmax
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
-from .nets import ConnectionSpec, LearnerParams, forward, backward, init_params
+from .nets import (AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, ConnectionSpec,
+                   LearnerParams, backward, check_fields, forward, init_params)
 
 LOSS_MODES = ("ce_temperature", "squared_error")
 
@@ -33,12 +34,13 @@ class SgdConfig:
     lr_factor: float = 0.2
 
     def validate(self) -> None:
-        if self.lr < 0 or not 0 <= self.momentum < 1 or self.weight_decay < 0:
-            raise ValueError("bad sgd config: lr/momentum/weight_decay out of range")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad sgd config: epochs/batch_size out of range")
-        if any(not 0.0 < f < 1.0 for f in self.lr_drops):
-            raise ValueError("lr_drops must be epoch fractions in (0, 1)")
+        check_fields(self, _SGD_RULES)
+
+
+_SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
+              "weight_decay": FINITE_NONNEGATIVE, "epochs": (lambda v: v >= 0, ">= 0"),
+              "batch_size": AT_LEAST_ONE, "lr_factor": FINITE,
+              "lr_drops": (lambda v: all(0.0 < f < 1.0 for f in v), "epoch fractions in (0, 1)")}
 
 
 def default_student_recipe() -> SgdConfig:
@@ -62,17 +64,15 @@ class FindWlConfig:
     sgd: SgdConfig = field(default_factory=default_student_recipe)
 
     def validate(self) -> None:
-        if self.barrier_gamma <= 0:
-            raise ValueError("barrier_gamma must be > 0")
-        if self.logit_bound_b is not None and self.logit_bound_b <= 0:
-            raise ValueError("logit_bound_b must be > 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.max_search < 1:
-            raise ValueError("max_search must be >= 1")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+        check_fields(self, _FINDWL_RULES)
         self.sgd.validate()
+
+
+_FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE, "temperature": FINITE_POSITIVE,
+                 "logit_bound_b": (lambda v: v is None or FINITE_POSITIVE[0](v),
+                                   f"None or {FINITE_POSITIVE[1]}"),
+                 "max_search": AT_LEAST_ONE,
+                 "loss_mode": (lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")}
 
 
 def iplus_mask(state: WeightState) -> np.ndarray:
@@ -178,21 +178,20 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     `tap`, the activation `params.connection` reads, is sliced like `x`.
 
     A stack of nets (see `nets.forward`) takes `rng` as a list with one
-    stream per slice, each drawing that slice's permutation.  A slice whose
-    logits go non-finite leaves the stack at the end of the epoch, and its
-    stream comes back as None; None entries stand for no slice.
+    stream per slice, each drawing that slice's permutation.  Nothing here
+    checks a slice for divergence: batched matmul computes each slice on its
+    own, so a slice gone non-finite keeps running without touching the
+    others, and `_train_stack` drops it after training.
     """
     if velocity is None:
         velocity = ([np.zeros_like(w) for w in params.weights],
                     [np.zeros_like(b) for b in params.biases])
     vel_w, vel_b = velocity
     n = x.shape[0]
-    stacked = isinstance(rng, list)
-    if stacked:
-        draws = [None if stream is None else stream.permutation(n) for stream in rng]
-        perm = np.stack([draw[0] for draw in draws if draw is not None])
-        rng = [None if draw is None else draw[1] for draw in draws]
-        finite = np.ones(len(perm), dtype=bool)
+    if isinstance(rng, list):
+        draws = [stream.permutation(n) for stream in rng]
+        perm = np.stack([draw[0] for draw in draws])
+        rng = [draw[1] for draw in draws]
     else:
         perm, rng = rng.permutation(n)
     for start in range(0, n, cfg.batch_size):
@@ -200,8 +199,6 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         bx = x[idx]
         btap = None if tap is None else tap[idx]
         logits, acts = forward(params, bx, btap)
-        if stacked:
-            finite &= np.isfinite(logits).all(axis=(-2, -1))
         dlogits = grad_fn(logits, idx)
         dW, db = backward(params, bx, acts, dlogits, btap)
         for li in range(len(params.weights)):
@@ -211,13 +208,6 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
             step_b = db[li] + cfg.weight_decay * params.biases[li]
             vel_b[li] = cfg.momentum * vel_b[li] + step_b
             params.biases[li] -= lr * vel_b[li]
-    if stacked and not finite.all():
-        for arrays in (params.weights, params.biases, vel_w, vel_b):
-            arrays[:] = [a[finite] for a in arrays]
-        slots = [slot for slot, stream in enumerate(rng) if stream is not None]
-        for slot, ok in zip(slots, finite):
-            if not ok:
-                rng[slot] = None
     return params, (vel_w, vel_b), rng
 
 
@@ -249,9 +239,17 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     """Train one candidate per restart stream in `rngs` as one stack.
 
     Yields, in the order of `rngs`, (position in `rngs`, params, logits on
-    `x`) for each candidate whose logits stayed finite in every minibatch and
-    on all of `x`.  Divergence inside a candidate is routine (the barrier's
-    wall gradient can run away); it costs the restart, nothing more."""
+    `x`) for each candidate whose logits on all of `x` are finite after
+    training.  Divergence inside a candidate is routine (the barrier's wall
+    gradient can run away); it costs the restart, nothing more.
+
+    That final forward pass is the only divergence check.  It sees a slice
+    that diverged at any step: once a minibatch logit is non-finite, so is
+    its gradient column, whose sum makes the output bias non-finite; no
+    later SGD update makes that bias finite again, so neither are the final
+    logits.  The one exception is a -inf logit in `ce_temperature` mode
+    beside a finite one in its row: its softmax gradient is finite, so its
+    slice is dropped only if the final logits are still non-finite."""
     nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
     stack = LearnerParams(spec=nets[0].spec, connection=connection,
                           weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
@@ -260,16 +258,13 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     velocity = None
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(sgd_cfg.epochs):
-            if all(stream is None for stream in streams):
-                return
             stack, velocity, streams = sgd_epoch(
                 stack, x, grad_fn, sgd_cfg, streams,
                 lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
-    live = [pos for pos, stream in enumerate(streams) if stream is not None]
-    for k, pos in enumerate(live):
+    for pos in range(len(rngs)):
         params = LearnerParams(spec=stack.spec, connection=connection,
-                               weights=[w[k] for w in stack.weights],
-                               biases=[b[k] for b in stack.biases])
+                               weights=[w[pos] for w in stack.weights],
+                               biases=[b[pos] for b in stack.biases])
         try:
             # one net at a time, keeping only its logits: activations on all
             # of x are the search's largest arrays
@@ -290,7 +285,9 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     candidate passes the weak-learning check wins, making the outcome
     independent of any execution order.  When the state is degenerate the
     check cannot pass, so the lowest-total-loss candidate is returned instead.
-    A result with params=None means every restart failed.
+    A result with params=None means every restart failed.  A restart whose
+    logits on `x` are not finite after training diverged and is dropped:
+    that one end-of-training check is the search's only divergence check.
 
     Restarts train as stacks: a degenerate round trains all of them as one;
     any other round trains restart 0 alone, and the rest as one stack only

@@ -7,6 +7,7 @@ Earlier members are frozen: gradients never flow through a tapped activation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,23 @@ CONNECTION_KINDS = ("none", "residual_add", "dense_concat", "delta")
 
 class ConfigError(ValueError):
     """Invalid configuration: layers, connections, flags or data sizes."""
+
+
+# config field rules: (test, what the field must be); a non-finite number
+# fails every numeric test, NaN because it fails every comparison
+FINITE = (lambda v: -math.inf < v < math.inf, "a finite number")
+FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
+FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
+AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+
+
+def check_fields(cfg, rules: dict) -> None:
+    """Refuse the first field of `cfg` that fails its rule in `rules` (field
+    name -> rule), naming the field."""
+    for key, (ok, expected) in rules.items():
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"{key!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

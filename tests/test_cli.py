@@ -387,6 +387,14 @@ _VERIFY = ["verify", "--history", "h.csv", "--ensemble", "e.json", "--data", "d"
     (["gen-data", "--dataset", "ellipsoid", "--n", "1"], "n >= 2"),
     (["gen-data", "--dataset", "ellipsoid", "--n", "2"], "empty part"),
     (["gen-data", "--dataset", "cube", "--n", "100", "--d", "2"], "distinct corners"),
+    # malformed or non-finite values, refused before any file is read
+    (_TEACH + ["--spec", "8,x"], "--spec"),
+    (_TEACH + ["--spec", "8,0"], "--spec"),
+    (_TEACH + ["--lr", "-1"], "--lr"),
+    (_TEACH + ["--lr", "nan"], "--lr"),
+    (_TEACH + ["--momentum", "1.5"], "--momentum"),
+    (_TEACH + ["--weight-decay", "inf"], "--weight-decay"),
+    (_VERIFY + ["--g-inf", "inf"], "--g-inf"),
 ])
 def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -400,12 +408,19 @@ def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     assert named in capsys.readouterr().err
 
 
-# a config whose one value has the wrong type, and the key its error names
-_WRONG_TYPE = {
+# a config whose one value has the wrong type or is not finite, and the key
+# its error names
+_BAD_VALUE = {
     "config-T-string": ({"T": "7"}, "'T'"),
     "config-base-hidden-string": ({"base_hidden": "ab"}, "'base_hidden'"),
     "config-lr-drops-number": ({"findwl": {"sgd": {"lr_drops": 5}}}, "'lr_drops'"),
     "config-max-search-fraction": ({"findwl": {"max_search": 2.5}}, "'max_search'"),
+    "config-lr-nan": ({"findwl": {"sgd": {"lr": float("nan")}}}, "'lr'"),
+    "config-eta-nan": ({"eta": float("nan")}, "'eta'"),
+    "config-edge-tol-nan": ({"edge_tol": float("nan")}, "'edge_tol'"),
+    "config-eta-inf": ({"eta": float("inf")}, "'eta'"),
+    "config-barrier-gamma-inf": ({"findwl": {"barrier_gamma": float("inf")}},
+                                 "'barrier_gamma'"),
 }
 
 
@@ -458,8 +473,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
         named = "'spec'"
-    elif case in _WRONG_TYPE:
-        doc, named = _WRONG_TYPE[case]
+    elif case in _BAD_VALUE:
+        doc, named = _BAD_VALUE[case]
         _write_config(config, doc)
     elif case == "config-list":
         config.write_text('["T"]\n', encoding="utf-8")
@@ -498,7 +513,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-list", 2), ("resched-empty-ensemble", 3), ("ensemble-not-json", 3),
     ("config-not-json", 2), ("teacher-not-json", 3), ("teacher-not-utf8", 3),
     ("config-T-string", 2), ("config-base-hidden-string", 2), ("config-lr-drops-number", 2),
-    ("config-max-search-fraction", 2),
+    ("config-max-search-fraction", 2), ("config-lr-nan", 2), ("config-eta-nan", 2),
+    ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)

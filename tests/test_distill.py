@@ -24,7 +24,7 @@ from ensdistill.distill import (
 )
 from ensdistill.findwl import FindResult, FindWlConfig, SgdConfig
 from ensdistill.game import init_uniform, md_update
-from ensdistill.nets import LayerSpec, forward, init_params
+from ensdistill.nets import ConfigError, LayerSpec, forward, init_params
 
 
 def _small_problem(seed=0, n=16, d=3, labels=2):
@@ -55,6 +55,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _fast_config(eta=0.0).validate()
     _fast_config().validate()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("top", "eta", float("nan")), ("top", "eta", float("inf")),
+    ("top", "edge_tol", float("nan")), ("findwl", "barrier_gamma", float("inf")),
+    ("findwl", "temperature", float("nan")), ("findwl", "logit_bound_b", float("inf")),
+    ("sgd", "lr", float("nan")), ("sgd", "weight_decay", float("inf")),
+    ("sgd", "lr_factor", float("-inf")),
+])
+def test_config_refuses_non_finite_values_by_name(section, key, value):
+    cfg = _fast_config()
+    target = {"top": cfg, "findwl": cfg.findwl, "sgd": cfg.findwl.sgd}[section]
+    setattr(target, key, value)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        cfg.validate()
 
 
 def test_resolve_eta_fixed_and_theorem():

@@ -4,10 +4,12 @@ The weak-learner search trains its restarts as a stack: weights of shape
 (S, in, out), one permutation per slice, one SGD loop.  The reference here is
 the unstacked path through the same `sgd_epoch`, `forward` and `backward`:
 every slice of a stack must hold the bits its restart gets when trained
-alone, a slice that diverges must leave the stack without touching the
-others, and the search must return what the restart-by-restart loop did.
+alone, a slice that diverges, at its first step or its last, must be dropped
+without touching the others, and the search must return what the
+restart-by-restart loop did.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +186,44 @@ def test_a_diverging_slice_leaves_only_its_restart(monkeypatch):
     for pos, params, _ in trained:
         assert_same_net(params, solo_candidate(spec, NO_CONNECTION, x, None, grad_fn,
                                                cfg.sgd, rngs[pos]))
+
+
+def _poison_bias_grad(step, where):
+    """`findwl.backward` with the output-bias gradient at `where` set to inf
+    on call `step` (0-based) and left alone on every other call."""
+    original = findwl.backward
+    calls = itertools.count()
+
+    def backward(*args):
+        dW, db = original(*args)
+        if next(calls) == step:
+            db[-1][where] = np.inf
+        return dW, db
+    return backward
+
+
+# 24 rows at batch 5 make 5 steps an epoch, 20 in all: step 19 is the last,
+# after which only the final forward pass sees the slice
+@pytest.mark.parametrize("step", [0, 7, 19])
+def test_a_slice_diverging_mid_training_leaves_only_its_restart(monkeypatch, step):
+    spec, x, g, cfg = _search_problem()
+    root = RngStream(74)
+    rngs = [root.split(restart) for restart in range(4)]
+    grad_fn = total_grad_fn(g, None, cfg, default_logit_bound(g))
+    solo = {pos: solo_candidate(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd, rngs[pos])
+            for pos in (0, 1, 3)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        monkeypatch.setattr(findwl, "backward", _poison_bias_grad(step, 2))
+        trained = list(findwl._train_stack(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd,
+                                           rngs))
+        monkeypatch.setattr(findwl, "backward", _poison_bias_grad(step, ...))
+        with pytest.raises(FloatingPointError):
+            diverged = solo_candidate(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd, rngs[2])
+            forward(diverged, x)
+    assert [pos for pos, _, _ in trained] == [0, 1, 3]
+    for pos, params, logits in trained:
+        assert_same_net(params, solo[pos])
+        assert same_bits(logits, forward(solo[pos], x)[0])
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
