@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,9 @@ from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
 from .core import parse_json, read_json, write_csv, write_json
-from .findwl import FindWlConfig
-from .nets import (FINITE_NONNEGATIVE, FINITE_POSITIVE, ConfigError, flops, params_from_dict,
+from .findwl import FindWlConfig, SgdConfig
+from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NONNEGATIVE_BELOW_ONE,
+                   POSITIVE_UP_TO_ONE, ConfigError, check, flops, params_from_dict,
                    params_to_dict)
 
 EXIT_OK = 0
@@ -30,64 +31,40 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PREMISE = 4
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# a hidden-layer width list, from `--spec` or a config's `base_hidden`
+_HIDDEN = (lambda v: isinstance(v, list) and all(map(AT_LEAST_ONE[0], v)),
+           "a list of integers >= 1")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _keys(cls) -> set:
+    return {f.name for f in fields(cls)}
 
 
-# what each config value must be: (test, the words its error uses); None
-# marks a nested section, which its own `_take` checks
-_INT = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
-_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a number or null")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_SGD_KEYS = {"lr": _NUMBER, "momentum": _NUMBER, "weight_decay": _NUMBER,
-             "epochs": _INT, "batch_size": _INT,
-             "lr_drops": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                          "a list of numbers"),
-             "lr_factor": _NUMBER}
-_FINDWL_KEYS = {"barrier_gamma": _NUMBER, "logit_bound_b": _NUMBER_OR_NULL,
-                "temperature": _NUMBER, "max_search": _INT, "loss_mode": _STRING,
-                "sgd": None}
-_TOP_KEYS = {"T": _INT, "R": _INT, "eta": _NUMBER, "eta_mode": _STRING,
-             "g_inf": _NUMBER_OR_NULL, "edge_tol": _NUMBER,
-             "base_hidden": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                             "a list of integers"),
-             "connection_kind": _STRING, "seed": _INT, "findwl": None}
-
-
-def _take(doc: dict, kinds: dict, where: str) -> dict:
-    """`doc` after checking that it is an object whose every key is one of
-    `kinds` and holds a value of that key's kind."""
+def _take(doc: dict, keys: set, where: str) -> dict:
+    """A copy of `doc` after checking that it is an object whose every key is
+    one of `keys`; the config classes' `validate` checks the values."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, not a {type(doc).__name__}")
-    for key, value in doc.items():
-        if key not in kinds:
+    for key in doc:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r} in {where}")
-        kind = kinds[key]
-        if kind is not None and not kind[0](value):
-            raise ConfigError(f"config key {key!r} in {where} must be {kind[1]}, "
-                              f"got {value!r}")
-    return doc
+    return dict(doc)
 
 
 def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillConfig:
-    """Construct the run configuration from a JSON document; unknown keys and
-    values of the wrong type are rejected by name, missing keys fall back to
-    package defaults."""
-    _take(doc, _TOP_KEYS, "config")
-    fw_doc = dict(_take(doc.get("findwl", {}), _FINDWL_KEYS, "config.findwl"))
-    sgd_doc = dict(_take(fw_doc.pop("sgd", {}), _SGD_KEYS, "config.findwl.sgd"))
-    if "lr_drops" in sgd_doc:
+    """Construct the run configuration from a JSON document.  Its keys are the
+    config classes' fields, with hidden widths `base_hidden` in place of the
+    layer list `base_class`; unknown keys and bad values are refused by name,
+    missing keys fall back to package defaults."""
+    top = _take(doc, _keys(distill_mod.DistillConfig) - {"base_class"} | {"base_hidden"}, "config")
+    fw_doc = _take(top.pop("findwl", {}), _keys(FindWlConfig), "config.findwl")
+    sgd_doc = _take(fw_doc.pop("sgd", {}), _keys(SgdConfig), "config.findwl.sgd")
+    if isinstance(sgd_doc.get("lr_drops"), list):
         sgd_doc["lr_drops"] = tuple(sgd_doc["lr_drops"])
+    hidden = top.pop("base_hidden", [24, 24])
+    check("base_hidden", hidden, _HIDDEN)
     base_findwl = FindWlConfig()
-    sgd = replace(base_findwl.sgd, **sgd_doc)
-    findwl = replace(base_findwl, **fw_doc, sgd=sgd)
-    top = {k: v for k, v in doc.items() if k not in ("findwl", "base_hidden")}
-    hidden = doc.get("base_hidden", [24, 24])
+    findwl = replace(base_findwl, **fw_doc, sgd=replace(base_findwl.sgd, **sgd_doc))
     base_class = data_mod.mlp_spec(in_dim, hidden, n_labels)
     cfg = replace(distill_mod.DistillConfig(), **top, findwl=findwl, base_class=base_class)
     cfg.validate()
@@ -234,12 +211,12 @@ def widths(text: str) -> list:
     return [int(w) for w in text.split(",") if w]
 
 
-POSITIVE_INT = _flag(int, lambda v: v >= 1, "an integer >= 1")
+POSITIVE_INT = _flag(int, *AT_LEAST_ONE)
 POSITIVE_FLOAT = _flag(float, *FINITE_POSITIVE)
 NONNEGATIVE_FLOAT = _flag(float, *FINITE_NONNEGATIVE)
-MOMENTUM = _flag(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
-UNIT_INTERVAL = _flag(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
-WIDTHS = _flag(widths, lambda v: all(w >= 1 for w in v), "comma-separated integers >= 1")
+MOMENTUM = _flag(float, *NONNEGATIVE_BELOW_ONE)
+UNIT_INTERVAL = _flag(float, *POSITIVE_UP_TO_ONE)
+WIDTHS = _flag(widths, *_HIDDEN)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,9 +16,9 @@ import numpy as np
 from .core import RngStream, read_csv, read_json, write_csv, write_json
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
-from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, LayerSpec,
-                   check_fields, expand_class, forward, params_from_dict, params_to_dict,
-                   validate_spec)
+from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
+                   NUMBER, LayerSpec, check_fields, expand_class, forward,
+                   optional, params_from_dict, params_to_dict, validate_spec)
 
 HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
 _HISTORY_TYPES = (int, int, float, float, float, int, int)
@@ -45,18 +45,20 @@ class DistillConfig:
 
     def validate(self) -> None:
         check_fields(self, _DISTILL_RULES)
-        # eta_mode picks the field that sets the rate; the other one is unread
-        check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": _RATE_RULE})
+        # eta_mode picks the field that sets the rate; the other one is unread,
+        # so its rule above checks only its type
+        check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": FINITE_POSITIVE})
         validate_spec(self.base_class)
         self.findwl.validate()
 
 
 _DISTILL_RULES = {"T": AT_LEAST_ONE, "R": AT_LEAST_ONE,
                   "eta_mode": (lambda v: v in ("fixed", "theorem"), "'fixed' or 'theorem'"),
+                  "eta": NUMBER, "g_inf": optional(NUMBER),
                   "edge_tol": FINITE_NONNEGATIVE,
                   "connection_kind": (lambda v: v in CONNECTION_KINDS,
-                                      f"one of {CONNECTION_KINDS}")}
-_RATE_RULE = (lambda v: v is not None and FINITE_POSITIVE[0](v), FINITE_POSITIVE[1])
+                                      f"one of {CONNECTION_KINDS}"),
+                  "seed": INTEGER}
 
 
 def resolve_eta(cfg: DistillConfig, n_samples: int) -> float:
@@ -142,7 +144,6 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         # expand_class taps only the newest member, so older layers can go
         cache = {(member_index, layer_index): act for layer_index, act in enumerate(acts)}
         state, record = md_update(state, resid, eta)
-        state.validate()
         ens.members.append(result.params)
         ens.class_rs.append(r)
         hist.rounds.append(RoundRecord(

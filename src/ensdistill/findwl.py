@@ -14,8 +14,9 @@ import numpy as np
 
 from .core import RngStream, ShapeError, log_softmax, softmax
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
-from .nets import (AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, ConnectionSpec,
-                   LearnerParams, backward, check_fields, forward, init_params)
+from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
+                   NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
+                   LearnerParams, backward, check_fields, forward, init_params, optional)
 
 LOSS_MODES = ("ce_temperature", "squared_error")
 
@@ -37,10 +38,15 @@ class SgdConfig:
         check_fields(self, _SGD_RULES)
 
 
-_SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
-              "weight_decay": FINITE_NONNEGATIVE, "epochs": (lambda v: v >= 0, ">= 0"),
-              "batch_size": AT_LEAST_ONE, "lr_factor": FINITE,
-              "lr_drops": (lambda v: all(0.0 < f < 1.0 for f in v), "epoch fractions in (0, 1)")}
+_SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": NONNEGATIVE_BELOW_ONE,
+              "weight_decay": FINITE_NONNEGATIVE,
+              "epochs": (lambda v: INTEGER[0](v) and v >= 0, "an integer >= 0"),
+              "batch_size": AT_LEAST_ONE,
+              # a factor outside (0, 1] stops, reverses or grows the step at a drop
+              "lr_factor": POSITIVE_UP_TO_ONE,
+              "lr_drops": (lambda v: isinstance(v, (tuple, list))
+                           and all(NUMBER[0](f) and 0 < f < 1 for f in v),
+                           "a list of epoch fractions in (0, 1)")}
 
 
 def default_student_recipe() -> SgdConfig:
@@ -69,8 +75,7 @@ class FindWlConfig:
 
 
 _FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE, "temperature": FINITE_POSITIVE,
-                 "logit_bound_b": (lambda v: v is None or FINITE_POSITIVE[0](v),
-                                   f"None or {FINITE_POSITIVE[1]}"),
+                 "logit_bound_b": optional(FINITE_POSITIVE),
                  "max_search": AT_LEAST_ONE,
                  "loss_mode": (lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")}
 

@@ -22,21 +22,35 @@ class ConfigError(ValueError):
     """Invalid configuration: layers, connections, flags or data sizes."""
 
 
-# config field rules: (test, what the field must be); a non-finite number
-# fails every numeric test, NaN because it fails every comparison
-FINITE = (lambda v: -math.inf < v < math.inf, "a finite number")
-FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "a finite number > 0")
-FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "a finite number >= 0")
-AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+# config field rules: (test, what the field must be).  Each test checks the
+# value's type before its range, so a value of the wrong type is refused by
+# name instead of failing inside a comparison or a loop; a non-finite number
+# fails every range test, NaN because it fails every comparison
+NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+INTEGER = (lambda v: NUMBER[0](v) and isinstance(v, int), "an integer")
+AT_LEAST_ONE = (lambda v: INTEGER[0](v) and v >= 1, "an integer >= 1")
+FINITE_POSITIVE = (lambda v: NUMBER[0](v) and 0 < v < math.inf, "a finite number > 0")
+FINITE_NONNEGATIVE = (lambda v: NUMBER[0](v) and 0 <= v < math.inf, "a finite number >= 0")
+NONNEGATIVE_BELOW_ONE = (lambda v: NUMBER[0](v) and 0 <= v < 1, "a number in [0, 1)")
+POSITIVE_UP_TO_ONE = (lambda v: NUMBER[0](v) and 0 < v <= 1, "a number in (0, 1]")
+
+
+def optional(rule: tuple) -> tuple:
+    """`rule`, or None."""
+    return (lambda v: v is None or rule[0](v), f"None or {rule[1]}")
+
+
+def check(key: str, value, rule: tuple) -> None:
+    """Refuse `value` for field `key` unless it passes `rule`, naming the field."""
+    if not rule[0](value):
+        raise ConfigError(f"{key!r} must be {rule[1]}, got {value!r}")
 
 
 def check_fields(cfg, rules: dict) -> None:
     """Refuse the first field of `cfg` that fails its rule in `rules` (field
     name -> rule), naming the field."""
-    for key, (ok, expected) in rules.items():
-        value = getattr(cfg, key)
-        if not ok(value):
-            raise ConfigError(f"{key!r} must be {expected}, got {value!r}")
+    for key, rule in rules.items():
+        check(key, getattr(cfg, key), rule)
 
 
 @dataclass(frozen=True)

@@ -421,6 +421,8 @@ _BAD_VALUE = {
     "config-eta-inf": ({"eta": float("inf")}, "'eta'"),
     "config-barrier-gamma-inf": ({"findwl": {"barrier_gamma": float("inf")}},
                                  "'barrier_gamma'"),
+    "config-lr-factor-negative": ({"findwl": {"sgd": {"lr_factor": -1}}}, "'lr_factor'"),
+    "config-lr-factor-above-one": ({"findwl": {"sgd": {"lr_factor": 5}}}, "'lr_factor'"),
 }
 
 
@@ -515,6 +517,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-T-string", 2), ("config-base-hidden-string", 2), ("config-lr-drops-number", 2),
     ("config-max-search-fraction", 2), ("config-lr-nan", 2), ("config-eta-nan", 2),
     ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
+    ("config-lr-factor-negative", 2), ("config-lr-factor-above-one", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)

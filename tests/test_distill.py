@@ -72,6 +72,22 @@ def test_config_refuses_non_finite_values_by_name(section, key, value):
         cfg.validate()
 
 
+# a value of the wrong type is refused by name, not left to fail (or pass)
+# where it is first used; in theorem mode `eta` is the rate field left unread
+@pytest.mark.parametrize("section, key, value", [
+    ("findwl", "max_search", 2.5), ("sgd", "epochs", 2.5), ("sgd", "batch_size", True),
+    ("top", "T", True), ("top", "T", "7"), ("top", "seed", "x"), ("sgd", "lr_drops", 5),
+    ("top", "eta", "x"),
+])
+def test_config_refuses_values_of_the_wrong_type_by_name(section, key, value):
+    cfg = _fast_config(eta_mode="theorem", g_inf=2.0)
+    cfg.validate()
+    target = {"top": cfg, "findwl": cfg.findwl, "sgd": cfg.findwl.sgd}[section]
+    setattr(target, key, value)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        cfg.validate()
+
+
 def test_resolve_eta_fixed_and_theorem():
     assert resolve_eta(_fast_config(eta=0.7), n_samples=50) == 0.7
     cfg = _fast_config(eta=1.0, eta_mode="theorem", g_inf=2.0, T=8)

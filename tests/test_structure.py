@@ -3,15 +3,20 @@
 Every CSV and JSON artifact is written and read through the codec in
 `ensdistill.core`, so only `core` may import `csv` or `json`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
-is handed the one array a candidate's connection reads.  And every top-level
+is handed the one array a candidate's connection reads.  Every top-level
 name in the package is read by the package itself, apart from the deliberate
-second paths that tests check the first ones against.
+second paths that tests check the first ones against.  And each config
+field's type and range is written once, as a rule beside its class, which
+the library's `validate` and the CLI's `--config` both apply.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from ensdistill import distill, findwl
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ensdistill"
 
@@ -92,3 +97,13 @@ def test_every_top_level_name_is_read_by_the_package():
               and not any(name in r for i, r in enumerate(reads) if i != own)]
     assert not unread, f"read by no code in src/ensdistill: {unread}"
     assert set(UNREAD_ON_PURPOSE) <= {name for _, name, _ in defined}
+
+
+@pytest.mark.parametrize("cls, rules, unruled", [
+    (findwl.SgdConfig, findwl._SGD_RULES, set()),
+    (findwl.FindWlConfig, findwl._FINDWL_RULES, {"sgd"}),
+    # base_class is a layer list, which nets.validate_spec checks
+    (distill.DistillConfig, distill._DISTILL_RULES, {"findwl", "base_class"}),
+])
+def test_every_config_field_has_a_rule(cls, rules, unruled):
+    assert {f.name for f in fields(cls)} - unruled == set(rules)
