@@ -71,6 +71,16 @@ def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillCo
     return cfg
 
 
+def _load_config(path: str | None, in_dim: int, n_labels: int) -> distill_mod.DistillConfig:
+    """`build_config` of the JSON file at `path`, or of `{}` (the package
+    defaults) when no path is given."""
+    try:
+        doc = read_json(path) if path else {}
+    except ValueError as exc:   # not UTF-8 JSON; an unreadable file stays an I/O error
+        raise ConfigError(str(exc)) from exc
+    return build_config(doc, in_dim, n_labels)
+
+
 def _content_hash(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
@@ -100,7 +110,11 @@ def cmd_train_teacher(args) -> int:
     recipe = replace(data_mod.default_teacher_recipe(), lr=args.lr, momentum=args.momentum,
                      weight_decay=args.weight_decay, epochs=args.epochs,
                      batch_size=args.batch_size)
-    params = data_mod.train_teacher(train, spec, recipe, seed=args.seed)
+    try:
+        params = data_mod.train_teacher(train, spec, recipe, seed=args.seed)
+    except FloatingPointError as exc:   # a step size the logits cannot absorb
+        raise ConfigError(f"teacher training diverged at --lr {args.lr} ({exc}); "
+                          f"lower --lr") from exc
     write_json(args.out, params_to_dict(params))
     train_logits = data_mod.teacher_logits(params, train.x)
     test_logits = data_mod.teacher_logits(params, test.x)
@@ -115,11 +129,7 @@ def cmd_distill(args) -> int:
     data_dir = Path(args.data)
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
     g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
-    try:
-        doc = read_json(args.config) if args.config else {}
-    except ValueError as exc:   # not UTF-8 JSON; an unreadable file stays an I/O error
-        raise ConfigError(str(exc)) from exc
-    cfg = build_config(doc, train.d, g.shape[1])
+    cfg = _load_config(args.config, train.d, g.shape[1])
     if args.seed is not None:
         cfg.seed = args.seed
     teacher_hash = _content_hash(Path(args.teacher).read_bytes())
@@ -133,6 +143,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.config is not None and args.mode != "resched":
+        raise ConfigError(f"--config sets the resched recipe; --mode {args.mode} trains nothing")
     ens = distill_mod.load_ensemble(args.ensemble)
     raw = Path(args.teacher).read_bytes()
     teacher_hash = _content_hash(raw)
@@ -151,9 +163,10 @@ def cmd_eval(args) -> int:
     elif args.mode == "resched":
         train = data_mod.load_dataset_csv(data_dir / "train.csv")
         g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+        recipe = _load_config(args.config, train.d, g.shape[1]).findwl
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
-                                           teacher_cost, FindWlConfig(), seed=args.seed or 0)
+                                           teacher_cost, recipe, seed=args.seed or 0)
         eval_mod.write_curve_csv(args.out, points)
         print(f"resched baseline: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")
@@ -264,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=UNIT_INTERVAL, default=None)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None,
+                   help="resched: the distill JSON config, whose findwl recipe trains "
+                        "each member; package defaults when omitted")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="replay a run and check the convergence bound")

@@ -23,7 +23,7 @@ class ShapeError(ValueError):
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     """Assert that every entry of `arr` is finite; returns the array."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"{name} contains non-finite entries")
     return arr
 

@@ -143,12 +143,11 @@ def default_teacher_recipe() -> SgdConfig:
 
 def hard_label_grad(labels: np.ndarray, n_classes: int):
     """Gradient of the cross-entropy against integer labels w.r.t. the
-    logits, for teacher training."""
-    onehot = np.eye(n_classes)[labels]
-
-    def fn(logits: np.ndarray, idx: np.ndarray):
-        return (softmax(logits) - onehot[idx]) / logits.shape[0]
-    return fn
+    logits, for teacher training, as `sgd_epoch`'s pair `(fn, targets)`: the
+    one target is the one-hot label matrix."""
+    def fn(logits: np.ndarray, onehot: np.ndarray):
+        return (softmax(logits) - onehot) / logits.shape[0]
+    return fn, (np.eye(n_classes)[labels],)
 
 
 def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = None,

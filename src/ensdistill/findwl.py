@@ -16,7 +16,8 @@ from .core import RngStream, ShapeError, log_softmax, softmax
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
-                   LearnerParams, backward, check_fields, forward, init_params, optional)
+                   LearnerParams, backward, check_fields, flatten, forward, init_params,
+                   optional)
 
 LOSS_MODES = ("ce_temperature", "squared_error")
 
@@ -89,6 +90,13 @@ def _clamp_limit(b: float) -> float:
     return 2.0 * b * (1.0 - _CLAMP_MARGIN)
 
 
+def _check_barrier(b: float, barrier_gamma: float) -> None:
+    if b <= 0:
+        raise ValueError("logit bound B must be > 0")
+    if barrier_gamma <= 0:
+        raise ValueError("barrier_gamma must be > 0")
+
+
 def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
                  barrier_gamma: float) -> tuple[float, int]:
     """Log-barrier penalty and the number of residuals clamped to its edge.
@@ -96,10 +104,7 @@ def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
     Negative per-entry contributions reward residuals already on the preferred
     side; the +inf wall at |l| = 2B is kept finite by the clamp.
     """
-    if b <= 0:
-        raise ValueError("logit bound B must be > 0")
-    if barrier_gamma <= 0:
-        raise ValueError("barrier_gamma must be > 0")
+    _check_barrier(b, barrier_gamma)
     if l.shape != mask.shape:
         raise ShapeError(f"barrier_loss: shape {l.shape} vs mask {mask.shape}")
     l = np.asarray(l, dtype=np.float64)
@@ -111,27 +116,20 @@ def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
 
 def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
                  barrier_gamma: float) -> np.ndarray:
-    """d(barrier)/dl; clamped entries get the boundary gradient."""
-    if b <= 0:
-        raise ValueError("logit bound B must be > 0")
-    if barrier_gamma <= 0:
-        raise ValueError("barrier_gamma must be > 0")
+    """d(barrier)/dl; clamped entries get the boundary gradient.  It checks
+    nothing, since an SGD step calls it: `b` and `barrier_gamma` must be > 0,
+    which `total_grad_fn` checks once for all steps."""
     limit = _clamp_limit(b)
-    lc = np.clip(np.asarray(l, dtype=np.float64), -limit, limit)
+    lc = np.clip(l, -limit, limit)
     grad = np.where(mask, 1.0 / (2.0 * b + lc), -1.0 / (2.0 * b - lc))
     return -grad / barrier_gamma
 
 
-def _distill_inputs(f_logits, g_logits, mode: str, temperature: float):
-    f = np.asarray(f_logits, dtype=np.float64)
-    g = np.asarray(g_logits, dtype=np.float64)
-    if f.shape != g.shape:
-        raise ShapeError(f"distill loss: shape {f.shape} vs {g.shape}")
+def _check_mode(mode: str, temperature: float) -> None:
     if mode not in LOSS_MODES:
         raise ValueError(f"unknown loss_mode {mode!r}")
     if mode == "ce_temperature" and temperature <= 0:
         raise ValueError("temperature must be > 0")
-    return f, g, f.shape[-2]
 
 
 def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
@@ -143,7 +141,12 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
     magnitudes stay comparable across temperatures.
     squared_error: 0.5 * ||f - g||^2 / n_rows, the game's own loss.
     """
-    f, g, n = _distill_inputs(f_logits, g_logits, mode, temperature)
+    f = np.asarray(f_logits, dtype=np.float64)
+    g = np.asarray(g_logits, dtype=np.float64)
+    if f.shape != g.shape:
+        raise ShapeError(f"distill loss: shape {f.shape} vs {g.shape}")
+    _check_mode(mode, temperature)
+    n = f.shape[-2]
     if mode == "squared_error":
         diff = f - g
         return 0.5 * float((diff * diff).sum()) / n
@@ -153,13 +156,17 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
 
 def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
                  temperature: float = 2.0) -> np.ndarray:
-    """Gradient of `distill_loss` w.r.t. the student logits.  An SGD step
-    reads only this, so it is built without the loss value."""
-    f, g, n = _distill_inputs(f_logits, g_logits, mode, temperature)
+    """Gradient of `distill_loss` w.r.t. the student logits, for float64
+    arrays of one shape.  An SGD step reads only this, so it is built
+    without the loss value and checks nothing but the mode it dispatches on;
+    `total_grad_fn` checks the temperature once for all steps."""
+    n = f_logits.shape[-2]
     if mode == "squared_error":
-        return (f - g) / n
-    tau = temperature
-    return (tau / n) * (softmax(f / tau) - softmax(g / tau))
+        return (f_logits - g_logits) / n
+    if mode == "ce_temperature":
+        tau = temperature
+        return (tau / n) * (softmax(f_logits / tau) - softmax(g_logits / tau))
+    raise ValueError(f"unknown loss_mode {mode!r}")
 
 
 def default_logit_bound(g_logits: np.ndarray) -> float:
@@ -176,11 +183,19 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
               rng: RngStream | list, lr: float, velocity=None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
-    `grad_fn(logits, row_indices) -> dloss/dlogits` sees each minibatch; the
-    step reads only the gradient, so no loss value is computed.  `velocity`
-    carries momentum across epochs (created on first use).  Returns
-    (params, velocity, rng); params are updated in place.
-    `tap`, the activation `params.connection` reads, is sliced like `x`.
+    `grad_fn` is a pair `(fn, targets)`, as `total_grad_fn` and
+    `data.hard_label_grad` build it: `targets` are arrays whose rows align
+    with `x`, and `fn(logits, *batch_targets) -> dloss/dlogits` sees each
+    minibatch with those arrays' rows for it; the step reads only the
+    gradient, so no loss value is computed.  `x`, `tap` (the activation
+    `params.connection` reads) and the targets are gathered into the epoch's
+    row order once, and each minibatch is a slice of them.
+
+    `velocity` carries momentum across epochs: on first use (None) the
+    weights and biases move into one buffer (`nets.flatten`), and the pair
+    (that buffer, its momentum) is returned for the next epoch of the same
+    `params`.  Each step then updates the whole buffer with a few ufuncs.
+    Returns (params, velocity, rng); params are updated in place.
 
     A stack of nets (see `nets.forward`) takes `rng` as a list with one
     stream per slice, each drawing that slice's permutation.  Nothing here
@@ -188,10 +203,12 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     own, so a slice gone non-finite keeps running without touching the
     others, and `_train_stack` drops it after training.
     """
+    fn, targets = grad_fn
     if velocity is None:
-        velocity = ([np.zeros_like(w) for w in params.weights],
-                    [np.zeros_like(b) for b in params.biases])
-    vel_w, vel_b = velocity
+        flat = flatten(params)
+        velocity = (flat, np.zeros_like(flat))
+    flat, vel = velocity
+    grad, scaled = np.empty_like(flat), np.empty_like(flat)
     n = x.shape[0]
     if isinstance(rng, list):
         draws = [stream.permutation(n) for stream in rng]
@@ -199,34 +216,46 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         rng = [draw[1] for draw in draws]
     else:
         perm, rng = rng.permutation(n)
+    x_rows = x[perm]
+    tap_rows = None if tap is None else tap[perm]
+    target_rows = [t[perm] for t in targets]
     for start in range(0, n, cfg.batch_size):
-        idx = perm[..., start:start + cfg.batch_size]
-        bx = x[idx]
-        btap = None if tap is None else tap[idx]
+        rows = slice(start, start + cfg.batch_size)
+        bx = x_rows[..., rows, :]
+        btap = None if tap is None else tap_rows[..., rows, :]
         logits, acts = forward(params, bx, btap)
-        dlogits = grad_fn(logits, idx)
+        dlogits = fn(logits, *[t[..., rows, :] for t in target_rows])
         dW, db = backward(params, bx, acts, dlogits, btap)
-        for li in range(len(params.weights)):
-            step_w = dW[li] + cfg.weight_decay * params.weights[li]
-            vel_w[li] = cfg.momentum * vel_w[li] + step_w
-            params.weights[li] -= lr * vel_w[li]
-            step_b = db[li] + cfg.weight_decay * params.biases[li]
-            vel_b[li] = cfg.momentum * vel_b[li] + step_b
-            params.biases[li] -= lr * vel_b[li]
-    return params, (vel_w, vel_b), rng
+        # per element: grad = dW + wd * W; vel = momentum * vel + grad;
+        # W -= lr * vel, as one pass over the whole buffer for each ufunc
+        np.concatenate([a.reshape(-1) for a in dW + db], out=grad)
+        np.multiply(flat, cfg.weight_decay, out=scaled)
+        grad += scaled
+        vel *= cfg.momentum
+        vel += grad
+        np.multiply(vel, lr, out=scaled)
+        flat -= scaled
+    return params, velocity, rng
 
 
 def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
     """Gradient of the minibatch training objective w.r.t. the logits: the
     distillation loss plus the barrier toward `mask`; `mask=None` means no
-    barrier, the distillation loss alone."""
-    def fn(logits: np.ndarray, idx: np.ndarray):
-        g = g_logits[idx]
-        dl_grad = distill_grad(logits, g, cfg.loss_mode, cfg.temperature)
-        if mask is None:
-            return dl_grad
-        return dl_grad + barrier_grad(logits - g, mask[idx], b, cfg.barrier_gamma)
-    return fn
+    barrier, the distillation loss alone.
+
+    Returns `sgd_epoch`'s pair `(fn, targets)`: the targets are the teacher
+    logits and, with a barrier, the mask.  The loss mode, temperature, `b`
+    and `barrier_gamma` are checked here, once, so a step runs no checks."""
+    mode, tau, gamma = cfg.loss_mode, cfg.temperature, cfg.barrier_gamma
+    _check_mode(mode, tau)
+    g_logits = np.asarray(g_logits, dtype=np.float64)
+    if mask is None:
+        return (lambda logits, g: distill_grad(logits, g, mode, tau)), (g_logits,)
+    _check_barrier(b, gamma)
+
+    def fn(logits, g, m):
+        return distill_grad(logits, g, mode, tau) + barrier_grad(logits - g, m, b, gamma)
+    return fn, (g_logits, mask)
 
 
 @dataclass

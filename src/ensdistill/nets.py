@@ -144,12 +144,32 @@ def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None)
             h = _join(params, h, tap)
         if h.shape[-1] != layer.in_dim:
             raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[-1]}")
-        z = h @ params.weights[idx] + params.biases[idx][..., None, :]
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        # the matmul's result is fresh, so the bias and the ReLU can write
+        # into it without touching `x`, `tap` or an earlier activation
+        h = h @ params.weights[idx]
+        h += params.biases[idx][..., None, :]
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     if h.ndim == 2:
         check_finite("logits", h)
     return h, acts
+
+
+def flatten(params: LearnerParams) -> np.ndarray:
+    """Copy every weight and bias of `params` into one contiguous float64
+    buffer and return it; `params.weights` and `params.biases` become views
+    into it.  The layout is the weights in layer order, then the biases, each
+    in C order, so `np.concatenate([a.reshape(-1) for a in dW + db])` of
+    `backward`'s gradients lines up with it element for element."""
+    arrays = params.weights + params.biases
+    flat = np.concatenate([a.reshape(-1) for a in arrays], dtype=np.float64)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    params.weights, params.biases = views[:len(params.weights)], views[len(params.weights):]
+    return flat
 
 
 def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarray,

@@ -234,7 +234,8 @@ def _fd_composed_loss(kind: str, mode: str, seed: int):
                 + barrier_loss(logits - g, mask, b, cfg.barrier_gamma)[0])
 
     logits, acts = forward(params, x, tap)
-    dlogits = total_grad_fn(g, mask, cfg, b)(logits, np.arange(n))
+    fn, targets = total_grad_fn(g, mask, cfg, b)
+    dlogits = fn(logits, *targets)
     dw, db = backward(params, x, acts, dlogits, tap)
     h = 1e-5
     checked, worst = 0, 0.0

@@ -12,8 +12,9 @@ from oracle_runs import constructed_oracle_run
 
 from ensdistill import data as data_mod
 from ensdistill import distill as distill_mod
-from ensdistill.cli import main
-from ensdistill.nets import params_from_dict
+from ensdistill import evaluate as eval_mod
+from ensdistill.cli import build_config, main
+from ensdistill.nets import flops, params_from_dict
 
 
 FAST_CONFIG = {
@@ -293,6 +294,30 @@ def test_eval_resched_baseline(pipeline, distilled, tmp_path):
     assert _rows(out) == len(ens.members)
 
 
+def test_eval_resched_trains_with_the_config_recipe(pipeline, distilled, tmp_path):
+    out = tmp_path / "resched.csv"
+    rc = main(["eval", "--ensemble", str(distilled["ensemble"]),
+               "--data", str(pipeline["data"]),
+               "--teacher", str(pipeline["teacher"]), "--mode", "resched",
+               "--seed", "2", "--config", str(distilled["config"]), "--out", str(out)])
+    assert rc == 0
+    # the baseline the library trains with the config's findwl recipe
+    # (8 epochs at lr 0.05, no weight decay), not with FindWlConfig()
+    train = data_mod.load_dataset_csv(pipeline["data"] / "train.csv")
+    test = data_mod.load_dataset_csv(pipeline["data"] / "test.csv")
+    g = data_mod.load_logits_csv(pipeline["data"] / "train_logits.csv")
+    recipe = build_config(FAST_CONFIG, train.d, g.shape[1]).findwl
+    assert recipe.sgd.epochs == 8
+    ens = distill_mod.load_ensemble(distilled["ensemble"])
+    teacher = params_from_dict(json.loads(pipeline["teacher"].read_text(encoding="utf-8")))
+    points = eval_mod.baseline_resched([eval_mod.standalone_spec(m) for m in ens.members],
+                                       train.x, g, test.x, test.labels, flops(teacher),
+                                       recipe, seed=2)
+    want = tmp_path / "want.csv"
+    eval_mod.write_curve_csv(want, points)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_eval_refuses_another_teacher(pipeline, distilled, tmp_path, capsys):
     doc = json.loads(pipeline["teacher"].read_text(encoding="utf-8"))
     doc["biases"][-1][0] += 1.0
@@ -395,6 +420,8 @@ _VERIFY = ["verify", "--history", "h.csv", "--ensemble", "e.json", "--data", "d"
     (_TEACH + ["--momentum", "1.5"], "--momentum"),
     (_TEACH + ["--weight-decay", "inf"], "--weight-decay"),
     (_VERIFY + ["--g-inf", "inf"], "--g-inf"),
+    # only resched trains, so only resched reads a recipe
+    (_EVAL + ["--threshold", "0.5", "--config", "c.json"], "--config"),
 ])
 def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -498,6 +525,10 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+    elif case == "train-teacher-diverges":
+        named = "--lr"
+        return ["train-teacher", "--data", str(data_dir), "--spec", "8", "--lr", "1e200",
+                "--epochs", "2", "--out", str(tmp_path / "out.json")], named
     if case.startswith(("ensemble-", "teacher-", "resched-")):
         mode = "resched" if case.startswith("resched-") else "anytime"
         return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
@@ -518,6 +549,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-max-search-fraction", 2), ("config-lr-nan", 2), ("config-eta-nan", 2),
     ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
     ("config-lr-factor-negative", 2), ("config-lr-factor-above-one", 2),
+    ("train-teacher-diverges", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)

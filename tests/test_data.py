@@ -163,7 +163,8 @@ def test_default_recipe_values():
 
 
 def test_hard_label_loss_value_and_grad():
-    grad = hard_label_grad(np.array([0]), 2)(np.zeros((1, 2)), np.array([0]))
+    fn, targets = hard_label_grad(np.array([0]), 2)
+    grad = fn(np.zeros((1, 2)), *targets)
     assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
 
 

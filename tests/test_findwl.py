@@ -200,8 +200,7 @@ def test_sgd_lr_zero_is_identity():
     params = init_params(spec, RngStream(1))
     before = [w.copy() for w in params.weights]
 
-    def grad_fn(logits, idx):
-        return distill_grad(logits, target[idx], "squared_error")
+    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
 
     cfg = SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=8)
     params, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(2), lr=0.0)
@@ -214,8 +213,7 @@ def test_sgd_convex_loss_non_increasing():
     spec = [LayerSpec(4, 2, "linear")]
     params = init_params(spec, RngStream(3))
 
-    def grad_fn(logits, idx):
-        return distill_grad(logits, target[idx], "squared_error")
+    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
 
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
@@ -239,8 +237,7 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     w0 = params.weights[0].copy()
     b0 = params.biases[0].copy()
 
-    def grad_fn(logits, idx):
-        return distill_grad(logits, target[idx], "squared_error")
+    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
 
     lr = 0.1
     cfg = SgdConfig(lr=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=32)
@@ -248,7 +245,7 @@ def test_sgd_full_batch_equals_plain_gradient_step():
 
     ref = init_params(spec, RngStream(8))
     logits, acts = forward(ref, x)
-    dlogits = grad_fn(logits, np.arange(32))
+    dlogits = grad_fn[0](logits, target)
     dw, db = backward(ref, x, acts, dlogits)
     assert np.allclose(stepped.weights[0], w0 - lr * dw[0], atol=1e-12)
     assert np.allclose(stepped.biases[0], b0 - lr * db[0], atol=1e-12)
@@ -275,7 +272,8 @@ def test_total_loss_is_distill_plus_barrier():
     mask = mvals.reshape(10, 2) > 0.5
     cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0)
     b = default_logit_bound(g)
-    grad = total_grad_fn(g, mask, cfg, b)(logits, np.arange(10))
+    fn, targets = total_grad_fn(g, mask, cfg, b)
+    grad = fn(logits, *targets)
     dlg = distill_grad(logits, g, "squared_error")
     bg = barrier_grad(logits - g, mask, b, 2.0)
     assert np.allclose(grad, dlg + bg, atol=1e-12)

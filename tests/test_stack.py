@@ -7,6 +7,12 @@ every slice of a stack must hold the bits its restart gets when trained
 alone, a slice that diverges, at its first step or its last, must be dropped
 without touching the others, and the search must return what the
 restart-by-restart loop did.
+
+`sgd_epoch` updates one flat buffer per step and slices minibatches from
+rows gathered once per epoch; `per_array_sgd_epoch` below keeps the update
+it replaced, one array at a time on rows gathered per step, as the
+reference its weights must equal bit for bit.  Neither the epoch nor the
+in-place forward pass may write the arrays it reads.
 """
 
 import itertools
@@ -23,7 +29,8 @@ from ensdistill.findwl import (LOSS_MODES, FindResult, FindWlConfig, SgdConfig,
                                barrier_loss, default_logit_bound, distill_loss,
                                find_weak_learner, iplus_mask, lr_at_epoch, total_grad_fn)
 from ensdistill.game import CHECK_DEGENERATE, CHECK_FAIL, CHECK_PASS, WeightState, init_uniform
-from ensdistill.nets import CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec, forward
+from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec,
+                             LearnerParams, backward, forward)
 
 
 def same_bits(a, b) -> bool:
@@ -266,3 +273,174 @@ def test_the_lowest_passing_restart_of_a_stack_wins(monkeypatch):
     assert got.restart_index == 2
     # the stack trained restart 3 beside restart 2, so it was checked too
     assert (got_checks, want_checks) == (4, 3)
+
+
+# --- the flat-buffer update against the per-array loop ------------------------
+
+def per_array_sgd_epoch(params, x, grad_fn, cfg, rng, lr, velocity=None, tap=None):
+    """`findwl.sgd_epoch` as it was before the flat buffer: each minibatch's
+    rows gathered at its step, and weight decay, momentum and the step
+    applied to one weight or bias array at a time."""
+    fn, targets = grad_fn
+    if velocity is None:
+        velocity = ([np.zeros_like(w) for w in params.weights],
+                    [np.zeros_like(b) for b in params.biases])
+    vel_w, vel_b = velocity
+    n = x.shape[0]
+    if isinstance(rng, list):
+        draws = [stream.permutation(n) for stream in rng]
+        perm = np.stack([draw[0] for draw in draws])
+        rng = [draw[1] for draw in draws]
+    else:
+        perm, rng = rng.permutation(n)
+    for start in range(0, n, cfg.batch_size):
+        idx = perm[..., start:start + cfg.batch_size]
+        bx = x[idx]
+        btap = None if tap is None else tap[idx]
+        logits, acts = forward(params, bx, btap)
+        dlogits = fn(logits, *[t[idx] for t in targets])
+        dW, db = backward(params, bx, acts, dlogits, btap)
+        for li in range(len(params.weights)):
+            step_w = dW[li] + cfg.weight_decay * params.weights[li]
+            vel_w[li] = cfg.momentum * vel_w[li] + step_w
+            params.weights[li] -= lr * vel_w[li]
+            step_b = db[li] + cfg.weight_decay * params.biases[li]
+            vel_b[li] = cfg.momentum * vel_b[li] + step_b
+            params.biases[li] -= lr * vel_b[li]
+    return params, (vel_w, vel_b), rng
+
+
+def _tapped_problem(root, n_rows, d, n_labels, dims, kind, target):
+    """Inputs, a tap of `kind` into layer `target` of `dims`, teacher logits
+    and a barrier mask, all drawn from `root`."""
+    u, _ = root.split(0).uniform(n_rows * d)
+    x = 2.0 * u.reshape(n_rows, d) - 1.0
+    connection, tap = NO_CONNECTION, None
+    spec = [LayerSpec(dims[i], dims[i + 1], "relu" if i < len(dims) - 2 else "linear")
+            for i in range(len(dims) - 1)]
+    if kind != "none":
+        width = dims[target] if kind != "dense_concat" else 3
+        t, _ = root.split(1).gaussian(n_rows * width)
+        tap = np.maximum(t.reshape(n_rows, width), 0.0)   # a ReLU layer's output
+        connection = ConnectionSpec(kind, 0, 0, target)
+        if kind == "dense_concat":
+            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+    g, _ = root.split(2).gaussian(n_rows * n_labels)
+    m, _ = root.split(3).uniform(n_rows * n_labels)
+    return x, spec, connection, tap, g.reshape(n_rows, n_labels), m.reshape(n_rows, n_labels) > 0.5
+
+
+def _copy(params):
+    return LearnerParams(spec=params.spec, connection=params.connection,
+                         weights=[w.copy() for w in params.weights],
+                         biases=[b.copy() for b in params.biases])
+
+
+@st.composite
+def sgd_cases(draw):
+    """One net or a stack of 2-3, no tap or a residual_add or dense_concat
+    tap, a random step size, momentum and weight decay, and a batch size that
+    leaves a ragged last batch."""
+    d = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 3))
+    batch = draw(st.integers(2, 6))
+    n_rows = batch * draw(st.integers(1, 3)) + draw(st.integers(1, batch - 1))
+    dims = [d] + draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [n_labels]
+    kind = draw(st.sampled_from(("none", "residual_add", "dense_concat")))
+    target = draw(st.integers(0, len(dims) - 2))
+    root = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, d, n_labels, dims,
+                                                        kind, target)
+    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0)
+    grad_fn = total_grad_fn(g, mask if draw(st.booleans()) else None, cfg,
+                            default_logit_bound(g))
+    sgd_cfg = SgdConfig(lr=draw(st.floats(0.0, 0.3)), momentum=draw(st.floats(0.0, 0.95)),
+                        weight_decay=draw(st.floats(0.0, 0.05)),
+                        epochs=draw(st.integers(2, 4)), batch_size=batch)
+    nets = [findwl.init_params(spec, root.split(10 + s), connection)
+            for s in range(draw(st.sampled_from((1, 2, 3))))]
+    stacked = len(nets) > 1
+    if stacked:
+        params = LearnerParams(spec=spec, connection=connection,
+                               weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
+                               biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
+        rng = [root.split(20 + s) for s in range(len(nets))]
+    else:
+        params, rng = nets[0], root.split(20)
+    return params, x, tap, grad_fn, sgd_cfg, rng
+
+
+def _train(epoch_fn, params, x, tap, grad_fn, sgd_cfg, rng):
+    """Weights, biases and velocity after `sgd_cfg.epochs` epochs of
+    `epoch_fn`, or the FloatingPointError a single net raised."""
+    velocity = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(sgd_cfg.epochs):
+                params, velocity, rng = epoch_fn(params, x, grad_fn, sgd_cfg, rng,
+                                                 lr=lr_at_epoch(epoch, sgd_cfg),
+                                                 velocity=velocity, tap=tap)
+    except FloatingPointError as exc:
+        return str(exc)
+    return params, velocity
+
+
+@settings(max_examples=150, deadline=None)
+@given(sgd_cases())
+def test_flat_update_equals_the_per_array_loop(case):
+    params, x, tap, grad_fn, sgd_cfg, rng = case
+    got = _train(findwl.sgd_epoch, _copy(params), x, tap, grad_fn, sgd_cfg, rng)
+    want = _train(per_array_sgd_epoch, _copy(params), x, tap, grad_fn, sgd_cfg, rng)
+    if isinstance(want, str):   # a single net diverged: at the same step on both paths
+        assert got == want
+        return
+    (got_params, (flat, vel)), (want_params, (vel_w, vel_b)) = got, want
+    assert_same_net(got_params, want_params)
+    assert same_bits(vel, np.concatenate([v.reshape(-1) for v in vel_w + vel_b]))
+    for a in got_params.weights + got_params.biases:
+        assert a.base is flat   # the net trains in the buffer it returns
+
+
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_training_never_writes_what_it_reads(kind, stacked):
+    root = RngStream(80)
+    x, spec, connection, tap, g, mask = _tapped_problem(root, 19, 3, 2, [3, 4, 4, 2], kind, 1)
+    if stacked:
+        nets = [findwl.init_params(spec, root.split(10 + s), connection) for s in range(3)]
+        params = LearnerParams(spec=spec, connection=connection,
+                               weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
+                               biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
+        rng = [root.split(20 + s) for s in range(3)]
+        fx, ftap = np.stack([x] * 3), None if tap is None else np.stack([tap] * 3)
+    else:
+        params, rng = findwl.init_params(spec, root.split(10), connection), root.split(20)
+        fx, ftap = x, tap
+    inputs = [a for a in (x, tap, g, mask, fx, ftap) if a is not None]
+    before = [a.tobytes() for a in inputs]
+    logits, acts = forward(params, fx, ftap)
+    assert acts[-1] is logits
+    for i, act in enumerate(acts):   # each layer's output is its own array
+        assert not any(np.shares_memory(act, other) for other in acts[:i] + inputs)
+    backward(params, fx, acts, np.ones_like(logits), ftap)
+    cfg = SgdConfig(lr=0.05, epochs=1, batch_size=4)
+    findwl.sgd_epoch(params, x, total_grad_fn(g, mask, FindWlConfig(), default_logit_bound(g)),
+                     cfg, rng, lr=0.05, tap=tap)
+    assert [a.tobytes() for a in inputs] == before
+
+
+@pytest.mark.parametrize("b, gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5)])
+def test_total_grad_fn_refuses_a_bad_barrier_when_built(b, gamma):
+    g = np.zeros((4, 2))
+    mask = np.ones((4, 2), dtype=bool)
+    cfg = FindWlConfig(barrier_gamma=gamma)
+    with pytest.raises(ValueError, match="logit bound B" if b <= 0 else "barrier_gamma"):
+        total_grad_fn(g, mask, cfg, b)
+    # without a mask there is no barrier, so neither value is read
+    fn, targets = total_grad_fn(g, None, cfg, b)
+    assert same_bits(fn(np.ones((4, 2)), *targets), np.full((4, 2), 0.25))
+
+
+def test_total_grad_fn_refuses_an_unknown_loss_mode_when_built():
+    with pytest.raises(ValueError, match="unknown loss_mode"):
+        total_grad_fn(np.zeros((4, 2)), None, FindWlConfig(loss_mode="hinge"), 1.0)
