@@ -165,8 +165,12 @@ def cmd_eval(args) -> int:
         g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
         recipe = _load_config(args.config, train.d, g.shape[1]).findwl
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
-        points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
-                                           teacher_cost, recipe, seed=args.seed or 0)
+        try:
+            points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
+                                               teacher_cost, recipe, seed=args.seed or 0)
+        except FloatingPointError as exc:   # as for the teacher: a step size too large
+            raise ConfigError(f"resched training diverged at 'lr' {recipe.sgd.lr} "
+                              f"({exc}); lower the config's findwl.sgd.lr") from exc
         eval_mod.write_curve_csv(args.out, points)
         print(f"resched baseline: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")

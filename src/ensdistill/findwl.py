@@ -120,7 +120,7 @@ def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
     nothing, since an SGD step calls it: `b` and `barrier_gamma` must be > 0,
     which `total_grad_fn` checks once for all steps."""
     limit = _clamp_limit(b)
-    lc = np.clip(l, -limit, limit)
+    lc = l.clip(-limit, limit)
     grad = np.where(mask, 1.0 / (2.0 * b + lc), -1.0 / (2.0 * b - lc))
     return -grad / barrier_gamma
 
@@ -216,9 +216,11 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         rng = [draw[1] for draw in draws]
     else:
         perm, rng = rng.permutation(n)
-    x_rows = x[perm]
-    tap_rows = None if tap is None else tap[perm]
-    target_rows = [t[perm] for t in targets]
+    # `take` gathers the same rows as `x[perm]`, several times faster for
+    # arrays only a few columns wide
+    x_rows = x.take(perm, axis=0)
+    tap_rows = None if tap is None else tap.take(perm, axis=0)
+    target_rows = [t.take(perm, axis=0) for t in targets]
     for start in range(0, n, cfg.batch_size):
         rows = slice(start, start + cfg.batch_size)
         bx = x_rows[..., rows, :]

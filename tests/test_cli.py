@@ -525,14 +525,18 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+    elif case == "resched-diverges":
+        _write_config(config, {**FAST_CONFIG, "findwl": {"sgd": {"lr": 1e200}}})
+        named = "'lr'"
     elif case == "train-teacher-diverges":
         named = "--lr"
         return ["train-teacher", "--data", str(data_dir), "--spec", "8", "--lr", "1e200",
                 "--epochs", "2", "--out", str(tmp_path / "out.json")], named
     if case.startswith(("ensemble-", "teacher-", "resched-")):
         mode = "resched" if case.startswith("resched-") else "anytime"
+        recipe = ["--config", str(config)] if case == "resched-diverges" else []
         return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
-                "--teacher", str(teacher), "--mode", mode,
+                "--teacher", str(teacher), "--mode", mode, *recipe,
                 "--out", str(tmp_path / "curve.csv")], str(named)
     return ["distill", "--data", str(data_dir), "--teacher", str(teacher),
             "--config", str(config), "--out", str(tmp_path / "out.json"),
@@ -549,7 +553,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-max-search-fraction", 2), ("config-lr-nan", 2), ("config-eta-nan", 2),
     ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
     ("config-lr-factor-negative", 2), ("config-lr-factor-above-one", 2),
-    ("train-teacher-diverges", 2),
+    ("train-teacher-diverges", 2), ("resched-diverges", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys):
     argv, named = _break_input(case, pipeline, distilled, tmp_path)
