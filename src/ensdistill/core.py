@@ -101,9 +101,17 @@ class RngStream:
         return out, nxt
 
     def permutation(self, n: int) -> tuple[np.ndarray, "RngStream"]:
-        """Deterministic permutation of range(n)."""
+        """Deterministic permutation of range(n): the order that sorts n
+        uniforms, ties broken by position.
+
+        Distinct keys have one sorted order, which any sort finds, so the
+        default sort (several times faster than a stable one) is used and
+        the stable sort only when two keys tie."""
         u, nxt = self.uniform(n)
-        return np.argsort(u, kind="stable"), nxt
+        perm = np.argsort(u)
+        if n > 1 and not np.diff(u[perm]).all():
+            perm = np.argsort(u, kind="stable")
+        return perm, nxt
 
     def split(self, tag: int) -> "RngStream":
         """Child stream for `tag`; the parent is unchanged.

@@ -163,10 +163,13 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
     grad_fn = hard_label_grad(train.labels, n_classes)
     sgd_rng = root.split(1)
     velocity = None
-    for epoch in range(recipe.epochs):
-        params, velocity, sgd_rng = sgd_epoch(
-            params, train.x, grad_fn, recipe, sgd_rng,
-            lr=lr_at_epoch(epoch, recipe), velocity=velocity)
+    # a diverging recipe overflows inside a matmul before `forward` sees
+    # non-finite logits and raises, so the overflow itself is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(recipe.epochs):
+            params, velocity, sgd_rng = sgd_epoch(
+                params, train.x, grad_fn, recipe, sgd_rng,
+                lr=lr_at_epoch(epoch, recipe), velocity=velocity)
     return params
 
 

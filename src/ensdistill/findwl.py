@@ -7,7 +7,11 @@ residual entry to the side the current weight state prefers.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,12 +276,16 @@ class FindResult:
 
 
 def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
-    """Train one candidate per restart stream in `rngs` as one stack.
+    """Initialise one candidate per restart stream in `rngs` now, and return
+    an iterator that trains them as one stack when it is first read.
 
-    Yields, in the order of `rngs`, (position in `rngs`, params, logits on
-    `x`) for each candidate whose logits on all of `x` are finite after
-    training.  Divergence inside a candidate is routine (the barrier's wall
-    gradient can run away); it costs the restart, nothing more.
+    The iterator yields, in the order of `rngs`, (position in `rngs`, params,
+    logits on `x`) for each candidate whose logits on all of `x` are finite
+    after training.  Divergence inside a candidate is routine (the barrier's
+    wall gradient can run away); it costs the restart, nothing more.  A
+    search initialises every stack in its own process, so that process sees
+    each restart's `init_params` call, and may read the iterator in a forked
+    child (`_Child`).
 
     That final forward pass is the only divergence check.  It sees a slice
     that diverged at any step: once a minibatch logit is non-finite, so is
@@ -287,28 +295,139 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     beside a finite one in its row: its softmax gradient is finite, so its
     slice is dropped only if the final logits are still non-finite."""
     nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
-    stack = LearnerParams(spec=nets[0].spec, connection=connection,
-                          weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
-                          biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
     streams = [rng.split(1) for rng in rngs]
-    velocity = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(sgd_cfg.epochs):
-            stack, velocity, streams = sgd_epoch(
-                stack, x, grad_fn, sgd_cfg, streams,
-                lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
-    for pos in range(len(rngs)):
-        params = LearnerParams(spec=stack.spec, connection=connection,
-                               weights=[w[pos] for w in stack.weights],
-                               biases=[b[pos] for b in stack.biases])
+
+    def train():
+        stack = LearnerParams(spec=nets[0].spec, connection=connection,
+                              weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
+                              biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
+        slices, velocity = streams, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(sgd_cfg.epochs):
+                stack, velocity, slices = sgd_epoch(
+                    stack, x, grad_fn, sgd_cfg, slices,
+                    lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
+        for pos in range(len(rngs)):
+            params = LearnerParams(spec=stack.spec, connection=connection,
+                                   weights=[w[pos] for w in stack.weights],
+                                   biases=[b[pos] for b in stack.biases])
+            try:
+                # one net at a time, keeping only its logits: activations on
+                # all of x are the search's largest arrays
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits = forward(params, x, tap)[0]
+            except FloatingPointError:
+                continue
+            yield pos, params, logits
+    return train()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: how many restart chunks train at once."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(restarts: range, parts: int) -> list:
+    """`restarts` cut into at most `parts` contiguous, non-empty ranges whose
+    lengths differ by at most one."""
+    n = len(restarts)
+    parts = min(parts, n)
+    return [restarts[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
+
+
+class _Child:
+    """A forked process that reads one chunk's `_train_stack` iterator and
+    sends the candidates back, pickled, over a pipe.
+
+    The child leaves only by `os._exit`, so it flushes no stdio buffer it
+    inherited and runs none of the parent's cleanup.  An exception in it is
+    pickled and raised again in the parent by `result`.  If the parent has
+    gone away, the child's write fails and it exits all the same."""
+
+    def __init__(self, restarts: range, trained, siblings: list):
+        self.restarts = restarts
+        read_fd, write_fd = os.pipe()
         try:
-            # one net at a time, keeping only its logits: activations on all
-            # of x are the search's largest arrays
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits = forward(params, x, tap)[0]
-        except FloatingPointError:
-            continue
-        yield pos, params, logits
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                for sibling in siblings:   # so only the parent holds their pipes open
+                    sibling.pipe.close()
+                try:
+                    outcome = (True, list(trained))
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def _name(self) -> str:
+        first, last = self.restarts[0], self.restarts[-1]
+        return f"restart {first}" if first == last else f"restarts {first}-{last}"
+
+    def result(self) -> list:
+        """What the chunk's iterator yielded; waits for the child and reaps it."""
+        payload = self.pipe.read()
+        self.pipe.close()
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception as exc:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"the process training {self._name()} {how} "
+                                    f"without a readable result") from exc
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill and reap the child, unless `result` has reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            pid, self.pid = self.pid, None
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _stacks(chunks: list, train, parallel: bool):
+    """Yield (chunk, what `train(chunk)`'s iterator yields) for each chunk of
+    restarts, in order.
+
+    Serially, each chunk is initialised and trained only when it is reached.
+    In parallel, every chunk is initialised first, each chunk after the first
+    trains in a forked child, and the first trains here meanwhile.  Closing
+    the generator kills and reaps every child that is still running."""
+    if not parallel:
+        for chunk in chunks:
+            yield chunk, train(chunk)
+        return
+    stacks = [train(chunk) for chunk in chunks]
+    children = []
+    try:
+        for chunk, trained in zip(chunks[1:], stacks[1:]):
+            children.append(_Child(chunk, trained, children))
+        yield chunks[0], stacks[0]
+        for child in children:
+            yield child.restarts, child.result()
+    finally:
+        for child in children:
+            child.stop()
 
 
 def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
@@ -325,9 +444,12 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     logits on `x` are not finite after training diverged and is dropped:
     that one end-of-training check is the search's only divergence check.
 
-    Restarts train as stacks: a degenerate round trains all of them as one;
-    any other round trains restart 0 alone, and the rest as one stack only
-    if restart 0 does not pass.
+    Restarts train as stacks, cut into contiguous chunks over the usable
+    CPUs.  A degenerate round trains all of them, in up to one balanced
+    stack per CPU.  Any other round trains restart 0 alone, and the rest in
+    up to one stack per other CPU: with one CPU they train only if restart 0
+    does not pass; with more they train beside it in forked children, which
+    are killed if it passes.  Verdicts are read in restart order either way.
     """
     cfg.validate()
     b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
@@ -337,26 +459,39 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     # degenerate round's candidate trains (and competes) on distillation alone
     grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
     # a degenerate round cannot pass, so it trains every restart; any other
-    # round often passes at restart 0, where a stack of S would cost ~2x
-    chunks = [range(cfg.max_search)] if degenerate else [range(1), range(1, cfg.max_search)]
+    # round often passes at restart 0, where a stack of S would cost ~2x.
+    # The restarts are cut into a chunk per usable CPU: the first trains in
+    # this process, and each other one in a child at the same time.  Every
+    # slice of a stack holds the bits of its restart trained alone, so the
+    # chunks change no bit of the result, only the wall time.
+    workers = _usable_cpus()
+    if degenerate:
+        chunks = _split(range(cfg.max_search), workers)
+    else:
+        chunks = [range(1)] + _split(range(1, cfg.max_search), max(workers - 1, 1))
+
+    def train(chunk):
+        return _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
+                            [rng.split(restart) for restart in chunk])
+
     passed = best = None
-    for chunk in filter(None, chunks):
-        for pos, params, logits in _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
-                                                [rng.split(restart) for restart in chunk]):
-            resid = logits - g_logits
-            dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
-            b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
-            total = dl_val if degenerate else dl_val + b_val
-            # every trained candidate that stayed finite is checked, so a
-            # restart the check never saw is one that diverged
-            verdict = weak_learning_check(state, resid, edge_tol)
-            if verdict == CHECK_PASS:
-                if passed is None:
-                    passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos])
-            elif best is None or total < best.train_loss:
-                best = FindResult(params, verdict, total, clamps, chunk[pos])
-        if passed is not None:
-            return passed
+    with contextlib.closing(_stacks(chunks, train, workers > 1 and len(chunks) > 1)) as stacks:
+        for chunk, trained in stacks:
+            for pos, params, logits in trained:
+                resid = logits - g_logits
+                dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+                b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
+                total = dl_val if degenerate else dl_val + b_val
+                # every trained candidate that stayed finite is checked, so a
+                # restart the check never saw is one that diverged
+                verdict = weak_learning_check(state, resid, edge_tol)
+                if verdict == CHECK_PASS:
+                    if passed is None:
+                        passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos])
+                elif best is None or total < best.train_loss:
+                    best = FindResult(params, verdict, total, clamps, chunk[pos])
+            if passed is not None:
+                return passed
     if best is not None and best.verdict == CHECK_DEGENERATE:
         return best
     return FindResult(None, "none", best.train_loss if best else float("nan"),

@@ -142,3 +142,23 @@ def test_permutation_deterministic_and_seed_sensitive():
     c, _ = RngStream(4).permutation(50)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 5000))
+def test_permutation_is_the_stable_argsort_of_its_uniforms(seed, n):
+    stream = RngStream(seed)
+    perm, nxt = stream.permutation(n)
+    u, want_next = stream.uniform(n)
+    assert np.array_equal(perm, np.argsort(u, kind="stable"))
+    assert nxt == want_next
+
+
+@pytest.mark.parametrize("keys", [[0.5, 0.25, 0.5, 0.25, 0.5, 1.0],
+                                  [0.75] * 40 + [0.25] * 40,
+                                  [0.5, 0.5]])
+def test_tied_uniforms_keep_their_positions(monkeypatch, keys):
+    u = np.array(keys)
+    monkeypatch.setattr(RngStream, "uniform", lambda self, n: (u[:n].copy(), self))
+    perm, _ = RngStream(0).permutation(len(keys))
+    assert np.array_equal(perm, np.argsort(u, kind="stable"))

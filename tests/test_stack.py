@@ -16,6 +16,9 @@ in-place forward pass may write the arrays it reads.
 """
 
 import itertools
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -254,7 +257,10 @@ def test_search_with_a_diverging_restart_matches_the_restart_loop(monkeypatch, d
     assert got.verdict == (CHECK_DEGENERATE if degenerate else "none")
 
 
-def test_the_lowest_passing_restart_of_a_stack_wins(monkeypatch):
+# one process, or restarts 1-3 in one child: either way restarts 1-3 form one stack
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_lowest_passing_restart_of_a_stack_wins(monkeypatch, workers):
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: workers)
     spec, x, g, cfg = _search_problem()
     state = WeightState(np.full((24, 2), 0.8 / 24), np.full((24, 2), 0.2 / 24))
     root = RngStream(73)
@@ -273,6 +279,145 @@ def test_the_lowest_passing_restart_of_a_stack_wins(monkeypatch):
     assert got.restart_index == 2
     # the stack trained restart 3 beside restart 2, so it was checked too
     assert (got_checks, want_checks) == (4, 3)
+
+
+# --- restart chunks trained in forked children ------------------------------
+
+def assert_no_child_left():
+    """No child of this process is running, and none is left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _barrier_state():
+    return WeightState(np.full((24, 2), 0.8 / 24), np.full((24, 2), 0.2 / 24))
+
+
+# (seed, edge_tol, tapped, the restart the search returns) on `_search_problem`
+SEARCHES = {"degenerate": (72, 0.0, False, 3), "pass-at-0": (71, 0.0, False, 0),
+            "pass-at-1": (70, 0.0, False, 1), "pass-at-2": (74, 0.0, False, 2),
+            "pass-at-3": (87, 0.0, False, 3), "none": (72, 1e3, False, -1),
+            "tapped-degenerate": (70, 0.0, True, 2), "tapped-pass-at-2": (80, 0.0, True, 2),
+            "tapped-none": (75, 1e3, True, -1)}
+
+
+def _search(case, max_search=4):
+    """`find_weak_learner`'s arguments for one of `SEARCHES`."""
+    spec, x, g, cfg = _search_problem()
+    seed, edge_tol, tapped, _ = SEARCHES[case]
+    state = init_uniform(24, 2) if "degenerate" in case else _barrier_state()
+    connection, tap = NO_CONNECTION, None
+    if tapped:   # a ReLU layer's output added to the hidden layer's input
+        t, _ = RngStream(76).gaussian(24 * 6)
+        tap = np.maximum(t.reshape(24, 6), 0.0)
+        connection = ConnectionSpec("residual_add", 0, 0, 1)
+    cfg = replace(cfg, max_search=max_search)
+    return (state, spec, connection, x, g, cfg, RngStream(seed)), {"tap": tap,
+                                                                  "edge_tol": edge_tol}
+
+
+@pytest.mark.parametrize("case", list(SEARCHES))
+def test_the_search_returns_the_same_bits_on_any_number_of_cpus(monkeypatch, case):
+    args, kwargs = _search(case)
+    want = loop_reference(*args, **kwargs)
+    assert want.restart_index == SEARCHES[case][3]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(findwl, "_usable_cpus", lambda: workers)
+        assert_same_result(find_weak_learner(*args, **kwargs), want)
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("max_search", [1, 2, 5])
+def test_uneven_chunks_return_the_same_bits(monkeypatch, max_search):
+    for case in ("degenerate", "none"):
+        args, kwargs = _search(case, max_search)
+        want = loop_reference(*args, **kwargs)
+        for workers in (2, 3):
+            monkeypatch.setattr(findwl, "_usable_cpus", lambda: workers)
+            assert_same_result(find_weak_learner(*args, **kwargs), want)
+            assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["degenerate", "none", "pass-at-0"])
+def test_this_process_initialises_and_checks_every_restart(monkeypatch, case):
+    # the benchmark's tracer counts restarts by `init_params` calls and
+    # diverged ones by the checks they lack, in this process only
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 2)
+    calls = {"init": 0, "check": 0}
+    init, check = findwl.init_params, findwl.weak_learning_check
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return wrapper
+    monkeypatch.setattr(findwl, "init_params", counted("init", init))
+    monkeypatch.setattr(findwl, "weak_learning_check", counted("check", check))
+    args, kwargs = _search(case)
+    find_weak_learner(*args, **kwargs)
+    # a round that passes at restart 0 has started restarts 1-3 beside it
+    assert calls == {"init": 4, "check": 1 if case == "pass-at-0" else 4}
+    assert_no_child_left()
+
+
+def _backward_that(action, in_child=True):
+    """`findwl.backward` that first runs `action()` when it is called in a
+    child of this process (or, with `in_child=False`, in this process)."""
+    here, original = os.getpid(), findwl.backward
+
+    def backward(*args):
+        if (os.getpid() != here) == in_child:
+            action()
+        return original(*args)
+    return backward
+
+
+def _raise(exc):
+    def action():
+        raise exc
+    return action
+
+
+@pytest.mark.parametrize("case, workers", [("degenerate", 2), ("none", 2), ("none", 3)])
+def test_a_childs_exception_reaches_the_search(monkeypatch, case, workers):
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(findwl, "backward", _backward_that(_raise(ValueError("bad step 7"))))
+    args, kwargs = _search(case)
+    with pytest.raises(ValueError, match="^bad step 7$"):
+        find_weak_learner(*args, **kwargs)
+    assert_no_child_left()
+
+
+def test_an_exception_here_stops_the_children(monkeypatch):
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(findwl, "backward",
+                        _backward_that(_raise(KeyError("here")), in_child=False))
+    args, kwargs = _search("degenerate")
+    with pytest.raises(KeyError, match="here"):
+        find_weak_learner(*args, **kwargs)
+    assert_no_child_left()
+
+
+def test_a_child_killed_by_a_signal_is_named(monkeypatch):
+    # 4 restarts over 3 CPUs: restart 0 trains here, 1 and 2-3 in a child each
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(findwl, "backward",
+                        _backward_that(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    args, kwargs = _search("degenerate")
+    with pytest.raises(ChildProcessError, match="restart 1 was killed by signal 9"):
+        find_weak_learner(*args, **kwargs)
+    assert_no_child_left()
+
+
+def test_a_pass_at_restart_0_does_not_wait_for_the_children(monkeypatch):
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(findwl, "backward", _backward_that(lambda: time.sleep(60)))
+    args, kwargs = _search("pass-at-0")
+    start = time.perf_counter()
+    got = find_weak_learner(*args, **kwargs)
+    assert time.perf_counter() - start < 30
+    assert got.restart_index == 0
+    assert_no_child_left()
 
 
 # --- the flat-buffer update against the per-array loop ------------------------
