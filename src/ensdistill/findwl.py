@@ -323,13 +323,9 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: how many restart chunks train at once."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on: how many restart chunks train at once.
+    A platform without the affinity call trains them one after another."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _split(restarts: range, parts: int) -> list:
@@ -475,7 +471,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
                             [rng.split(restart) for restart in chunk])
 
     passed = best = None
-    with contextlib.closing(_stacks(chunks, train, workers > 1 and len(chunks) > 1)) as stacks:
+    with contextlib.closing(_stacks(chunks, train, workers > 1)) as stacks:
         for chunk, trained in stacks:
             for pos, params, logits in trained:
                 resid = logits - g_logits
