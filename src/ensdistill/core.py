@@ -109,7 +109,7 @@ class RngStream:
         the stable sort only when two keys tie."""
         u, nxt = self.uniform(n)
         perm = np.argsort(u)
-        if n > 1 and not np.diff(u[perm]).all():
+        if not np.diff(u[perm]).all():
             perm = np.argsort(u, kind="stable")
         return perm, nxt
 
