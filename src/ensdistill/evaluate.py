@@ -34,18 +34,6 @@ def member_flops(ens: Ensemble) -> list:
     return [flops(m) for m in ens.members]
 
 
-def ensemble_flops_direct(ens: Ensemble) -> int:
-    """Whole-ensemble cost accounted directly from layer shapes — a second
-    code path against sum-of-member flops."""
-    total = 0
-    for params in ens.members:
-        for layer in params.spec:
-            total += 2 * layer.in_dim * layer.out_dim + layer.out_dim
-        if params.connection.kind in ("residual_add", "delta"):
-            total += params.spec[params.connection.target_layer].in_dim
-    return total
-
-
 def anytime_curve(ens: Ensemble, x: np.ndarray, labels: np.ndarray,
                   teacher_flops: int) -> list:
     """One point per prefix: cumulative cost as a fraction of the teacher's,

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import multiprocessing
 import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,7 +284,7 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     wall gradient can run away); it costs the restart, nothing more.  A
     search initialises every stack in its own process, so that process sees
     each restart's `init_params` call, and may read the iterator in a forked
-    child (`_Child`).
+    child (`_stacks`).
 
     That final forward pass is the only divergence check.  It sees a slice
     that diverged at any step: once a minibatch logit is non-finite, so is
@@ -336,94 +335,61 @@ def _split(restarts: range, parts: int) -> list:
     return [restarts[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
 
 
-class _Child:
-    """A forked process that reads one chunk's `_train_stack` iterator and
-    sends the candidates back, pickled, over a pipe.
-
-    The child leaves only by `os._exit`, so it flushes no stdio buffer it
-    inherited and runs none of the parent's cleanup.  An exception in it is
-    pickled and raised again in the parent by `result`.  If the parent has
-    gone away, the child's write fails and it exits all the same."""
-
-    def __init__(self, restarts: range, trained, siblings: list):
-        self.restarts = restarts
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                for sibling in siblings:   # so only the parent holds their pipes open
-                    sibling.pipe.close()
-                try:
-                    outcome = (True, list(trained))
-                except BaseException as exc:
-                    outcome = (False, exc)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pipe = os.fdopen(read_fd, "rb")
-
-    def _name(self) -> str:
-        first, last = self.restarts[0], self.restarts[-1]
-        return f"restart {first}" if first == last else f"restarts {first}-{last}"
-
-    def result(self) -> list:
-        """What the chunk's iterator yielded; waits for the child and reaps it."""
-        payload = self.pipe.read()
-        self.pipe.close()
-        pid, self.pid = self.pid, None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        try:
-            ok, value = pickle.loads(payload)
-        except Exception as exc:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"the process training {self._name()} {how} "
-                                    f"without a readable result") from exc
-        if not ok:
-            raise value
-        return value
-
-    def stop(self) -> None:
-        """Kill and reap the child, unless `result` has reaped it."""
-        self.pipe.close()
-        if self.pid is not None:
-            pid, self.pid = self.pid, None
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+def _send_trained(conn, trained) -> None:
+    """A forked child's target: send `(True, what trained yields)`, or
+    `(False, the exception it raised)`, over `conn`."""
+    try:
+        outcome = (True, list(trained))
+    except BaseException as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
 
 
-def _stacks(chunks: list, train, parallel: bool):
+def _received(restarts: range, child, conn):
+    """Yield what a child sent for `restarts`, raising its exception again.
+    Reading waits for the child."""
+    try:
+        ok, value = conn.recv()
+    except EOFError as exc:
+        child.join()
+        code = child.exitcode
+        first, last = restarts[0], restarts[-1]
+        name = f"restart {first}" if first == last else f"restarts {first}-{last}"
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the process training {name} {how} "
+                                f"without a readable result") from exc
+    if not ok:
+        raise value
+    yield from value
+
+
+def _stacks(chunks: list, train, workers: int):
     """Yield (chunk, what `train(chunk)`'s iterator yields) for each chunk of
     restarts, in order.
 
-    Serially, each chunk is initialised and trained only when it is reached.
-    In parallel, every chunk is initialised first, each chunk after the first
-    trains in a forked child, and the first trains here meanwhile.  Closing
-    the generator kills and reaps every child that is still running."""
-    if not parallel:
-        for chunk in chunks:
-            yield chunk, train(chunk)
-        return
+    Every chunk is initialised here first.  Each of `chunks[1:workers]`
+    trains in a forked child, and the first trains here meanwhile; a later
+    chunk (only with one worker) trains here when it is reached.  It must be
+    the fork context: a child reads an iterator built in this process,
+    which cannot be pickled.  Closing the generator kills and reaps every
+    child."""
     stacks = [train(chunk) for chunk in chunks]
+    fork = multiprocessing.get_context("fork")
     children = []
     try:
-        for chunk, trained in zip(chunks[1:], stacks[1:]):
-            children.append(_Child(chunk, trained, children))
-        yield chunks[0], stacks[0]
-        for child in children:
-            yield child.restarts, child.result()
+        for i in range(1, min(workers, len(chunks))):
+            conn, sent = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_trained, args=(sent, stacks[i]))
+            child.start()
+            children.append((child, conn))
+            sent.close()   # so the child's exit ends `conn`
+            stacks[i] = _received(chunks[i], child, conn)
+        yield from zip(chunks, stacks)
     finally:
-        for child in children:
-            child.stop()
+        for child, conn in children:
+            conn.close()
+            child.kill()
+            child.join()
 
 
 def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
@@ -471,7 +437,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
                             [rng.split(restart) for restart in chunk])
 
     passed = best = None
-    with contextlib.closing(_stacks(chunks, train, workers > 1)) as stacks:
+    with contextlib.closing(_stacks(chunks, train, workers)) as stacks:
         for chunk, trained in stacks:
             for pos, params, logits in trained:
                 resid = logits - g_logits

@@ -1,9 +1,8 @@
 """Distribution player of the distillation game.
 
 Keeps the paired per-(sample, label) weight matrices, computes signed-residual
-edges, runs the exponential-weight (entropy mirror descent) update with
-per-label normalization, and provides the closed-form replay used to verify
-the convergence accounting.
+edges, and runs the exponential-weight (entropy mirror descent) update with
+per-label normalization.
 """
 from __future__ import annotations
 
@@ -105,33 +104,6 @@ def md_update(state: WeightState, l: np.ndarray, eta: float) -> tuple[WeightStat
     new_state = WeightState(kplus=up / z, kminus=dn / z)
     new_state.validate()
     return new_state, EdgeRecord(edge_gamma=gamma, z=z)
-
-
-def recompute_from_history(initial_state: WeightState, residual_history: list,
-                           eta_history: list) -> WeightState:
-    """Closed-form weights after a whole run.
-
-    The iterated update telescopes: the final state depends only on the
-    initial masses and the eta-weighted cumulative residual, with one joint
-    normalization standing in for the product of per-round normalizers.
-    Computed in log space so long histories cannot overflow.
-    """
-    if len(residual_history) != len(eta_history):
-        raise ValueError("residual and eta histories differ in length")
-    s = np.zeros_like(initial_state.kplus)
-    for l, eta in zip(residual_history, eta_history):
-        _check_same_shape(initial_state.kplus, np.asarray(l), "recompute_from_history")
-        s = s + float(eta) * np.asarray(l, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_up = np.log(initial_state.kplus) - s
-        log_dn = np.log(initial_state.kminus) + s
-    shift = np.maximum(log_up.max(axis=0), log_dn.max(axis=0))
-    up = np.exp(log_up - shift)
-    dn = np.exp(log_dn - shift)
-    z = up.sum(axis=0) + dn.sum(axis=0)
-    final = WeightState(kplus=up / z, kminus=dn / z)
-    final.validate()
-    return final
 
 
 def normalizer_inequality_ok(edge_gamma: np.ndarray, z: np.ndarray, eta: float,

@@ -278,14 +278,23 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> LearnerParams:
+    """A network read back from `params_to_dict`'s layout.  Its layers, its
+    connection kind and its array count and shapes are checked, each refused
+    by name, so a net that loads is one `forward` computes as written."""
     try:
         spec = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in doc["spec"]]
+        validate_spec(spec)
         c = doc["connection"]
         conn = ConnectionSpec(c["kind"], c["source_round"], c["source_layer"], c["target_layer"])
         weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
     except (KeyError, TypeError) as exc:   # a missing key, or a list where an object belongs
         raise ValueError(f"malformed network document: {exc!r}") from exc
+    if conn.kind not in CONNECTION_KINDS:
+        raise ConfigError(f"unknown connection kind {conn.kind!r}")
+    for name, arrays in (("weight", weights), ("bias", biases)):
+        if len(arrays) != len(spec):
+            raise ConfigError(f"{len(arrays)} {name} arrays for {len(spec)} layers")
     params = LearnerParams(spec=spec, connection=conn, weights=weights, biases=biases)
     for idx, layer in enumerate(spec):
         if weights[idx].shape != (layer.in_dim, layer.out_dim) or biases[idx].shape != (layer.out_dim,):

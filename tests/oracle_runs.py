@@ -5,13 +5,17 @@ weight column, so any per-row residual pattern is representable.  Each round
 picks residuals sign-aligned with the current weight imbalance at magnitudes
 in [0.25, 1.0], which keeps every post-degenerate round's edge positive and
 the sup norm of residuals at exactly G_inf = 1.
+
+Beside them are the second paths the tests check the package's first ones
+against: the weight game replayed in closed form, and an ensemble's FLOPs
+counted from its layer shapes.
 """
 
 import numpy as np
 
-from ensdistill.core import RngStream
+from ensdistill.core import RngStream, ShapeError
 from ensdistill.distill import Ensemble, RoundRecord, RunHistory
-from ensdistill.game import init_uniform, md_update
+from ensdistill.game import WeightState, init_uniform, md_update
 from ensdistill.nets import NO_CONNECTION, LayerSpec, LearnerParams
 
 
@@ -56,3 +60,44 @@ def history_rows(hist):
                 "clamp_count": rec.clamp_count,
             })
     return rows
+
+
+def recompute_from_history(initial_state: WeightState, residual_history: list,
+                           eta_history: list) -> WeightState:
+    """Closed-form weights after a whole run.
+
+    The iterated update telescopes: the final state depends only on the
+    initial masses and the eta-weighted cumulative residual, with one joint
+    normalization standing in for the product of per-round normalizers.
+    Computed in log space so long histories cannot overflow.
+    """
+    if len(residual_history) != len(eta_history):
+        raise ValueError("residual and eta histories differ in length")
+    s = np.zeros_like(initial_state.kplus)
+    for l, eta in zip(residual_history, eta_history):
+        if np.shape(l) != initial_state.kplus.shape:
+            raise ShapeError(f"recompute_from_history: shape {initial_state.kplus.shape} "
+                             f"vs {np.shape(l)}")
+        s = s + float(eta) * np.asarray(l, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_up = np.log(initial_state.kplus) - s
+        log_dn = np.log(initial_state.kminus) + s
+    shift = np.maximum(log_up.max(axis=0), log_dn.max(axis=0))
+    up = np.exp(log_up - shift)
+    dn = np.exp(log_dn - shift)
+    z = up.sum(axis=0) + dn.sum(axis=0)
+    final = WeightState(kplus=up / z, kminus=dn / z)
+    final.validate()
+    return final
+
+
+def ensemble_flops_direct(ens: Ensemble) -> int:
+    """Whole-ensemble cost accounted directly from layer shapes — a second
+    code path against sum-of-member flops."""
+    total = 0
+    for params in ens.members:
+        for layer in params.spec:
+            total += 2 * layer.in_dim * layer.out_dim + layer.out_dim
+        if params.connection.kind in ("residual_add", "delta"):
+            total += params.spec[params.connection.target_layer].in_dim
+    return total

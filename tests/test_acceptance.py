@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_runs import constructed_oracle_run
+from oracle_runs import constructed_oracle_run, ensemble_flops_direct, recompute_from_history
 
 from ensdistill.cli import main as cli_main
 from ensdistill.core import RngStream
@@ -26,7 +26,6 @@ from ensdistill.evaluate import (
     accuracy,
     anytime_curve,
     baseline_resched,
-    ensemble_flops_direct,
     member_flops,
     standalone_spec,
 )
@@ -44,7 +43,6 @@ from ensdistill.game import (
     init_uniform,
     md_update,
     normalizer_inequality_ok,
-    recompute_from_history,
     weak_learning_check,
 )
 from ensdistill.nets import (

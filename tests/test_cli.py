@@ -453,6 +453,26 @@ _BAD_VALUE = {
 }
 
 
+def _break_member(case, member):
+    """Break one network document in place as `case` says; returns the text
+    its refusal must name."""
+    layers = len(member["spec"])
+    if case == "ensemble-member-weight-missing":
+        member["weights"].pop()
+        return f"{layers - 1} weight arrays for {layers} layers"
+    if case == "ensemble-member-weight-extra":
+        member["weights"].append(member["weights"][-1])
+        return f"{layers + 1} weight arrays for {layers} layers"
+    if case == "ensemble-member-sigmoid":
+        member["spec"][0]["activation"] = "sigmoid"
+        return "layer 0: unknown activation 'sigmoid'"
+    if case == "ensemble-member-spec-empty":
+        member["spec"] = []
+        return "empty layer spec"
+    member["connection"]["kind"] = "skip"
+    return "unknown connection kind 'skip'"
+
+
 def _set_cell(path, column, text):
     """Replace a cell of the first data row of a CSV file."""
     lines = path.read_bytes().decode("utf-8").split("\r\n")
@@ -508,6 +528,10 @@ def _break_input(case, pipeline, distilled, tmp_path):
     elif case == "config-list":
         config.write_text('["T"]\n', encoding="utf-8")
         named = "config must be a JSON object"
+    elif case.startswith("ensemble-member-"):
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        named = _break_member(case, ens_doc["members"][-1])
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
     elif case == "resched-empty-ensemble":
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         ens_doc["members"], ens_doc["meta"]["member_class_r"] = [], []
@@ -554,6 +578,9 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
     ("config-lr-factor-negative", 2), ("config-lr-factor-above-one", 2),
     ("train-teacher-diverges", 2), ("resched-diverges", 2),
+    ("ensemble-member-weight-missing", 2), ("ensemble-member-weight-extra", 2),
+    ("ensemble-member-sigmoid", 2), ("ensemble-member-spec-empty", 2),
+    ("ensemble-member-connection-unknown", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):

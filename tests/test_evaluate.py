@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle_runs import constructed_oracle_run, history_rows
+from oracle_runs import constructed_oracle_run, ensemble_flops_direct, history_rows
 
 from ensdistill.core import RngStream, read_csv
 from ensdistill.distill import Ensemble
@@ -18,7 +18,6 @@ from ensdistill.evaluate import (
     anytime_curve,
     baseline_resched,
     early_exit,
-    ensemble_flops_direct,
     member_flops,
     save_bound_report,
     standalone_spec,

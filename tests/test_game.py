@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracle_runs import recompute_from_history
+
 from ensdistill.core import RngStream
 from ensdistill.game import (
     CHECK_DEGENERATE,
@@ -16,7 +18,6 @@ from ensdistill.game import (
     init_uniform,
     md_update,
     normalizer_inequality_ok,
-    recompute_from_history,
     weak_learning_check,
 )
 

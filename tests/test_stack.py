@@ -327,6 +327,23 @@ def test_the_search_returns_the_same_bits_on_any_number_of_cpus(monkeypatch, cas
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("case", list(SEARCHES))
+def test_one_cpu_trains_every_chunk_here_and_only_when_reached(monkeypatch, case):
+    args, kwargs = _search(case)
+    want = loop_reference(*args, **kwargs)
+
+    def no_fork():
+        raise AssertionError("a search on one CPU forked")
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    epochs, sgd_epoch = [], findwl.sgd_epoch
+    monkeypatch.setattr(findwl, "sgd_epoch", lambda *a, **k: epochs.append(1) or sgd_epoch(*a, **k))
+    assert_same_result(find_weak_learner(*args, **kwargs), want)
+    if case == "pass-at-0":
+        # restarts 1-3 were initialised but never trained: one stack's epochs
+        assert len(epochs) == args[5].sgd.epochs
+
+
 @pytest.mark.parametrize("max_search", [1, 2, 5])
 def test_uneven_chunks_return_the_same_bits(monkeypatch, max_search):
     for case in ("degenerate", "none"):

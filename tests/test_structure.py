@@ -3,11 +3,12 @@
 Every CSV and JSON artifact is written and read through the codec in
 `ensdistill.core`, so only `core` may import `csv` or `json`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
-is handed the one array a candidate's connection reads.  Every top-level
-name in the package is read by the package itself, apart from the deliberate
-second paths that tests check the first ones against.  And each config
-field's type and range is written once, as a rule beside its class, which
-the library's `validate` and the CLI's `--config` both apply.
+is handed the one array a candidate's connection reads.  Only `findwl`
+makes processes, through `multiprocessing`, and no module calls `os.fork`
+itself.  Every top-level name in the package is read by the package itself.
+And each config field's type and range is written once, as a rule beside
+its class, which the library's `validate` and the CLI's `--config` both
+apply.
 """
 
 import ast
@@ -40,17 +41,35 @@ def test_only_the_codec_imports_the_format_modules(module, allowed):
     assert "core" in importers
 
 
+def reads_os_fork(path: Path) -> bool:
+    """`os.fork`, or `fork` imported from `os`, anywhere in the file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name == "fork" for alias in node.names)):
+            return True
+    return False
+
+
+def test_only_the_search_makes_processes():
+    files = sorted(PACKAGE.glob("*.py"))
+    importers = {path.stem for path in files if "multiprocessing" in imported_modules(path)}
+    assert importers == {"findwl"}, f"multiprocessing imported by {sorted(importers)}"
+    forks = {path.stem for path in files if reads_os_fork(path)}
+    assert not forks, f"os.fork read by {sorted(forks)}"
+
+
 def test_the_search_reads_no_tap_address():
     tree = ast.parse((PACKAGE / "findwl.py").read_text(encoding="utf-8"))
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not reads & {"source_round", "source_layer"}
 
 
-# top-level names that no package code reads, each kept on purpose
-UNREAD_ON_PURPOSE = {
-    "recompute_from_history": "closed-form replay, criterion 2's reference for the iterated game",
-    "ensemble_flops_direct": "the second FLOP accounting path, checked against nets.flops",
-}
+# top-level names that no package code reads, each kept on purpose; the
+# second paths tests check the first ones against live in tests/oracle_runs.py
+UNREAD_ON_PURPOSE = {}
 
 
 def _defined_names(stmt) -> list:
