@@ -81,6 +81,21 @@ def _load_config(path: str | None, in_dim: int, n_labels: int) -> distill_mod.Di
     return build_config(doc, in_dim, n_labels)
 
 
+def _training_pair(data_dir: Path, members: list = ()):
+    """`train.csv` and its teacher logits `train_logits.csv`, refused unless
+    they have the same row count and, given the ensemble members they are
+    read against, one logit column per output of each member."""
+    train = data_mod.load_dataset_csv(data_dir / "train.csv")
+    g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+    if train.n != g.shape[0]:
+        raise ValueError(f"data has {train.n} rows but teacher logits {g.shape[0]}")
+    for i, member in enumerate(members):
+        if member.spec[-1].out_dim != g.shape[1]:
+            raise ConfigError(f"member {i} has {member.spec[-1].out_dim} outputs, but "
+                              f"{data_dir / 'train_logits.csv'} has {g.shape[1]} columns")
+    return train, g
+
+
 def _content_hash(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
@@ -126,9 +141,7 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    data_dir = Path(args.data)
-    train = data_mod.load_dataset_csv(data_dir / "train.csv")
-    g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+    train, g = _training_pair(Path(args.data))
     cfg = _load_config(args.config, train.d, g.shape[1])
     if args.seed is not None:
         cfg.seed = args.seed
@@ -161,8 +174,7 @@ def cmd_eval(args) -> int:
         print(f"anytime curve: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")
     elif args.mode == "resched":
-        train = data_mod.load_dataset_csv(data_dir / "train.csv")
-        g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+        train, g = _training_pair(data_dir, ens.members)
         recipe = _load_config(args.config, train.d, g.shape[1]).findwl
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         try:
@@ -191,23 +203,20 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     rows = distill_mod.read_history(args.history)
     ens = distill_mod.load_ensemble(args.ensemble)
-    data_dir = Path(args.data)
-    train = data_mod.load_dataset_csv(data_dir / "train.csv")
-    g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
+    train, g = _training_pair(Path(args.data), ens.members)
     report = eval_mod.verify_bound(rows, ens, train.x, g, args.g_inf)
     if args.out:
         eval_mod.save_bound_report(args.out, report)
     print(f"verify: {report.status} (measured {report.measured_sup_error:.6g} "
           f"vs bound {report.theorem_bound:.6g})")
     if report.status == "premise_violated":
-        premises = (
-            (report.premise_rounds_ok,
-             f"rounds T={report.T} < ln(2N)={math.log(2.0 * report.n_samples):.3g}"),
-            (report.premise_eta_ok, f"eta*G={report.eta * report.g_inf_config:.6g} > 1"),
-            (report.premise_residuals_ok, f"observed max|l|={report.observed_max_residual:.6g}"
-                                          f" > --g-inf {report.g_inf_config:.6g}"))
-        for ok, failure in premises:
-            if not ok:
+        failures = {
+            "rounds_ok": f"rounds T={report.T} < ln(2N)={math.log(2.0 * report.n_samples):.3g}",
+            "eta_ok": f"eta*G={report.eta * report.g_inf_config:.6g} > 1",
+            "residuals_ok": f"observed max|l|={report.observed_max_residual:.6g}"
+                            f" > --g-inf {report.g_inf_config:.6g}"}
+        for premise, failure in failures.items():
+            if not report.premises[premise]:
                 print(f"premise failed: {failure}")
         return EXIT_PREMISE
     return EXIT_OK if report.status == "pass" else EXIT_CLAIM

@@ -22,6 +22,9 @@ from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_PO
 
 HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
 _HISTORY_TYPES = (int, int, float, float, float, int, int)
+# how far a recorded cell may sit from verify's replay; a clamp count (None)
+# is not compared, since recomputing it needs the run's config
+_REPLAY_TOLERANCES = (0.0, 0.0, 1e-9, 1e-9, 1e-12, 0.0, None)
 
 
 def default_base_class() -> list:
@@ -76,8 +79,6 @@ class RoundRecord:
     z: np.ndarray             # per label
     eta: float
     clamp_count: int
-    verdict: str              # "pass" or "degenerate"
-    train_loss: float
 
 
 @dataclass
@@ -148,8 +149,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         ens.class_rs.append(r)
         hist.rounds.append(RoundRecord(
             round_index=member_index + 1, class_r=r, edge_gamma=record.edge_gamma,
-            z=record.z, eta=eta, clamp_count=result.clamp_count,
-            verdict=result.verdict, train_loss=result.train_loss))
+            z=record.z, eta=eta, clamp_count=result.clamp_count))
     return ens, hist
 
 
@@ -206,12 +206,20 @@ def ensemble_to_dict(ens: Ensemble) -> dict:
 def ensemble_from_dict(doc: dict) -> Ensemble:
     try:
         meta = doc["meta"]
-        members = [params_from_dict(m) for m in doc["members"]]
+        members = [_member_from_dict(i, m) for i, m in enumerate(doc["members"])]
         return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
                         seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
                         teacher_hash=meta["teacher_hash"])
     except (KeyError, TypeError) as exc:   # a missing key, or a list where an object belongs
         raise ValueError(f"malformed ensemble document: {exc!r}") from exc
+
+
+def _member_from_dict(index: int, doc: dict):
+    """`params_from_dict`, whose refusal names the member."""
+    try:
+        return params_from_dict(doc)
+    except ValueError as exc:   # ConfigError included, which keeps its type
+        raise type(exc)(f"member {index}: {exc}") from exc
 
 
 def save_ensemble(path, ens: Ensemble) -> None:
@@ -222,14 +230,31 @@ def load_ensemble(path) -> Ensemble:
     return ensemble_from_dict(read_json(path))
 
 
+def _history_cells(hist: RunHistory):
+    """One row of `HISTORY_COLUMNS` cells per (round, label)."""
+    return ([rec.round_index, label, float(gamma), float(z), float(rec.eta),
+             rec.class_r, rec.clamp_count]
+            for rec in hist.rounds for label, (gamma, z) in enumerate(zip(rec.edge_gamma, rec.z)))
+
+
 def write_history(path, hist: RunHistory) -> None:
-    """One CSV row per (round, label)."""
-    write_csv(path, HISTORY_COLUMNS, (
-        [rec.round_index, label, float(gamma), float(z), float(rec.eta),
-         rec.class_r, rec.clamp_count]
-        for rec in hist.rounds for label, (gamma, z) in enumerate(zip(rec.edge_gamma, rec.z))))
+    write_csv(path, HISTORY_COLUMNS, _history_cells(hist))
 
 
 def read_history(path) -> list:
     return [{name: kind(cell) for name, kind, cell in zip(HISTORY_COLUMNS, _HISTORY_TYPES, row)}
             for row in read_csv(path, HISTORY_COLUMNS)]
+
+
+def history_matches(rows: list, ens: Ensemble, records: list) -> bool:
+    """Whether `read_history`'s rows are what `write_history` writes for `ens`
+    and the `md_update` records its members' residuals replay to, in the
+    writer's order, clamp counts aside."""
+    replay = RunHistory([RoundRecord(round_index=t, class_r=r, edge_gamma=rec.edge_gamma,
+                                     z=rec.z, eta=ens.eta, clamp_count=0)
+                         for t, (r, rec) in enumerate(zip(ens.class_rs, records), start=1)])
+    want = list(_history_cells(replay))
+    return len(ens.class_rs) == len(records) and len(rows) == len(want) and all(
+        tol is None or abs(row[name] - cell) <= tol + tol * max(abs(row[name]), abs(cell))
+        for row, cells in zip(rows, want)
+        for name, tol, cell in zip(HISTORY_COLUMNS, _REPLAY_TOLERANCES, cells))

@@ -8,12 +8,13 @@ updates from its artifacts and checks the recorded history against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .core import RngStream, softmax, write_csv, write_json
-from .distill import Ensemble, ensemble_predict, member_logits, prefix_logits
+from .distill import (Ensemble, ensemble_predict, history_matches, member_logits,
+                      prefix_logits)
 from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_grad_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
 from .nets import flops, forward, init_params
@@ -130,45 +131,22 @@ def early_exit(ens: Ensemble, x: np.ndarray, threshold: float):
 
 @dataclass
 class BoundReport:
+    """The verify report; its fields, in order, are the JSON file's keys."""
     n_samples: int
     n_labels: int
     T: int
     eta: float
     g_inf_config: float
     observed_max_residual: float
-    premise_rounds_ok: bool        # T >= ln(2N)
-    premise_eta_ok: bool           # eta * G <= 1
-    premise_residuals_ok: bool     # observed max|l| <= configured G
+    premises: dict                 # rounds_ok: T >= ln(2N); eta_ok: eta * G <= 1;
+                                   # residuals_ok: observed max|l| <= configured G
     measured_sup_error: float
     theorem_bound: float
-    per_label: list = field(default_factory=list)
-    normalizer_inequality_held: bool = True
-    history_consistent: bool = True
-    prediction_paths_agree: bool = True
-    status: str = "pass"           # "pass" | "bound_violation" | "premise_violated"
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples, "n_labels": self.n_labels, "T": self.T,
-            "eta": self.eta, "g_inf_config": self.g_inf_config,
-            "observed_max_residual": self.observed_max_residual,
-            "premises": {
-                "rounds_ok": self.premise_rounds_ok,
-                "eta_ok": self.premise_eta_ok,
-                "residuals_ok": self.premise_residuals_ok,
-            },
-            "measured_sup_error": self.measured_sup_error,
-            "theorem_bound": self.theorem_bound,
-            "per_label": self.per_label,
-            "normalizer_inequality_held": self.normalizer_inequality_held,
-            "history_consistent": self.history_consistent,
-            "prediction_paths_agree": self.prediction_paths_agree,
-            "status": self.status,
-        }
-
-
-def _close(a: float, b: float, tol: float = 1e-9) -> bool:
-    return abs(a - b) <= tol + tol * max(abs(a), abs(b))
+    per_label: list
+    normalizer_inequality_held: bool
+    history_consistent: bool
+    prediction_paths_agree: bool
+    status: str                    # "pass" | "bound_violation" | "premise_violated"
 
 
 def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
@@ -176,11 +154,11 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
     """Replay a run from its artifacts and check the convergence accounting.
 
     Residuals are recomputed by evaluating the stored members on the training
-    data; the weight updates are replayed from scratch; the recorded history
-    must match the replay (a tampered log fails verification even when the
-    bound itself would hold).  The sup-norm error is checked against both the
-    plain bound G*sqrt(ln(2N)/T) and the sharper form with the edge sum
-    subtracted.
+    data; the weight updates are replayed from scratch at the ensemble's eta;
+    the recorded history must be what the run would have written for the
+    replay (a tampered log fails verification even when the bound itself
+    would hold).  The sup-norm error is checked against both the plain bound
+    G*sqrt(ln(2N)/T) and the sharper form with the edge sum subtracted.
     """
     if not ens.members:
         raise ValueError("empty ensemble")
@@ -189,14 +167,7 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
     g = np.asarray(teacher_logits, dtype=np.float64)
     n, n_labels = g.shape
     t_rounds = len(ens.members)
-    etas = {row["eta"] for row in history_rows}
-    if len(etas) == 1:
-        eta = etas.pop()
-        consistent = _close(eta, ens.eta, 1e-12)
-    else:
-        # missing or self-contradictory eta column: replay with the ensemble's
-        eta = ens.eta
-        consistent = False
+    eta = ens.eta
 
     residuals = [logits - g for logits in member_logits(ens.members, x)]
     mean_resid = sum(residuals) / t_rounds
@@ -208,34 +179,20 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
 
     # replay the weight player
     state = init_uniform(n, n_labels)
-    gammas, zs = [], []
-    normalizer_held = True
+    records = []
     for resid in residuals:
         state, record = md_update(state, resid, eta)
-        gammas.append(record.edge_gamma)
-        zs.append(record.z)
-        if eta * g_inf_config <= 1.0 + 1e-12 and not normalizer_inequality_ok(
-                record.edge_gamma, record.z, eta, g_inf_config):
-            normalizer_held = False
+        records.append(record)
+    consistent = history_matches(history_rows, ens, records)
 
-    expected_rows = t_rounds * n_labels
-    if len(history_rows) != expected_rows:
-        consistent = False
-    for row in history_rows:
-        t, j = row["round"], row["label"]
-        if not 1 <= t <= t_rounds or not 0 <= j < n_labels:
-            consistent = False
-            continue
-        if not _close(row["edge_gamma"], float(gammas[t - 1][j])):
-            consistent = False
-        if not _close(row["z"], float(zs[t - 1][j])):
-            consistent = False
-
-    premise_rounds = t_rounds >= math.log(2.0 * n)
-    premise_eta = eta * g_inf_config <= 1.0 + 1e-12
-    premise_resid = observed <= g_inf_config + 1e-12
+    premises = {"rounds_ok": t_rounds >= math.log(2.0 * n),
+                "eta_ok": eta * g_inf_config <= 1.0 + 1e-12,
+                "residuals_ok": observed <= g_inf_config + 1e-12}
+    # the proof's per-round inequality holds only where eta * G <= 1
+    normalizer_held = not premises["eta_ok"] or all(
+        normalizer_inequality_ok(rec.edge_gamma, rec.z, eta, g_inf_config) for rec in records)
     theorem_bound = g_inf_config * math.sqrt(math.log(2.0 * n) / t_rounds)
-    edge_sums = np.sum(gammas, axis=0)
+    edge_sums = np.sum([rec.edge_gamma for rec in records], axis=0)
 
     per_label = []
     bound_ok = True
@@ -252,7 +209,7 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
             "ok": ok,
         })
 
-    if not (premise_rounds and premise_eta and premise_resid):
+    if not all(premises.values()):
         status = "premise_violated"
     elif bound_ok and consistent and paths_agree and normalizer_held:
         status = "pass"
@@ -261,8 +218,7 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
     return BoundReport(
         n_samples=n, n_labels=n_labels, T=t_rounds, eta=float(eta),
         g_inf_config=float(g_inf_config), observed_max_residual=observed,
-        premise_rounds_ok=premise_rounds, premise_eta_ok=premise_eta,
-        premise_residuals_ok=premise_resid, measured_sup_error=measured,
+        premises=premises, measured_sup_error=measured,
         theorem_bound=theorem_bound, per_label=per_label,
         normalizer_inequality_held=normalizer_held, history_consistent=consistent,
         prediction_paths_agree=paths_agree, status=status)
@@ -279,4 +235,4 @@ def write_curve_csv(path, points: list) -> None:
 
 
 def save_bound_report(path, report: BoundReport) -> None:
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))

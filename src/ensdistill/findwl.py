@@ -371,13 +371,14 @@ def _stacks(chunks: list, train, workers: int):
     trains in a forked child, and the first trains here meanwhile; a later
     chunk (only with one worker) trains here when it is reached.  It must be
     the fork context: a child reads an iterator built in this process,
-    which cannot be pickled.  Closing the generator kills and reaps every
-    child."""
+    which cannot be pickled.  A platform without fork has no such context,
+    so it is asked for only where a child starts.  Closing the generator
+    kills and reaps every child."""
     stacks = [train(chunk) for chunk in chunks]
-    fork = multiprocessing.get_context("fork")
     children = []
     try:
         for i in range(1, min(workers, len(chunks))):
+            fork = multiprocessing.get_context("fork")
             conn, sent = fork.Pipe(duplex=False)
             child = fork.Process(target=_send_trained, args=(sent, stacks[i]))
             child.start()

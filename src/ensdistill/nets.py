@@ -279,8 +279,9 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 def params_from_dict(doc: dict) -> LearnerParams:
     """A network read back from `params_to_dict`'s layout.  Its layers, its
-    connection kind and its array count and shapes are checked, each refused
-    by name, so a net that loads is one `forward` computes as written."""
+    connection's kind and target layer, and its arrays' count, shapes and
+    finiteness are checked, each refused by name, so a net that loads is one
+    `forward` computes as written."""
     try:
         spec = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in doc["spec"]]
         validate_spec(spec)
@@ -292,13 +293,16 @@ def params_from_dict(doc: dict) -> LearnerParams:
         raise ValueError(f"malformed network document: {exc!r}") from exc
     if conn.kind not in CONNECTION_KINDS:
         raise ConfigError(f"unknown connection kind {conn.kind!r}")
+    if conn.kind != "none":
+        check("target_layer", conn.target_layer, (lambda v: INTEGER[0](v) and 0 <= v < len(spec),
+                                                   f"a layer index in 0..{len(spec) - 1}"))
     for name, arrays in (("weight", weights), ("bias", biases)):
         if len(arrays) != len(spec):
             raise ConfigError(f"{len(arrays)} {name} arrays for {len(spec)} layers")
-    params = LearnerParams(spec=spec, connection=conn, weights=weights, biases=biases)
     for idx, layer in enumerate(spec):
         if weights[idx].shape != (layer.in_dim, layer.out_dim) or biases[idx].shape != (layer.out_dim,):
             raise ConfigError(f"layer {idx} arrays do not match spec dims")
-        check_finite(f"layer {idx} weights", weights[idx])
-        check_finite(f"layer {idx} biases", biases[idx])
-    return params
+        for name, arr in (("weights", weights[idx]), ("biases", biases[idx])):
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"layer {idx} {name} contains non-finite entries")
+    return LearnerParams(spec=spec, connection=conn, weights=weights, biases=biases)

@@ -43,8 +43,7 @@ def constructed_oracle_run(n, t_rounds, seed=7, r_max=2):
         ens.class_rs.append(1)
         hist.rounds.append(RoundRecord(
             round_index=t + 1, class_r=1, edge_gamma=record.edge_gamma,
-            z=record.z, eta=float(eta), clamp_count=0,
-            verdict="degenerate" if t == 0 else "pass", train_loss=0.0))
+            z=record.z, eta=float(eta), clamp_count=0))
     return ens, hist, x, g
 
 

@@ -370,6 +370,17 @@ def test_verify_tampered_history_exits_one(tmp_path, capsys):
     assert "bound_violation" in capsys.readouterr().out
 
 
+def test_verify_history_with_tampered_class_r_exits_one(tmp_path, capsys):
+    ens_path, hist_path, data_dir = _oracle_dir(tmp_path, 8)
+    _set_cell(hist_path, 5, "7")   # the first row's class_r, 1 in the run
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--history", str(hist_path), "--ensemble", str(ens_path),
+               "--data", str(data_dir), "--g-inf", "1.0", "--out", str(report)])
+    assert rc == 1
+    assert "bound_violation" in capsys.readouterr().out
+    assert json.loads(report.read_text())["history_consistent"] is False
+
+
 def test_verify_short_run_exits_premise_code(tmp_path, capsys):
     ens_path, hist_path, data_dir = _oracle_dir(tmp_path, 2)
     rc = main(["verify", "--history", str(hist_path), "--ensemble", str(ens_path),
@@ -469,6 +480,13 @@ def _break_member(case, member):
     if case == "ensemble-member-spec-empty":
         member["spec"] = []
         return "empty layer spec"
+    if case == "ensemble-member-target-layer":
+        member["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
+                                "target_layer": 7}
+        return f"'target_layer' must be a layer index in 0..{layers - 1}, got 7"
+    if case == "ensemble-member-weight-nan":
+        member["weights"][0][0][0] = float("nan")
+        return "layer 0 weights contains non-finite entries"
     member["connection"]["kind"] = "skip"
     return "unknown connection kind 'skip'"
 
@@ -530,7 +548,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
         named = "config must be a JSON object"
     elif case.startswith("ensemble-member-"):
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
-        named = _break_member(case, ens_doc["members"][-1])
+        last = len(ens_doc["members"]) - 1
+        named = f"member {last}: " + _break_member(case, ens_doc["members"][last])
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
     elif case == "resched-empty-ensemble":
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
@@ -556,6 +575,27 @@ def _break_input(case, pipeline, distilled, tmp_path):
         named = "--lr"
         return ["train-teacher", "--data", str(data_dir), "--spec", "8", "--lr", "1e200",
                 "--epochs", "2", "--out", str(tmp_path / "out.json")], named
+    elif case == "teacher-bias-inf":
+        doc = json.loads(teacher.read_text(encoding="utf-8"))
+        doc["biases"][0][0] = float("inf")
+        teacher.write_text(json.dumps(doc), encoding="utf-8")
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = "layer 0 biases contains non-finite entries"
+    elif case.endswith(("-logits-width", "-logits-rows")):
+        path = data_dir / "train_logits.csv"
+        g = data_mod.load_logits_csv(path)
+        if case.endswith("-width"):
+            data_mod.save_logits_csv(path, np.hstack([g, g]))
+            named = f"member 0 has {g.shape[1]} outputs, but {path} has {2 * g.shape[1]} columns"
+        else:
+            data_mod.save_logits_csv(path, np.vstack([g, g]))
+            named = f"data has {g.shape[0]} rows but teacher logits {2 * g.shape[0]}"
+        if case.startswith("verify-"):
+            return ["verify", "--history", str(distilled["history"]), "--ensemble", str(ensemble),
+                    "--data", str(data_dir), "--g-inf", "1.0",
+                    "--out", str(tmp_path / "out.json")], named
     if case.startswith(("ensemble-", "teacher-", "resched-")):
         mode = "resched" if case.startswith("resched-") else "anytime"
         recipe = ["--config", str(config)] if case == "resched-diverges" else []
@@ -581,6 +621,9 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("ensemble-member-weight-missing", 2), ("ensemble-member-weight-extra", 2),
     ("ensemble-member-sigmoid", 2), ("ensemble-member-spec-empty", 2),
     ("ensemble-member-connection-unknown", 2),
+    ("ensemble-member-target-layer", 2), ("ensemble-member-weight-nan", 2),
+    ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
+    ("resched-logits-width", 2), ("resched-logits-rows", 3),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):

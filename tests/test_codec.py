@@ -65,8 +65,7 @@ def histories(draw):
         gamma, z = (draw(arrays(np.float64, n_labels, elements=FLOATS)) for _ in range(2))
         hist.rounds.append(RoundRecord(
             round_index=t + 1, class_r=draw(st.integers(1, 9)), edge_gamma=gamma, z=z,
-            eta=draw(FLOATS), clamp_count=draw(st.integers(0, 10 ** 6)),
-            verdict="pass", train_loss=0.0))
+            eta=draw(FLOATS), clamp_count=draw(st.integers(0, 10 ** 6))))
     return hist
 
 
@@ -77,8 +76,10 @@ def ensembles(draw):
         dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
         spec = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
         spec[-1] = LayerSpec(dims[-2], dims[-1], "linear")
-        conn = ConnectionSpec(draw(st.sampled_from(CONNECTION_KINDS)),
-                              *(draw(st.integers(-1, 5)) for _ in range(3)))
+        kind = draw(st.sampled_from(CONNECTION_KINDS))
+        # a connected net's target must be one of its layers, or it does not load
+        target = draw(st.integers(-1, 5) if kind == "none" else st.integers(0, len(spec) - 1))
+        conn = ConnectionSpec(kind, *(draw(st.integers(-1, 5)) for _ in range(2)), target)
         members.append(LearnerParams(
             spec=spec, connection=conn,
             weights=[draw(arrays(np.float64, (s.in_dim, s.out_dim), elements=FLOATS))

@@ -134,7 +134,7 @@ def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
     x, g = _small_problem()
     ens, hist = run(_fast_config(T=5, R=R, eta=0.05), x, g)
     assert len(ens.members) == 1               # the degenerate round only
-    assert hist.rounds[0].verdict == "degenerate"
+    assert hist.rounds[0].class_r == 1
     assert len(hist.escalations) == R - 1      # R-1 escalations, then halt
     assert [new_r for _, new_r in hist.escalations] == list(range(2, R + 1))
     assert searched == kinds

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_verify_bound_passes_on_constructed_run():
     assert report.history_consistent
     assert report.prediction_paths_agree
     assert report.normalizer_inequality_held
-    assert report.premise_rounds_ok and report.premise_eta_ok and report.premise_residuals_ok
+    assert report.premises == {"rounds_ok": True, "eta_ok": True, "residuals_ok": True}
     assert report.theorem_bound == pytest.approx(math.sqrt(math.log(40.0) / 8))
     assert report.measured_sup_error <= report.theorem_bound
     # with x = I the residuals are the stored weight columns themselves
@@ -249,13 +250,13 @@ def test_verify_bound_flags_short_runs_as_premise_violation():
     ens, hist, x, g = constructed_oracle_run(20, 2)   # 2 < ln(40)
     report = verify_bound(history_rows(hist), ens, x, g, g_inf_config=1.0)
     assert report.status == "premise_violated"
-    assert report.premise_rounds_ok is False
+    assert report.premises["rounds_ok"] is False
 
 
 def test_verify_bound_flags_undersized_g_inf():
     ens, hist, x, g = constructed_oracle_run(20, 8)
     report = verify_bound(history_rows(hist), ens, x, g, g_inf_config=0.5)
-    assert report.premise_residuals_ok is False
+    assert report.premises["residuals_ok"] is False
     assert report.status == "premise_violated"
 
 
@@ -293,6 +294,47 @@ def test_verify_bound_rejects_conflicting_eta_column():
     assert report.history_consistent is False
 
 
+def test_verify_bound_replays_at_the_ensembles_eta():
+    ens, hist, x, g = constructed_oracle_run(20, 8)
+    rows = history_rows(hist)
+    for row in rows:
+        row["eta"] *= 2
+    report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
+    assert report.history_consistent is False
+    assert report.eta == ens.eta
+    # the replay itself is the untampered one: only the history is refused
+    untampered = verify_bound(history_rows(hist), ens, x, g, g_inf_config=1.0)
+    assert report.per_label == untampered.per_label
+
+
+def test_verify_bound_rejects_tampered_class_r():
+    ens, hist, x, g = constructed_oracle_run(20, 8)
+    rows = history_rows(hist)
+    rows[3]["class_r"] = 7
+    report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
+    assert report.history_consistent is False
+    assert report.status == "bound_violation"
+
+
+def test_verify_bound_rejects_rows_out_of_the_writers_order():
+    ens, hist, x, g = constructed_oracle_run(20, 8)
+    rows = history_rows(hist)
+    rows[0], rows[1] = rows[1], rows[0]
+    report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
+    assert report.history_consistent is False
+
+
+def test_verify_bound_does_not_compare_clamp_counts():
+    # recomputing a clamp count needs the run's config, which no artifact holds
+    ens, hist, x, g = constructed_oracle_run(20, 8)
+    rows = history_rows(hist)
+    for row in rows:
+        row["clamp_count"] = 999
+    report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
+    assert report.history_consistent is True
+    assert report.status == "pass"
+
+
 def test_verify_bound_input_validation():
     ens, hist, x, g = constructed_oracle_run(20, 8)
     with pytest.raises(ValueError):
@@ -319,6 +361,8 @@ def test_bound_report_file_contents(tmp_path):
     path = tmp_path / "report.json"
     save_bound_report(path, report)
     loaded = json.loads(path.read_text())
+    # the report's fields are the file's keys, in order
+    assert list(loaded) == [f.name for f in fields(BoundReport)]
     assert loaded["status"] == "pass"
     assert loaded["theorem_bound"] == report.theorem_bound
     assert loaded["premises"] == {"rounds_ok": True, "eta_ok": True,

@@ -281,3 +281,23 @@ def test_params_from_dict_rejects_bad_shapes():
     doc["weights"][0] = [[1.0, 2.0]]
     with pytest.raises(ConfigError):
         params_from_dict(doc)
+
+
+@pytest.mark.parametrize("target", [-1, 3, 7, 1.0, "1"])
+def test_params_from_dict_refuses_a_connected_target_outside_the_layers(target):
+    doc = params_to_dict(init_params(MLP, RngStream(0)))
+    doc["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
+                         "target_layer": target}
+    with pytest.raises(ConfigError, match=f"'target_layer' must be .*, got {target!r}"):
+        params_from_dict(doc)
+    doc["connection"]["kind"] = "none"     # an unconnected net's target is never read
+    assert params_from_dict(doc).connection.target_layer == target
+
+
+@pytest.mark.parametrize("field", ["weights", "biases"])
+def test_params_from_dict_refuses_non_finite_arrays_as_config(field):
+    doc = params_to_dict(init_params(MLP, RngStream(0)))
+    arr = doc[field][1]
+    (arr[0] if field == "weights" else arr)[0] = float("nan")
+    with pytest.raises(ConfigError, match=f"layer 1 {field} contains non-finite entries"):
+        params_from_dict(doc)

@@ -16,6 +16,7 @@ in-place forward pass may write the arrays it reads.
 """
 
 import itertools
+import multiprocessing
 import os
 import signal
 import time
@@ -334,8 +335,13 @@ def test_one_cpu_trains_every_chunk_here_and_only_when_reached(monkeypatch, case
 
     def no_fork():
         raise AssertionError("a search on one CPU forked")
+
+    def no_fork_context(method=None):
+        # as on a platform without fork
+        raise ValueError(f"cannot find context for {method!r}")
     monkeypatch.setattr(findwl, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
     epochs, sgd_epoch = [], findwl.sgd_epoch
     monkeypatch.setattr(findwl, "sgd_epoch", lambda *a, **k: epochs.append(1) or sgd_epoch(*a, **k))
     assert_same_result(find_weak_learner(*args, **kwargs), want)

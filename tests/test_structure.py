@@ -3,9 +3,11 @@
 Every CSV and JSON artifact is written and read through the codec in
 `ensdistill.core`, so only `core` may import `csv` or `json`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
-is handed the one array a candidate's connection reads.  Only `findwl`
-makes processes, through `multiprocessing`, and no module calls `os.fork`
-itself.  Every top-level name in the package is read by the package itself.
+is handed the one array a candidate's connection reads.  Only `distill`
+knows the history file's columns: the verifier asks it whether a history
+matches the replay.  Only `findwl` makes processes, through
+`multiprocessing`, and no module calls `os.fork` itself.  Every top-level
+name in the package is read by the package itself.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
 apply.
@@ -65,6 +67,21 @@ def test_the_search_reads_no_tap_address():
     tree = ast.parse((PACKAGE / "findwl.py").read_text(encoding="utf-8"))
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not reads & {"source_round", "source_layer"}
+
+
+def subscripted_names(path: Path) -> set:
+    """Every string constant the file subscripts something with: `row["z"]`."""
+    return {node.slice.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_only_distill_reads_the_history_columns():
+    only_history = set(distill.HISTORY_COLUMNS) - {"label", "eta"}
+    assert only_history == {"round", "edge_gamma", "z", "class_r", "clamp_count"}
+    readers = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+               if subscripted_names(path) & only_history}
+    assert readers <= {"distill"}, f"history rows read by {sorted(readers - {'distill'})}"
 
 
 # top-level names that no package code reads, each kept on purpose; the
