@@ -8,7 +8,6 @@ flags/config, 3 I/O failure, 4 theorem-premise violation.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from dataclasses import fields, replace
@@ -19,22 +18,17 @@ import numpy as np
 from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
-from .core import parse_json, read_json, write_csv, write_json
+from .core import content_hash, parse_json, read_json, write_csv, write_json
 from .findwl import FindWlConfig, SgdConfig
-from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NONNEGATIVE_BELOW_ONE,
-                   POSITIVE_UP_TO_ONE, ConfigError, check, flops, params_from_dict,
-                   params_to_dict)
+from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, LIST_AT_LEAST_ONE,
+                   NONNEGATIVE_BELOW_ONE, POSITIVE_UP_TO_ONE, ConfigError, flops,
+                   params_from_dict, params_to_dict)
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PREMISE = 4
-
-# a hidden-layer width list, from `--spec` or a config's `base_hidden`
-_HIDDEN = (lambda v: isinstance(v, list) and all(map(AT_LEAST_ONE[0], v)),
-           "a list of integers >= 1")
-
 
 def _keys(cls) -> set:
     return {f.name for f in fields(cls)}
@@ -51,34 +45,30 @@ def _take(doc: dict, keys: set, where: str) -> dict:
     return dict(doc)
 
 
-def build_config(doc: dict, in_dim: int, n_labels: int) -> distill_mod.DistillConfig:
+def build_config(doc: dict) -> distill_mod.DistillConfig:
     """Construct the run configuration from a JSON document.  Its keys are the
-    config classes' fields, with hidden widths `base_hidden` in place of the
-    layer list `base_class`; unknown keys and bad values are refused by name,
+    config classes' fields; unknown keys and bad values are refused by name,
     missing keys fall back to package defaults."""
-    top = _take(doc, _keys(distill_mod.DistillConfig) - {"base_class"} | {"base_hidden"}, "config")
+    top = _take(doc, _keys(distill_mod.DistillConfig), "config")
     fw_doc = _take(top.pop("findwl", {}), _keys(FindWlConfig), "config.findwl")
     sgd_doc = _take(fw_doc.pop("sgd", {}), _keys(SgdConfig), "config.findwl.sgd")
     if isinstance(sgd_doc.get("lr_drops"), list):
         sgd_doc["lr_drops"] = tuple(sgd_doc["lr_drops"])
-    hidden = top.pop("base_hidden", [24, 24])
-    check("base_hidden", hidden, _HIDDEN)
     base_findwl = FindWlConfig()
     findwl = replace(base_findwl, **fw_doc, sgd=replace(base_findwl.sgd, **sgd_doc))
-    base_class = data_mod.mlp_spec(in_dim, hidden, n_labels)
-    cfg = replace(distill_mod.DistillConfig(), **top, findwl=findwl, base_class=base_class)
+    cfg = replace(distill_mod.DistillConfig(), **top, findwl=findwl)
     cfg.validate()
     return cfg
 
 
-def _load_config(path: str | None, in_dim: int, n_labels: int) -> distill_mod.DistillConfig:
+def _load_config(path: str | None) -> distill_mod.DistillConfig:
     """`build_config` of the JSON file at `path`, or of `{}` (the package
     defaults) when no path is given."""
     try:
         doc = read_json(path) if path else {}
     except ValueError as exc:   # not UTF-8 JSON; an unreadable file stays an I/O error
         raise ConfigError(str(exc)) from exc
-    return build_config(doc, in_dim, n_labels)
+    return build_config(doc)
 
 
 def _training_pair(data_dir: Path, members: list = ()):
@@ -94,10 +84,6 @@ def _training_pair(data_dir: Path, members: list = ()):
             raise ConfigError(f"member {i} has {member.spec[-1].out_dim} outputs, but "
                               f"{data_dir / 'train_logits.csv'} has {g.shape[1]} columns")
     return train, g
-
-
-def _content_hash(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 def cmd_gen_data(args) -> int:
@@ -141,11 +127,11 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    train, g = _training_pair(Path(args.data))
-    cfg = _load_config(args.config, train.d, g.shape[1])
+    cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    teacher_hash = _content_hash(Path(args.teacher).read_bytes())
+    train, g = _training_pair(Path(args.data))
+    teacher_hash = content_hash(Path(args.teacher).read_bytes())
     ens, hist = distill_mod.run(cfg, train.x, g, teacher_hash=teacher_hash)
     distill_mod.save_ensemble(args.out, ens)
     distill_mod.write_history(args.history, hist)
@@ -155,12 +141,17 @@ def cmd_distill(args) -> int:
     return EXIT_OK
 
 
+# the optional flags each eval mode reads; another one given is refused
+_EVAL_FLAGS = {"anytime": (), "early-exit": ("threshold",), "resched": ("seed", "config")}
+
+
 def cmd_eval(args) -> int:
-    if args.config is not None and args.mode != "resched":
-        raise ConfigError(f"--config sets the resched recipe; --mode {args.mode} trains nothing")
+    for flag in ("threshold", "seed", "config"):
+        if getattr(args, flag) is not None and flag not in _EVAL_FLAGS[args.mode]:
+            raise ConfigError(f"--{flag} is not read by --mode {args.mode}")
     ens = distill_mod.load_ensemble(args.ensemble)
     raw = Path(args.teacher).read_bytes()
-    teacher_hash = _content_hash(raw)
+    teacher_hash = content_hash(raw)
     if teacher_hash != ens.teacher_hash:
         raise ConfigError(f"teacher {args.teacher} has hash {teacher_hash}, but the ensemble "
                           f"was distilled from a teacher with hash {ens.teacher_hash!r}")
@@ -174,8 +165,8 @@ def cmd_eval(args) -> int:
         print(f"anytime curve: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")
     elif args.mode == "resched":
+        recipe = _load_config(args.config).findwl
         train, g = _training_pair(data_dir, ens.members)
-        recipe = _load_config(args.config, train.d, g.shape[1]).findwl
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         try:
             points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
@@ -242,7 +233,7 @@ POSITIVE_FLOAT = _flag(float, *FINITE_POSITIVE)
 NONNEGATIVE_FLOAT = _flag(float, *FINITE_NONNEGATIVE)
 MOMENTUM = _flag(float, *NONNEGATIVE_BELOW_ONE)
 UNIT_INTERVAL = _flag(float, *POSITIVE_UP_TO_ONE)
-WIDTHS = _flag(widths, *_HIDDEN)
+WIDTHS = _flag(widths, *LIST_AT_LEAST_ONE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", required=True)
-    p.add_argument("--mode", required=True, choices=("anytime", "early-exit", "resched"))
+    p.add_argument("--mode", required=True, choices=tuple(_EVAL_FLAGS))
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=UNIT_INTERVAL, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -127,21 +127,21 @@ class RngStream:
 # --- artifact codec -----------------------------------------------------------
 # UTF-8.  CSV: the csv module's default dialect, one header row, each cell as
 # str(cell), which is repr for a Python float.  JSON: indent 2, final newline.
-# No number needs quoting, so a row of numbers is its cells' str joined by
-# commas plus CRLF: `data.save_dataset_csv` formats each dataset row that
-# way and writes the lines as they are (`write_csv_lines`).
-# Numeric files (datasets, logits) are read by `read_numeric_csv`; the rest
-# go through the csv module (`read_csv`).
+# History and curve files go through the csv module (`write_csv`, `read_csv`).
+# A numeric file (datasets, logits) is described by its record type alone:
+# its header names the record's fields (`_numeric_columns`), and since no
+# number needs quoting, `write_numeric_csv` writes each record as its cells'
+# repr joined by commas plus CRLF, the line the csv module would write.
 #
-# The writer of a numeric file also saves `<file>.npz` beside it
-# (`write_numeric_sidecar`): `records`, the record array that parsing the
-# file gives, and `csv_sha256`, the sha256 of the file's bytes.  The CSV
-# stays the artifact: `read_numeric_csv` returns the sidecar's records only
-# while the file still hashes to `csv_sha256` and the records have the type
-# it asks for, and parses the file, through numpy's C reader, otherwise.
-# Since repr round-trips every finite float and str every int, the two
-# paths give the same bits; only NaN payloads differ, and the dataset and
-# logits loaders refuse non-finite cells on both paths.  Readers never write.
+# The writer of a numeric file also saves `<file>.npz` beside it: `records`,
+# the record array that parsing the file gives, and `csv_sha256`, the sha256
+# of the file's bytes, taken as they are written.  The CSV stays the
+# artifact: `read_numeric_csv` returns the sidecar's records only while the
+# file still hashes to `csv_sha256` and the records have the type it asks
+# for, and parses the file, through numpy's C reader, otherwise.  Since repr
+# round-trips every finite float and str every int, the two paths give the
+# same bits; only NaN payloads differ, and the dataset and logits loaders
+# refuse non-finite cells on both paths.  Readers never write.
 
 def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -150,18 +150,12 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_csv_lines(path, header, lines) -> None:
-    """Write `header`, then `lines`: rows already formatted as `write_csv`
-    would write them, each ending in CRLF."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(lines)
-
-
 def _check_header(path, found, header) -> int:
     """The column count of a CSV file whose first row is `found`."""
+    if not found:   # an empty file, or a blank first line
+        raise ValueError(f"bad header in {path}: no column names")
     expected = list(header(len(found)) if callable(header) else header)
-    if not found or found != expected:
+    if found != expected:
         raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
     return len(found)
 
@@ -187,12 +181,42 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_numeric_sidecar(path, records) -> None:
-    """Save `records`, the rows of the numeric CSV file just written at
-    `path` as `read_numeric_csv` parses them, to `<path>.npz`, with the
-    sha256 of the file.  np.savez stamps no time, so equal inputs give equal
-    bytes."""
-    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(_file_sha256(path)))
+def content_hash(raw: bytes) -> str:
+    """The first 16 hex digits of the sha256 of `raw`, a teacher file's bytes."""
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def _numeric_columns(record: np.dtype) -> list:
+    """The header of a numeric file of `record`s: a field of k columns is
+    named name0 ... name{k-1}, and a scalar field keeps its name."""
+    names = []
+    for name in record.names:
+        shape = record.fields[name][0].shape
+        names += [f"{name}{i}" for i in range(shape[0])] if shape else [name]
+    return names
+
+
+def _numeric_lines(records, rows: int = 256):
+    """Yield the header line, then each record's line, of a numeric file, as
+    bytes, converting `rows` records at a time so memory stays bounded."""
+    yield (",".join(_numeric_columns(records.dtype)) + "\r\n").encode("ascii")
+    for start in range(0, len(records), rows):
+        block = records[start:start + rows]
+        fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
+        for cells in zip(*fields):   # one list of cells per field
+            yield (",".join(map(repr, sum(cells, []))) + "\r\n").encode("ascii")
+
+
+def write_numeric_csv(path, records) -> None:
+    """Write `records`, a one-dimensional record array, as a numeric file and
+    its sidecar (see the codec comment).  np.savez stamps no time, so equal
+    records give equal bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in _numeric_lines(records):
+            digest.update(line)
+            fh.write(line)
+    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(digest.hexdigest()))
 
 
 def _npz_member(npz, name) -> np.ndarray:
@@ -217,20 +241,22 @@ def _sidecar_records(path, record):
     return records
 
 
-def read_numeric_csv(path, header, dtype):
+def read_numeric_csv(path, record):
     """The data rows of a numeric CSV file as one record array;
-    `dtype(width)` is the record type of a row of `width` fields.
+    `record(width)` is the record type of a row of `width` fields.
 
-    The header is checked as `read_csv` checks it.  The records then come
-    from the file's sidecar if it matches (see the codec comment), or else
-    are parsed by `np.loadtxt` straight from the open file.  loadtxt skips
-    blank lines, so each line's field count is checked before numpy sees the
-    line, and the first line that fails is reported with its number, as
-    `read_csv` reports it.  Every rejection names the file.
+    The header must name that type's fields as `_numeric_columns` does, and
+    is refused as `read_csv` refuses it.  The records then come from the
+    file's sidecar if it matches (see the codec comment), or else are parsed
+    by `np.loadtxt` straight from the open file.  loadtxt skips blank lines,
+    so each line's field count is checked before numpy sees the line, and the
+    first line that fails is reported with its number, as `read_csv` reports
+    it.  Every rejection names the file.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        width = _check_header(path, next(csv.reader(fh), []), header)
-        saved = _sidecar_records(path, dtype(width))
+        width = _check_header(path, next(csv.reader(fh), []),
+                              lambda n: _numeric_columns(record(n)))
+        saved = _sidecar_records(path, record(width))
         if saved is not None:
             return saved
         bad = []        # number of the first line with another field count
@@ -245,7 +271,7 @@ def read_numeric_csv(path, header, dtype):
         first = next(rows, None)
         try:
             body = None if first is None else np.loadtxt(
-                itertools.chain([first], rows), dtype=dtype(width), delimiter=",",
+                itertools.chain([first], rows), dtype=record(width), delimiter=",",
                 comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RngStream, read_numeric_csv, softmax, write_csv, write_csv_lines,
-                   write_numeric_sidecar)
+from .core import RngStream, read_numeric_csv, softmax, write_numeric_csv
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
 from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
 
@@ -180,40 +179,15 @@ def teacher_logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
 
 # --- files ------------------------------------------------------------------
 
-def _dataset_header(width: int) -> list:
-    return [f"x{i}" for i in range(width - 1)] + ["label"]
-
-
-def _logits_header(width: int) -> list:
-    return [f"l{i}" for i in range(width)]
-
-
-# rows `dataset_lines` turns into Python objects at a time
-_FORMAT_ROWS = 4096
-
-
-def dataset_lines(ds: LabeledDataset):
-    """Yield each row of `ds` as its line in a dataset CSV file, as
-    `write_csv` would write it (see the codec comment in `core`).  Rows are
-    converted `_FORMAT_ROWS` at a time, so memory stays bounded whatever the
-    row count."""
-    for start in range(0, ds.n, _FORMAT_ROWS):
-        block = slice(start, start + _FORMAT_ROWS)
-        for row, label in zip(ds.x[block].tolist(), ds.labels[block].tolist()):
-            yield ",".join(map(repr, row)) + "," + str(label) + "\r\n"
-
-
 def _dataset_record(width: int) -> np.dtype:
     return np.dtype([("x", np.float64, (width - 1,)), ("label", np.int64)])
 
 
 def save_dataset_csv(path, ds: LabeledDataset) -> None:
-    """Write `ds` under its header, each row as `dataset_lines` formats it,
-    and the sidecar of its records."""
-    write_csv_lines(path, _dataset_header(ds.d + 1), dataset_lines(ds))
+    """Write `ds` as a numeric file of its records, with their sidecar."""
     records = np.empty(ds.n, _dataset_record(ds.d + 1))
     records["x"], records["label"] = ds.x, ds.labels
-    write_numeric_sidecar(path, records)
+    write_numeric_csv(path, records)
 
 
 def _refuse_rows(path, bad: np.ndarray, what: str) -> None:
@@ -228,7 +202,7 @@ def load_dataset_csv(path) -> LabeledDataset:
     `x` steps d + 1 floats per row, which numpy and BLAS read in place with
     the same results as a contiguous copy (checked in tests/test_codec.py).
     A non-finite feature or a negative label is refused."""
-    body = read_numeric_csv(path, _dataset_header, _dataset_record)
+    body = read_numeric_csv(path, _dataset_record)
     _refuse_rows(path, ~np.isfinite(body["x"]).all(axis=1), "non-finite feature")
     _refuse_rows(path, body["label"] < 0, "negative label")
     return LabeledDataset(x=body["x"], labels=body["label"])
@@ -240,16 +214,15 @@ def _logits_record(width: int) -> np.dtype:
 
 
 def save_logits_csv(path, logits: np.ndarray) -> None:
-    """Write `logits` and the sidecar of its records."""
+    """Write `logits` as a numeric file of its records, with their sidecar."""
     logits = np.asarray(logits, dtype=np.float64)
-    write_csv(path, _logits_header(logits.shape[1]), (row.tolist() for row in logits))
     records = np.empty(len(logits), _logits_record(logits.shape[1]))
     records["l"] = logits
-    write_numeric_sidecar(path, records)
+    write_numeric_csv(path, records)
 
 
 def load_logits_csv(path) -> np.ndarray:
     """The logits matrix; a non-finite entry is refused."""
-    logits = read_numeric_csv(path, _logits_header, _logits_record)["l"]
+    logits = read_numeric_csv(path, _logits_record)["l"]
     _refuse_rows(path, ~np.isfinite(logits).all(axis=1), "non-finite logit")
     return logits

@@ -14,23 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, read_csv, read_json, write_csv, write_json
+from .data import mlp_spec
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
 from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
-                   NUMBER, LayerSpec, check_fields, expand_class, forward,
-                   optional, params_from_dict, params_to_dict, validate_spec)
+                   LIST_AT_LEAST_ONE, NUMBER, check, check_fields, expand_class, forward,
+                   optional, params_from_dict, params_to_dict)
 
 HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
 _HISTORY_TYPES = (int, int, float, float, float, int, int)
 # how far a recorded cell may sit from verify's replay; a clamp count (None)
 # is not compared, since recomputing it needs the run's config
 _REPLAY_TOLERANCES = (0.0, 0.0, 1e-9, 1e-9, 1e-12, 0.0, None)
-
-
-def default_base_class() -> list:
-    """Small two-hidden-layer student; sized so a width-24 tap costs < 1% of
-    the member's own FLOPs."""
-    return [LayerSpec(32, 24), LayerSpec(24, 24), LayerSpec(24, 2, "linear")]
 
 
 @dataclass
@@ -41,7 +36,8 @@ class DistillConfig:
     eta_mode: str = "fixed"          # "fixed" | "theorem"
     g_inf: float | None = None       # residual sup-norm bound, required in theorem mode
     edge_tol: float = 0.0
-    base_class: list = field(default_factory=default_base_class)
+    # the base class's hidden widths, between the data's columns and labels
+    base_hidden: list = field(default_factory=lambda: [24, 24])
     connection_kind: str = "residual_add"
     findwl: FindWlConfig = field(default_factory=FindWlConfig)
     seed: int = 0
@@ -51,7 +47,6 @@ class DistillConfig:
         # eta_mode picks the field that sets the rate; the other one is unread,
         # so its rule above checks only its type
         check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": FINITE_POSITIVE})
-        validate_spec(self.base_class)
         self.findwl.validate()
 
 
@@ -59,6 +54,7 @@ _DISTILL_RULES = {"T": AT_LEAST_ONE, "R": AT_LEAST_ONE,
                   "eta_mode": (lambda v: v in ("fixed", "theorem"), "'fixed' or 'theorem'"),
                   "eta": NUMBER, "g_inf": optional(NUMBER),
                   "edge_tol": FINITE_NONNEGATIVE,
+                  "base_hidden": LIST_AT_LEAST_ONE,
                   "connection_kind": (lambda v: v in CONNECTION_KINDS,
                                       f"one of {CONNECTION_KINDS}"),
                   "seed": INTEGER}
@@ -98,6 +94,11 @@ class Ensemble:
     teacher_hash: str = ""
 
 
+# rules for an ensemble file's `meta` values, `member_class_r` aside
+_META_RULES = {"seed": INTEGER, "eta": FINITE_POSITIVE, "T": AT_LEAST_ONE, "R": AT_LEAST_ONE,
+               "teacher_hash": (lambda v: isinstance(v, str), "a string")}
+
+
 def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         teacher_hash: str = "") -> tuple[Ensemble, RunHistory]:
     """The full game: returns the ensemble and its verification trail.
@@ -114,6 +115,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     if x.shape[0] != g.shape[0]:
         raise ValueError(f"data has {x.shape[0]} rows but teacher logits {g.shape[0]}")
     n, n_labels = g.shape
+    base = mlp_spec(x.shape[1], cfg.base_hidden, n_labels)
     eta = resolve_eta(cfg, n)
     state = init_uniform(n, n_labels)
     root = RngStream(cfg.seed)
@@ -123,7 +125,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     r = 1
     attempt = 0
     while len(ens.members) < cfg.T and r < cfg.R:
-        spec, conn = expand_class(cfg.base_class, cfg.connection_kind, r - 1, ens.members)
+        spec, conn = expand_class(base, cfg.connection_kind, r - 1, ens.members)
         tap = cache.get((conn.source_round, conn.source_layer))
         result = find_weak_learner(state, spec, conn, x, g, cfg.findwl,
                                    root.split(attempt), tap=tap, edge_tol=cfg.edge_tol)
@@ -207,6 +209,11 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
     try:
         meta = doc["meta"]
         members = [_member_from_dict(i, m) for i, m in enumerate(doc["members"])]
+        for key, rule in _META_RULES.items():
+            check(key, meta[key], rule)
+        check("member_class_r", meta["member_class_r"],
+              (lambda v: LIST_AT_LEAST_ONE[0](v) and len(v) == len(members),
+               f"a list of one integer >= 1 per member, {len(members)} in all"))
         return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
                         seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
                         teacher_hash=meta["teacher_hash"])

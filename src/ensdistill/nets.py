@@ -33,6 +33,8 @@ FINITE_POSITIVE = (lambda v: NUMBER[0](v) and 0 < v < math.inf, "a finite number
 FINITE_NONNEGATIVE = (lambda v: NUMBER[0](v) and 0 <= v < math.inf, "a finite number >= 0")
 NONNEGATIVE_BELOW_ONE = (lambda v: NUMBER[0](v) and 0 <= v < 1, "a number in [0, 1)")
 POSITIVE_UP_TO_ONE = (lambda v: NUMBER[0](v) and 0 < v <= 1, "a number in (0, 1]")
+LIST_AT_LEAST_ONE = (lambda v: isinstance(v, list) and all(map(AT_LEAST_ONE[0], v)),
+                     "a list of integers >= 1")
 
 
 def optional(rule: tuple) -> tuple:

@@ -21,7 +21,7 @@ from ensdistill.data import (
     teacher_logits,
     train_teacher,
 )
-from ensdistill.distill import DistillConfig, default_base_class, member_logits, run
+from ensdistill.distill import DistillConfig, member_logits, run
 from ensdistill.evaluate import (
     accuracy,
     anytime_curve,
@@ -89,7 +89,7 @@ def e2e(canonical):
     out = []
     for seed in range(1, 6):
         cfg = DistillConfig(T=5, R=2, eta=0.2, seed=seed,
-                            base_class=mlp_spec(32, [24, 24], 2))
+                            base_hidden=[24, 24])
         ens, hist = run(cfg, train.x, canonical["train_g"])
         points = anytime_curve(ens, test.x, test.labels, teacher_cost)
         specs = [standalone_spec(m) for m in ens.members]
@@ -114,7 +114,7 @@ def small_run():
         sgd=SgdConfig(lr=0.005, momentum=0.9, weight_decay=5e-4,
                       epochs=30, batch_size=16))
     cfg = DistillConfig(T=4, R=2, eta=0.25, seed=3,
-                        base_class=mlp_spec(6, [8], 2), findwl=findwl)
+                        base_hidden=[8], findwl=findwl)
     ens, hist = run(cfg, train.x, g)
     return ens, hist, train.x, g
 
@@ -330,7 +330,7 @@ def test_criterion_07_ellipsoid_end_to_end(canonical, e2e):
 def test_criterion_08_connection_overhead_and_flop_accounting(e2e):
     rng = RngStream(83)
     worst_ratio = 0.0
-    for base in (default_base_class(), mlp_spec(32, [24, 24], 2)):
+    for base in (mlp_spec(32, DistillConfig().base_hidden, 2), mlp_spec(32, [24, 24], 2)):
         spec0, conn0 = expand_class(base, "none", 0, [])
         members = [init_params(spec0, rng.split(0), conn0)]
         for i, kind in enumerate(("residual_add", "delta", "dense_concat"), 1):

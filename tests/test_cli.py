@@ -231,6 +231,16 @@ def test_distill_unknown_config_keys_rejected_by_name(pipeline, tmp_path, capsys
         assert "unknown config key" in err and bad in err
 
 
+def test_distill_refuses_the_config_before_reading_the_data(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, {"Tt": 3})
+    rc = main(["distill", "--data", str(tmp_path / "missing"),
+               "--teacher", str(pipeline["teacher"]), "--config", str(cfg),
+               "--out", str(tmp_path / "e.json"), "--history", str(tmp_path / "h.csv")])
+    assert rc == 2
+    assert "unknown config key 'Tt'" in capsys.readouterr().err
+
+
 def test_eval_anytime_single_member(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg, {**FAST_CONFIG, "T": 1})
@@ -306,7 +316,7 @@ def test_eval_resched_trains_with_the_config_recipe(pipeline, distilled, tmp_pat
     train = data_mod.load_dataset_csv(pipeline["data"] / "train.csv")
     test = data_mod.load_dataset_csv(pipeline["data"] / "test.csv")
     g = data_mod.load_logits_csv(pipeline["data"] / "train_logits.csv")
-    recipe = build_config(FAST_CONFIG, train.d, g.shape[1]).findwl
+    recipe = build_config(FAST_CONFIG).findwl
     assert recipe.sgd.epochs == 8
     ens = distill_mod.load_ensemble(distilled["ensemble"])
     teacher = params_from_dict(json.loads(pipeline["teacher"].read_text(encoding="utf-8")))
@@ -433,6 +443,10 @@ _VERIFY = ["verify", "--history", "h.csv", "--ensemble", "e.json", "--data", "d"
     (_VERIFY + ["--g-inf", "inf"], "--g-inf"),
     # only resched trains, so only resched reads a recipe
     (_EVAL + ["--threshold", "0.5", "--config", "c.json"], "--config"),
+    # only early-exit reads a threshold, and only resched a seed
+    (_EVAL[:-4] + ["--mode", "anytime", "--out", "x.csv", "--threshold", "0.5"],
+     "--threshold is not read by --mode anytime"),
+    (_EVAL + ["--threshold", "0.5", "--seed", "3"], "--seed is not read by --mode early-exit"),
 ])
 def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -551,6 +565,17 @@ def _break_input(case, pipeline, distilled, tmp_path):
         last = len(ens_doc["members"]) - 1
         named = f"member {last}: " + _break_member(case, ens_doc["members"][last])
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+    elif case == "ensemble-meta-eta-string":
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["eta"] = "0.3"
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = "'eta' must be a finite number > 0"
+    elif case == "ensemble-meta-class-r-short":
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["member_class_r"] = []
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = (f"'member_class_r' must be a list of one integer >= 1 per member, "
+                 f"{len(ens_doc['members'])} in all, got []")
     elif case == "resched-empty-ensemble":
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         ens_doc["members"], ens_doc["meta"]["member_class_r"] = [], []
@@ -624,6 +649,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("ensemble-member-target-layer", 2), ("ensemble-member-weight-nan", 2),
     ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
     ("resched-logits-width", 2), ("resched-logits-rows", 3),
+    ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):

@@ -10,6 +10,7 @@ with is checked against the parse of that file.  The round trip and the
 differential cases read with no sidecar present, so they test the parse.
 """
 
+import hashlib
 import re
 import tempfile
 from array import array
@@ -21,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ensdistill.core import RngStream, read_csv, read_numeric_csv, write_numeric_sidecar
+from ensdistill.core import (RngStream, _file_sha256, read_csv, read_numeric_csv, write_csv,
+                            write_numeric_csv)
 from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv, mlp_spec,
                              save_dataset_csv, save_logits_csv)
 from ensdistill.distill import (Ensemble, RoundRecord, RunHistory, load_ensemble,
@@ -33,6 +35,9 @@ from ensdistill.nets import (CONNECTION_KINDS, ConnectionSpec, LayerSpec, Learne
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
            1e308, -1e308, 1.7976931348623157e308, 0.1, -1.0 / 3.0)
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+# an ensemble's eta: its loader refuses one that is not finite and > 0
+POSITIVE_FLOATS = st.one_of(st.sampled_from([v for v in SPECIAL if v > 0]),
+                            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 LABELS = st.integers(0, 2 ** 63 - 1)      # the dataset loader refuses negative labels
 
@@ -52,8 +57,8 @@ def floats_bits(values) -> bytes:
 
 
 @st.composite
-def datasets(draw, labels=LABELS):
-    x = draw(matrices())
+def datasets(draw, labels=LABELS, x=matrices()):
+    x = draw(x)
     return LabeledDataset(x=x, labels=draw(arrays(np.int64, x.shape[0], elements=labels)))
 
 
@@ -86,7 +91,7 @@ def ensembles(draw):
                      for s in spec],
             biases=[draw(arrays(np.float64, s.out_dim, elements=FLOATS)) for s in spec]))
     return Ensemble(members=members, class_rs=[draw(st.integers(1, 9)) for _ in members],
-                    seed=draw(st.integers(0, 2 ** 64 - 1)), eta=draw(FLOATS),
+                    seed=draw(st.integers(0, 2 ** 64 - 1)), eta=draw(POSITIVE_FLOATS),
                     T=draw(st.integers(1, 50)), R=draw(st.integers(1, 9)),
                     teacher_hash=draw(st.text(max_size=16)))
 
@@ -143,7 +148,7 @@ def test_every_artifact_round_trips_bit_for_bit(ds, logits, hist, curve, ens):
 def test_csv_readers_name_the_file_of_a_bad_header(reader, text, tmp_path):
     path = tmp_path / "artifact.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(f"bad header in {path}")):
         reader(path)
 
 
@@ -311,13 +316,13 @@ def _logits_record(width):
     return np.dtype([("l", np.float64, (width,))])
 
 
-def parsed(path, header, record):
+def parsed(path, record):
     """`read_numeric_csv` of `path` with its sidecar moved away and back."""
     sidecar = Path(f"{path}.npz")
     aside = sidecar.with_suffix(".aside")
     sidecar.rename(aside)
     try:
-        return read_numeric_csv(path, header, record)
+        return read_numeric_csv(path, record)
     finally:
         aside.rename(sidecar)
 
@@ -329,12 +334,42 @@ def test_a_sidecar_holds_what_parsing_its_file_gives(ds, logits):
         tmp = Path(tmp)
         save_dataset_csv(tmp / "dataset.csv", ds)
         save_logits_csv(tmp / "logits.csv", logits)
-        for path, header, record in ((tmp / "dataset.csv", _dataset_columns, _dataset_record),
-                                     (tmp / "logits.csv", _logits_columns, _logits_record)):
+        for path, record in ((tmp / "dataset.csv", _dataset_record),
+                             (tmp / "logits.csv", _logits_record)):
             with np.load(f"{path}.npz", allow_pickle=False) as npz:
                 saved = npz["records"]
-            assert same_bits(read_numeric_csv(path, header, record), saved)
-            assert same_bits(parsed(path, header, record), saved)
+            assert same_bits(read_numeric_csv(path, record), saved)
+            assert same_bits(parsed(path, record), saved)
+
+
+# row counts on both sides of the writer's 256-record blocks
+BLOCK_ROWS = st.one_of(st.integers(0, 6), st.sampled_from([256, 257, 600]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(datasets(labels=INT64, x=matrices(rows=BLOCK_ROWS)),
+       matrices(rows=BLOCK_ROWS, cols=st.one_of(st.just(1), st.integers(1, 5))))
+def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits):
+    """`write_numeric_csv` against `write_csv` of the same names and rows, on
+    records drawn with subnormals, -0.0, int64 labels at both ends and
+    one-column logits; its sidecar's digest is the file's."""
+    dataset = np.empty(ds.n, _dataset_record(ds.d + 1))
+    dataset["x"], dataset["label"] = ds.x, ds.labels
+    rows = [row + [label] for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
+    matrix = np.empty(len(logits), _logits_record(logits.shape[1]))
+    matrix["l"] = logits
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for records, names, cells in (
+                (dataset, _dataset_columns(ds.d + 1), rows),
+                (matrix, _logits_columns(logits.shape[1]), logits.tolist())):
+            write_numeric_csv(tmp / "numeric.csv", records)
+            write_csv(tmp / "reference.csv", names, cells)
+            raw = (tmp / "numeric.csv").read_bytes()
+            assert raw == (tmp / "reference.csv").read_bytes()
+            with np.load(tmp / "numeric.csv.npz", allow_pickle=False) as npz:
+                assert str(npz["csv_sha256"]) == hashlib.sha256(raw).hexdigest()
+                assert same_bits(npz["records"], records)
 
 
 def _small_dataset(tmp_path):
@@ -355,9 +390,14 @@ def test_a_file_edited_to_the_same_length_is_read_as_edited(tmp_path):
     assert Path(f"{path}.npz").read_bytes() == sidecar      # readers never write
 
 
+def _save_sidecar(path, records):
+    """A sidecar of `records` that matches the file at `path` as it is now."""
+    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(_file_sha256(path)))
+
+
 def _wrong_type(path):
     records = np.zeros(2, [("x", np.float64, (2,)), ("label", np.int32)])
-    write_numeric_sidecar(path, records)
+    _save_sidecar(path, records)
 
 
 def _overwrite(data: bytes):
@@ -378,7 +418,7 @@ def _without_digest(path):
 def _flat_records(path):
     with np.load(f"{path}.npz") as npz:
         records = npz["records"]
-    write_numeric_sidecar(path, records.reshape(1, 2))
+    _save_sidecar(path, records.reshape(1, 2))
 
 
 @pytest.mark.parametrize("spoil", [
@@ -401,7 +441,7 @@ def test_a_bad_header_is_refused_even_beside_a_matching_sidecar(tmp_path):
     with np.load(f"{path}.npz") as npz:
         records = npz["records"]
     path.write_bytes(path.read_bytes().replace(b"x0,x1,label", b"x0,x9,label"))
-    write_numeric_sidecar(path, records)       # the sidecar now matches the file
+    _save_sidecar(path, records)       # the sidecar now matches the file
     with pytest.raises(ValueError, match="bad header"):
         load_dataset_csv(path)
 

@@ -37,7 +37,7 @@ def _small_problem(seed=0, n=16, d=3, labels=2):
 def _fast_config(**overrides):
     base = dict(
         T=3, R=2, eta=0.3, seed=5,
-        base_class=[LayerSpec(3, 4), LayerSpec(4, 2, "linear")],
+        base_hidden=[4],
         findwl=FindWlConfig(loss_mode="squared_error", barrier_gamma=10.0, max_search=2,
                             sgd=SgdConfig(lr=0.05, weight_decay=0.0, epochs=20, batch_size=16)),
     )
@@ -179,7 +179,7 @@ def test_round_one_fits_realizable_teacher():
     g, _ = forward(teacher, x)
     cfg = DistillConfig(
         T=1, R=2, eta=0.5, seed=3,
-        base_class=[LayerSpec(4, 2, "linear")],
+        base_hidden=[],
         findwl=FindWlConfig(loss_mode="squared_error", max_search=1,
                             sgd=SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
                                           epochs=200, batch_size=32)))
@@ -258,6 +258,21 @@ def test_ensemble_round_trip_bitwise(tmp_path):
     assert np.array_equal(ensemble_predict(ens, x, k), ensemble_predict(loaded, x, k))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("eta", "0.3"), ("eta", 0.0), ("eta", float("inf")), ("T", "x"), ("R", 0),
+    ("teacher_hash", 5), ("member_class_r", [0]), ("member_class_r", [1, 1]),
+    ("member_class_r", []), ("member_class_r", "1"),
+])
+def test_load_refuses_a_meta_value_by_key(key, value):
+    x, g = _small_problem(seed=21)
+    ens, _ = run(_fast_config(), x, g)
+    assert len(ens.members) == 1
+    doc = distill_mod.ensemble_to_dict(ens)
+    doc["meta"][key] = value
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        distill_mod.ensemble_from_dict(doc)
+
+
 def test_save_is_deterministic(tmp_path):
     x, g = _small_problem(seed=21)
     ens, _ = run(_fast_config(), x, g)
@@ -318,7 +333,7 @@ TAPPED_RUNS = {
 @pytest.mark.parametrize("kind", sorted(TAPPED_RUNS))
 def test_tapped_run_is_byte_stable(kind, cube_teacher, tmp_path):
     x, g = cube_teacher
-    cfg = DistillConfig(T=5, R=5, edge_tol=2.0, base_class=mlp_spec(8, [8, 8], 4),
+    cfg = DistillConfig(T=5, R=5, edge_tol=2.0, base_hidden=[8, 8],
                         connection_kind=kind, seed=2)
     ens, hist = run(cfg, x, g)
     assert max(ens.class_rs) >= 2, "no member of a connection class was accepted"

@@ -145,7 +145,7 @@ def _tapping_pair():
     first = init_params(spec, RngStream(1).split(0))
     conn = ConnectionSpec("residual_add", source_round=0, source_layer=0, target_layer=2)
     second = init_params(spec, RngStream(1).split(1), conn)
-    return Ensemble(members=[first, second], class_rs=[1, 2], eta=0.01, T=2)
+    return Ensemble(members=[first, second], class_rs=[1, 2], eta=0.01, T=2, R=3)
 
 
 @pytest.mark.parametrize("source_round, source_layer", [

@@ -1,7 +1,8 @@
 """Decisions that live in one module.
 
 Every CSV and JSON artifact is written and read through the codec in
-`ensdistill.core`, so only `core` may import `csv` or `json`.  Only
+`ensdistill.core`, so only `core` may import `csv` or `json`, or `hashlib`
+and `zipfile`, which hash files and read their sidecars.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
 is handed the one array a candidate's connection reads.  Only `distill`
 knows the history file's columns: the verifier asks it whether a history
@@ -34,7 +35,8 @@ def imported_modules(path: Path) -> set:
     return names
 
 
-@pytest.mark.parametrize("module, allowed", [("csv", {"core"}), ("json", {"core"})])
+@pytest.mark.parametrize("module, allowed", [("csv", {"core"}), ("json", {"core"}),
+                                             ("hashlib", {"core"}), ("zipfile", {"core"})])
 def test_only_the_codec_imports_the_format_modules(module, allowed):
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) >= 9
@@ -138,8 +140,7 @@ def test_every_top_level_name_is_read_by_the_package():
 @pytest.mark.parametrize("cls, rules, unruled", [
     (findwl.SgdConfig, findwl._SGD_RULES, set()),
     (findwl.FindWlConfig, findwl._FINDWL_RULES, {"sgd"}),
-    # base_class is a layer list, which nets.validate_spec checks
-    (distill.DistillConfig, distill._DISTILL_RULES, {"findwl", "base_class"}),
+    (distill.DistillConfig, distill._DISTILL_RULES, {"findwl"}),
 ])
 def test_every_config_field_has_a_rule(cls, rules, unruled):
     assert {f.name for f in fields(cls)} - unruled == set(rules)
