@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
-from .core import content_hash, parse_json, read_json, write_csv, write_json
+from .core import content_hash, parse_json, read_json, write_json, write_table
 from .findwl import FindWlConfig, SgdConfig
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, LIST_AT_LEAST_ONE,
                    NONNEGATIVE_BELOW_ONE, POSITIVE_UP_TO_ONE, ConfigError, flops,
@@ -182,10 +182,9 @@ def cmd_eval(args) -> int:
             raise ConfigError("--threshold is required for early-exit mode")
         preds, evaluated, spent = eval_mod.early_exit(ens, test.x, args.threshold)
         acc = float(np.mean(preds == test.labels))
-        write_csv(args.out, ("threshold", "mean_members_evaluated", "mean_flops_fraction",
-                             "accuracy"),
-                  [[float(args.threshold), float(np.mean(evaluated)),
-                    float(np.mean(spent) / teacher_cost), acc]])
+        summary = (args.threshold, np.mean(evaluated), np.mean(spent) / teacher_cost, acc)
+        write_table(args.out, np.array([summary], [(name, np.float64) for name in (
+            "threshold", "mean_members_evaluated", "mean_flops_fraction", "accuracy")]))
         print(f"early exit at {args.threshold}: mean members {np.mean(evaluated):.2f}, "
               f"accuracy {acc:.4f}")
     return EXIT_OK

@@ -125,52 +125,25 @@ class RngStream:
 
 
 # --- artifact codec -----------------------------------------------------------
-# UTF-8.  CSV: the csv module's default dialect, one header row, each cell as
-# str(cell), which is repr for a Python float.  JSON: indent 2, final newline.
-# History and curve files go through the csv module (`write_csv`, `read_csv`).
-# A numeric file (datasets, logits) is described by its record type alone:
-# its header names the record's fields (`_numeric_columns`), and since no
-# number needs quoting, `write_numeric_csv` writes each record as its cells'
-# repr joined by commas plus CRLF, the line the csv module would write.
+# UTF-8.  JSON: indent 2, final newline.  CSV: every table (datasets, logits,
+# the run history, the curves, the early-exit summary) is a one-dimensional
+# record array, described by its record type alone: its header names the
+# record's fields (`_numeric_columns`), and since no number needs quoting,
+# `write_table` writes each record as its cells' repr joined by commas plus
+# CRLF, the line the csv module's default dialect would write.
+# `read_numeric_csv` reads every table back; a file with a header and no rows
+# is an empty table, which the dataset and logits loaders refuse.
 #
-# The writer of a numeric file also saves `<file>.npz` beside it: `records`,
-# the record array that parsing the file gives, and `csv_sha256`, the sha256
-# of the file's bytes, taken as they are written.  The CSV stays the
-# artifact: `read_numeric_csv` returns the sidecar's records only while the
-# file still hashes to `csv_sha256` and the records have the type it asks
-# for, and parses the file, through numpy's C reader, otherwise.  Since repr
+# Only data files (datasets, logits) get a sidecar: `write_numeric_csv` also
+# saves `<file>.npz` beside the file, holding `records`, the record array
+# that parsing the file gives, and `csv_sha256`, the sha256 of the file's
+# bytes, taken as they are written.  The CSV stays the artifact:
+# `read_numeric_csv` returns the sidecar's records only while the file still
+# hashes to `csv_sha256` and the records have the type it asks for, and
+# parses the file, through numpy's C reader, otherwise.  Since repr
 # round-trips every finite float and str every int, the two paths give the
 # same bits; only NaN payloads differ, and the dataset and logits loaders
 # refuse non-finite cells on both paths.  Readers never write.
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _check_header(path, found, header) -> int:
-    """The column count of a CSV file whose first row is `found`."""
-    if not found:   # an empty file, or a blank first line
-        raise ValueError(f"bad header in {path}: no column names")
-    expected = list(header(len(found)) if callable(header) else header)
-    if found != expected:
-        raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
-    return len(found)
-
-
-def read_csv(path, header):
-    """Yield the rows (lists of str) under a CSV file's `header`: its column
-    names, or a function of their count that returns them."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        width = _check_header(path, next(reader, []), header)  # [] if empty or blank
-        for row in reader:
-            if len(row) != width:
-                raise ValueError(f"{path} line {reader.line_num}: expected {width} fields")
-            yield row
-
 
 def _file_sha256(path) -> str:
     """The sha256 of a file's bytes, read in fixed-size chunks."""
@@ -187,8 +160,8 @@ def content_hash(raw: bytes) -> str:
 
 
 def _numeric_columns(record: np.dtype) -> list:
-    """The header of a numeric file of `record`s: a field of k columns is
-    named name0 ... name{k-1}, and a scalar field keeps its name."""
+    """The header of a table of `record`s: a field of k columns is named
+    name0 ... name{k-1}, and a scalar field keeps its name."""
     names = []
     for name in record.names:
         shape = record.fields[name][0].shape
@@ -196,27 +169,29 @@ def _numeric_columns(record: np.dtype) -> list:
     return names
 
 
-def _numeric_lines(records, rows: int = 256):
-    """Yield the header line, then each record's line, of a numeric file, as
-    bytes, converting `rows` records at a time so memory stays bounded."""
-    yield (",".join(_numeric_columns(records.dtype)) + "\r\n").encode("ascii")
-    for start in range(0, len(records), rows):
-        block = records[start:start + rows]
-        fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
-        for cells in zip(*fields):   # one list of cells per field
-            yield (",".join(map(repr, sum(cells, []))) + "\r\n").encode("ascii")
+def write_table(path, records, rows: int = 256) -> str:
+    """Write `records`, a one-dimensional record array, as a CSV table (see
+    the codec comment), converting `rows` records at a time so memory stays
+    bounded; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(cells) -> None:
+            line = (",".join(cells) + "\r\n").encode("ascii")
+            digest.update(line)
+            fh.write(line)
+        put(_numeric_columns(records.dtype))
+        for start in range(0, len(records), rows):
+            block = records[start:start + rows]
+            fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
+            for cells in zip(*fields):   # one list of cells per field
+                put(map(repr, sum(cells, [])))
+    return digest.hexdigest()
 
 
 def write_numeric_csv(path, records) -> None:
-    """Write `records`, a one-dimensional record array, as a numeric file and
-    its sidecar (see the codec comment).  np.savez stamps no time, so equal
-    records give equal bytes."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for line in _numeric_lines(records):
-            digest.update(line)
-            fh.write(line)
-    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(digest.hexdigest()))
+    """`write_table` of a data file, with its sidecar (see the codec comment).
+    np.savez stamps no time, so equal records give equal bytes."""
+    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(write_table(path, records)))
 
 
 def _npz_member(npz, name) -> np.ndarray:
@@ -226,8 +201,8 @@ def _npz_member(npz, name) -> np.ndarray:
 
 def _sidecar_records(path, record):
     """The records of `path`'s sidecar, or None if it is missing or
-    unreadable, was saved for other bytes, or does not hold a non-empty
-    array of `record`."""
+    unreadable, was saved for other bytes, or does not hold a
+    one-dimensional array of `record`."""
     try:
         with zipfile.ZipFile(f"{path}.npz") as npz:
             digest = _npz_member(npz, "csv_sha256")
@@ -236,27 +211,31 @@ def _sidecar_records(path, record):
             records = _npz_member(npz, "records")
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if records.dtype != record or records.ndim != 1 or not len(records):
+    if records.dtype != record or records.ndim != 1:
         return None
     return records
 
 
 def read_numeric_csv(path, record):
-    """The data rows of a numeric CSV file as one record array;
-    `record(width)` is the record type of a row of `width` fields.
+    """The data rows of a CSV table as one record array, empty if the file
+    has none; `record(width)` is the record type of a row of `width` fields.
 
-    The header must name that type's fields as `_numeric_columns` does, and
-    is refused as `read_csv` refuses it.  The records then come from the
-    file's sidecar if it matches (see the codec comment), or else are parsed
-    by `np.loadtxt` straight from the open file.  loadtxt skips blank lines,
-    so each line's field count is checked before numpy sees the line, and the
-    first line that fails is reported with its number, as `read_csv` reports
-    it.  Every rejection names the file.
+    The header must name that type's fields as `_numeric_columns` does.  The
+    records then come from the file's sidecar if it matches (see the codec
+    comment), or else are parsed by `np.loadtxt` straight from the open file.
+    loadtxt skips blank lines, so each line's field count is checked before
+    numpy sees the line, and the first line that fails is reported with its
+    number.  Every rejection names the file.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        width = _check_header(path, next(csv.reader(fh), []),
-                              lambda n: _numeric_columns(record(n)))
-        saved = _sidecar_records(path, record(width))
+        found = next(csv.reader(fh), [])   # [] if the file is empty or starts blank
+        if not found:
+            raise ValueError(f"bad header in {path}: no column names")
+        width, kind = len(found), record(len(found))
+        expected = _numeric_columns(kind)
+        if found != expected:
+            raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
+        saved = _sidecar_records(path, kind)
         if saved is not None:
             return saved
         bad = []        # number of the first line with another field count
@@ -270,15 +249,13 @@ def read_numeric_csv(path, record):
         rows = lines()
         first = next(rows, None)
         try:
-            body = None if first is None else np.loadtxt(
-                itertools.chain([first], rows), dtype=record(width), delimiter=",",
+            body = np.empty(0, kind) if first is None else np.loadtxt(
+                itertools.chain([first], rows), dtype=kind, delimiter=",",
                 comments=None, quotechar='"', ndmin=1)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if bad:
         raise ValueError(f"{path} line {bad[0]}: expected {width} fields")
-    if body is None:
-        raise ValueError(f"{path} has no data rows")
     return body
 
 

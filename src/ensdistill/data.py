@@ -201,8 +201,10 @@ def load_dataset_csv(path) -> LabeledDataset:
     """`x` and `labels` are views of the loaded records, so nothing is copied:
     `x` steps d + 1 floats per row, which numpy and BLAS read in place with
     the same results as a contiguous copy (checked in tests/test_codec.py).
-    A non-finite feature or a negative label is refused."""
+    A file with no rows, a non-finite feature or a negative label is refused."""
     body = read_numeric_csv(path, _dataset_record)
+    if not len(body):
+        raise ValueError(f"{path} has no data rows")
     _refuse_rows(path, ~np.isfinite(body["x"]).all(axis=1), "non-finite feature")
     _refuse_rows(path, body["label"] < 0, "negative label")
     return LabeledDataset(x=body["x"], labels=body["label"])
@@ -222,7 +224,9 @@ def save_logits_csv(path, logits: np.ndarray) -> None:
 
 
 def load_logits_csv(path) -> np.ndarray:
-    """The logits matrix; a non-finite entry is refused."""
+    """The logits matrix; a file with no rows or a non-finite entry is refused."""
     logits = read_numeric_csv(path, _logits_record)["l"]
+    if not len(logits):
+        raise ValueError(f"{path} has no data rows")
     _refuse_rows(path, ~np.isfinite(logits).all(axis=1), "non-finite logit")
     return logits

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, read_csv, read_json, write_csv, write_json
+from .core import RngStream, read_json, read_numeric_csv, write_json, write_table
 from .data import mlp_spec
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
@@ -21,8 +21,11 @@ from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_PO
                    LIST_AT_LEAST_ONE, NUMBER, check, check_fields, expand_class, forward,
                    optional, params_from_dict, params_to_dict)
 
-HISTORY_COLUMNS = ("round", "label", "edge_gamma", "z", "eta", "class_r", "clamp_count")
-_HISTORY_TYPES = (int, int, float, float, float, int, int)
+# a history file's record: one per (round, label)
+HISTORY_RECORD = np.dtype([("round", np.int64), ("label", np.int64), ("edge_gamma", np.float64),
+                           ("z", np.float64), ("eta", np.float64), ("class_r", np.int64),
+                           ("clamp_count", np.int64)])
+HISTORY_COLUMNS = HISTORY_RECORD.names
 # how far a recorded cell may sit from verify's replay; a clamp count (None)
 # is not compared, since recomputing it needs the run's config
 _REPLAY_TOLERANCES = (0.0, 0.0, 1e-9, 1e-9, 1e-12, 0.0, None)
@@ -50,7 +53,8 @@ class DistillConfig:
         self.findwl.validate()
 
 
-_DISTILL_RULES = {"T": AT_LEAST_ONE, "R": AT_LEAST_ONE,
+# R = 1 would search no class at all
+_DISTILL_RULES = {"T": AT_LEAST_ONE, "R": (lambda v: INTEGER[0](v) and v >= 2, "an integer >= 2"),
                   "eta_mode": (lambda v: v in ("fixed", "theorem"), "'fixed' or 'theorem'"),
                   "eta": NUMBER, "g_inf": optional(NUMBER),
                   "edge_tol": FINITE_NONNEGATIVE,
@@ -191,29 +195,28 @@ def ensemble_predict(ens: Ensemble, x: np.ndarray, k: int) -> np.ndarray:
 
 # --- files ------------------------------------------------------------------
 
+def _check_meta(meta: dict, n_members: int) -> None:
+    """Refuse the first `meta` value that fails its rule, naming its key, so
+    an ensemble that would not load is not saved either."""
+    for key, rule in _META_RULES.items():
+        check(key, meta[key], rule)
+    check("member_class_r", meta["member_class_r"],
+          (lambda v: LIST_AT_LEAST_ONE[0](v) and len(v) == n_members,
+           f"a list of one integer >= 1 per member, {n_members} in all"))
+
+
 def ensemble_to_dict(ens: Ensemble) -> dict:
-    return {
-        "meta": {
-            "seed": ens.seed,
-            "eta": ens.eta,
-            "T": ens.T,
-            "R": ens.R,
-            "teacher_hash": ens.teacher_hash,
-            "member_class_r": list(ens.class_rs),
-        },
-        "members": [params_to_dict(m) for m in ens.members],
-    }
+    meta = {"seed": ens.seed, "eta": ens.eta, "T": ens.T, "R": ens.R,
+            "teacher_hash": ens.teacher_hash, "member_class_r": list(ens.class_rs)}
+    _check_meta(meta, len(ens.members))
+    return {"meta": meta, "members": [params_to_dict(m) for m in ens.members]}
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
     try:
         meta = doc["meta"]
         members = [_member_from_dict(i, m) for i, m in enumerate(doc["members"])]
-        for key, rule in _META_RULES.items():
-            check(key, meta[key], rule)
-        check("member_class_r", meta["member_class_r"],
-              (lambda v: LIST_AT_LEAST_ONE[0](v) and len(v) == len(members),
-               f"a list of one integer >= 1 per member, {len(members)} in all"))
+        _check_meta(meta, len(members))
         return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
                         seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
                         teacher_hash=meta["teacher_hash"])
@@ -237,31 +240,32 @@ def load_ensemble(path) -> Ensemble:
     return ensemble_from_dict(read_json(path))
 
 
-def _history_cells(hist: RunHistory):
-    """One row of `HISTORY_COLUMNS` cells per (round, label)."""
-    return ([rec.round_index, label, float(gamma), float(z), float(rec.eta),
-             rec.class_r, rec.clamp_count]
-            for rec in hist.rounds for label, (gamma, z) in enumerate(zip(rec.edge_gamma, rec.z)))
+def _history_cells(hist: RunHistory) -> list:
+    """One tuple of `HISTORY_COLUMNS` cells per (round, label)."""
+    return [(rec.round_index, label, gamma, z, rec.eta, rec.class_r, rec.clamp_count)
+            for rec in hist.rounds for label, (gamma, z) in enumerate(zip(rec.edge_gamma, rec.z))]
 
 
 def write_history(path, hist: RunHistory) -> None:
-    write_csv(path, HISTORY_COLUMNS, _history_cells(hist))
+    write_table(path, np.array(_history_cells(hist), HISTORY_RECORD))
 
 
-def read_history(path) -> list:
-    return [{name: kind(cell) for name, kind, cell in zip(HISTORY_COLUMNS, _HISTORY_TYPES, row)}
-            for row in read_csv(path, HISTORY_COLUMNS)]
+def read_history(path) -> np.ndarray:
+    """The history file's records, one per (round, label)."""
+    return read_numeric_csv(path, lambda width: HISTORY_RECORD)
 
 
-def history_matches(rows: list, ens: Ensemble, records: list) -> bool:
+def history_matches(rows, ens: Ensemble, records: list) -> bool:
     """Whether `read_history`'s rows are what `write_history` writes for `ens`
     and the `md_update` records its members' residuals replay to, in the
     writer's order, clamp counts aside."""
     replay = RunHistory([RoundRecord(round_index=t, class_r=r, edge_gamma=rec.edge_gamma,
                                      z=rec.z, eta=ens.eta, clamp_count=0)
                          for t, (r, rec) in enumerate(zip(ens.class_rs, records), start=1)])
-    want = list(_history_cells(replay))
+    want = _history_cells(replay)
+    # an exact column is compared with ==: an int64 difference can wrap
     return len(ens.class_rs) == len(records) and len(rows) == len(want) and all(
-        tol is None or abs(row[name] - cell) <= tol + tol * max(abs(row[name]), abs(cell))
+        tol is None or (row[name] == cell if tol == 0.0 else
+                        abs(row[name] - cell) <= tol + tol * max(abs(row[name]), abs(cell)))
         for row, cells in zip(rows, want)
         for name, tol, cell in zip(HISTORY_COLUMNS, _REPLAY_TOLERANCES, cells))

@@ -8,11 +8,11 @@ updates from its artifacts and checks the recorded history against them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, softmax, write_csv, write_json
+from .core import RngStream, softmax, write_json, write_table
 from .distill import (Ensemble, ensemble_predict, history_matches, member_logits,
                       prefix_logits)
 from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_grad_fn
@@ -226,12 +226,13 @@ def verify_bound(history_rows: list, ens: Ensemble, x: np.ndarray,
 
 # --- files ------------------------------------------------------------------
 
-CURVE_COLUMNS = ("prefix_k", "cum_flops_fraction", "accuracy")
+# a curve file's record: one `CurvePoint`
+CURVE_RECORD = np.dtype([("prefix_k", np.int64), ("cum_flops_fraction", np.float64),
+                         ("accuracy", np.float64)])
 
 
 def write_curve_csv(path, points: list) -> None:
-    write_csv(path, CURVE_COLUMNS, ([p.prefix_k, float(p.cum_flops_fraction), float(p.accuracy)]
-                                    for p in points))
+    write_table(path, np.array([astuple(p) for p in points], CURVE_RECORD))
 
 
 def save_bound_report(path, report: BoundReport) -> None:

@@ -7,9 +7,12 @@ in [0.25, 1.0], which keeps every post-degenerate round's edge positive and
 the sup norm of residuals at exactly G_inf = 1.
 
 Beside them are the second paths the tests check the package's first ones
-against: the weight game replayed in closed form, and an ensemble's FLOPs
-counted from its layer shapes.
+against: the weight game replayed in closed form, an ensemble's FLOPs
+counted from its layer shapes, and a CSV writer and reader on the csv
+module, the reference for the codec's own table writer and reader.
 """
+
+import csv
 
 import numpy as np
 
@@ -100,3 +103,30 @@ def ensemble_flops_direct(ens: Ensemble) -> int:
         if params.connection.kind in ("residual_add", "delta"):
             total += params.spec[params.connection.target_layer].in_dim
     return total
+
+
+def write_csv(path, header, rows) -> None:
+    """`header`, then each row, in the csv module's default dialect, each
+    cell as str(cell)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header):
+    """Yield the rows (lists of str) under a CSV file's `header`: its column
+    names, or a function of their count that returns them.  A refusal reads
+    as the codec's does."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])   # [] if the file is empty or starts blank
+        if not found:
+            raise ValueError(f"bad header in {path}: no column names")
+        expected = list(header(len(found)) if callable(header) else header)
+        if found != expected:
+            raise ValueError(f"bad header in {path}: expected {expected}, got {found}")
+        for row in reader:
+            if len(row) != len(found):
+                raise ValueError(f"{path} line {reader.line_num}: expected {len(found)} fields")
+            yield row

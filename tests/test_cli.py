@@ -475,6 +475,7 @@ _BAD_VALUE = {
                                  "'barrier_gamma'"),
     "config-lr-factor-negative": ({"findwl": {"sgd": {"lr_factor": -1}}}, "'lr_factor'"),
     "config-lr-factor-above-one": ({"findwl": {"sgd": {"lr_factor": 5}}}, "'lr_factor'"),
+    "config-R-one": ({"R": 1}, "'R' must be an integer >= 2, got 1"),
 }
 
 
@@ -608,6 +609,13 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
         named = "layer 0 biases contains non-finite entries"
+    elif case == "verify-history-cell":
+        named = data_dir / "history.csv"
+        shutil.copy(distilled["history"], named)
+        _set_cell(named, 5, "x")   # the class_r cell
+        return ["verify", "--history", str(named), "--ensemble", str(ensemble),
+                "--data", str(data_dir), "--g-inf", "1.0",
+                "--out", str(tmp_path / "out.json")], f"{named}: "
     elif case.endswith(("-logits-width", "-logits-rows")):
         path = data_dir / "train_logits.csv"
         g = data_mod.load_logits_csv(path)
@@ -650,6 +658,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
     ("resched-logits-width", 2), ("resched-logits-rows", 3),
     ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),
+    ("verify-history-cell", 3), ("config-R-one", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):

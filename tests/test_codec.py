@@ -3,11 +3,12 @@
 Matrices are drawn over the whole finite float64 range, with -0.0,
 subnormals and +-1e308 forced in, so a writer that prints a float any other
 way than its repr, or a reader that parses it any other way than exactly,
-shows up as a changed bit.  The numeric reader behind the dataset and logits
-files is also checked against the csv-module reader it replaced, on valid
-and on broken files, and the binary sidecar each numeric file is written
-with is checked against the parse of that file.  The round trip and the
-differential cases read with no sidecar present, so they test the parse.
+shows up as a changed bit.  The table reader is also checked against the
+csv-module reader it replaced, on valid and on broken dataset and logits
+files, the table writer against the csv-module writer on every kind of
+table, and the binary sidecar each data file is written with against the
+parse of that file.  The round trip and the differential cases read with no
+sidecar present, so they test the parse.
 """
 
 import hashlib
@@ -22,13 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ensdistill.core import (RngStream, _file_sha256, read_csv, read_numeric_csv, write_csv,
-                            write_numeric_csv)
+from oracle_runs import read_csv, write_csv
+
+from ensdistill.core import (RngStream, _file_sha256, read_numeric_csv, write_numeric_csv,
+                            write_table)
 from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv, mlp_spec,
                              save_dataset_csv, save_logits_csv)
-from ensdistill.distill import (Ensemble, RoundRecord, RunHistory, load_ensemble,
-                                read_history, save_ensemble, write_history)
-from ensdistill.evaluate import CURVE_COLUMNS, CurvePoint, write_curve_csv
+from ensdistill.distill import (HISTORY_RECORD, Ensemble, RoundRecord, RunHistory,
+                                load_ensemble, read_history, save_ensemble, write_history)
+from ensdistill.evaluate import CURVE_RECORD, CurvePoint, write_curve_csv
 from ensdistill.nets import (CONNECTION_KINDS, ConnectionSpec, LayerSpec, LearnerParams,
                              forward, init_params)
 
@@ -123,7 +126,7 @@ def test_every_artifact_round_trips_bit_for_bit(ds, logits, hist, curve, ens):
 
         points = [CurvePoint(k, frac, acc) for k, frac, acc in curve]
         write_curve_csv(tmp / "curve.csv", points)
-        loaded = list(read_csv(tmp / "curve.csv", CURVE_COLUMNS))
+        loaded = list(read_csv(tmp / "curve.csv", CURVE_RECORD.names))
         assert [int(k) for k, _, _ in loaded] == [p.prefix_k for p in points]
         for col, key in ((1, "cum_flops_fraction"), (2, "accuracy")):
             assert floats_bits([float(row[col]) for row in loaded]) == \
@@ -346,13 +349,23 @@ def test_a_sidecar_holds_what_parsing_its_file_gives(ds, logits):
 BLOCK_ROWS = st.one_of(st.integers(0, 6), st.sampled_from([256, 257, 600]))
 
 
+def tables(record, rows=BLOCK_ROWS):
+    """Record arrays of the scalar fields of `record`: an int64 cell drawn
+    over the whole int64 range, a float64 cell from FLOATS."""
+    cells = st.tuples(*(INT64 if record[name] == np.int64 else FLOATS for name in record.names))
+    return rows.flatmap(lambda n: arrays(record, n, elements=cells))
+
+
 @settings(max_examples=40, deadline=None)
 @given(datasets(labels=INT64, x=matrices(rows=BLOCK_ROWS)),
-       matrices(rows=BLOCK_ROWS, cols=st.one_of(st.just(1), st.integers(1, 5))))
-def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits):
-    """`write_numeric_csv` against `write_csv` of the same names and rows, on
-    records drawn with subnormals, -0.0, int64 labels at both ends and
-    one-column logits; its sidecar's digest is the file's."""
+       matrices(rows=BLOCK_ROWS, cols=st.one_of(st.just(1), st.integers(1, 5))),
+       tables(HISTORY_RECORD), tables(CURVE_RECORD))
+def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits, history, curve):
+    """`write_table` against `write_csv` of the same names and rows, on
+    dataset, logits, history and curve records drawn with subnormals, -0.0,
+    int64 cells at both ends and one-column logits; the digest it returns is
+    the file's, and `write_numeric_csv` writes the same bytes with a sidecar
+    of that digest and those records."""
     dataset = np.empty(ds.n, _dataset_record(ds.d + 1))
     dataset["x"], dataset["label"] = ds.x, ds.labels
     rows = [row + [label] for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
@@ -362,13 +375,20 @@ def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits):
         tmp = Path(tmp)
         for records, names, cells in (
                 (dataset, _dataset_columns(ds.d + 1), rows),
-                (matrix, _logits_columns(logits.shape[1]), logits.tolist())):
-            write_numeric_csv(tmp / "numeric.csv", records)
+                (matrix, _logits_columns(logits.shape[1]), logits.tolist()),
+                (history, HISTORY_RECORD.names, history.tolist()),
+                (curve, CURVE_RECORD.names, curve.tolist())):
+            digest = write_table(tmp / "table.csv", records)
             write_csv(tmp / "reference.csv", names, cells)
-            raw = (tmp / "numeric.csv").read_bytes()
+            raw = (tmp / "table.csv").read_bytes()
             assert raw == (tmp / "reference.csv").read_bytes()
+            assert digest == hashlib.sha256(raw).hexdigest()
+        for records in (dataset, matrix):
+            digest = write_table(tmp / "table.csv", records)
+            write_numeric_csv(tmp / "numeric.csv", records)
+            assert (tmp / "numeric.csv").read_bytes() == (tmp / "table.csv").read_bytes()
             with np.load(tmp / "numeric.csv.npz", allow_pickle=False) as npz:
-                assert str(npz["csv_sha256"]) == hashlib.sha256(raw).hexdigest()
+                assert str(npz["csv_sha256"]) == digest
                 assert same_bits(npz["records"], records)
 
 

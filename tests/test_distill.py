@@ -53,6 +53,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _fast_config(R=0).validate()
     with pytest.raises(ValueError):
+        _fast_config(R=1).validate()
+    with pytest.raises(ValueError):
         _fast_config(eta=0.0).validate()
     _fast_config().validate()
 
@@ -271,6 +273,15 @@ def test_load_refuses_a_meta_value_by_key(key, value):
     doc["meta"][key] = value
     with pytest.raises(ConfigError, match=f"'{key}' must be"):
         distill_mod.ensemble_from_dict(doc)
+
+
+def test_save_refuses_an_ensemble_that_would_not_load(tmp_path):
+    x, g = _small_problem(seed=21)
+    ens, _ = run(_fast_config(), x, g)
+    path = tmp_path / "ens.json"
+    with pytest.raises(ConfigError, match="'T' must be"):
+        save_ensemble(path, Ensemble(members=ens.members[:1], class_rs=[1]))
+    assert not path.exists()
 
 
 def test_save_is_deterministic(tmp_path):

@@ -7,12 +7,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracle_runs import constructed_oracle_run, ensemble_flops_direct, history_rows
+from oracle_runs import constructed_oracle_run, ensemble_flops_direct, history_rows, read_csv
 
-from ensdistill.core import RngStream, read_csv
-from ensdistill.distill import Ensemble
+from ensdistill.core import RngStream
+from ensdistill.distill import Ensemble, read_history, write_history
 from ensdistill.evaluate import (
-    CURVE_COLUMNS,
+    CURVE_RECORD,
     BoundReport,
     CurvePoint,
     accuracy,
@@ -316,6 +316,20 @@ def test_verify_bound_rejects_tampered_class_r():
     assert report.status == "bound_violation"
 
 
+@pytest.mark.parametrize("key, value", [("round", -2 ** 63), ("label", -2 ** 63),
+                                        ("class_r", 2 ** 63 - 1)])
+def test_verify_bound_rejects_an_int64_cell_at_the_end_of_its_range(key, value, tmp_path):
+    # as read from the file, an exact cell is an int64, whose difference from
+    # the replayed value could wrap round to a small one
+    ens, hist, x, g = constructed_oracle_run(20, 8)
+    write_history(tmp_path / "history.csv", hist)
+    rows = read_history(tmp_path / "history.csv")
+    assert verify_bound(rows, ens, x, g, g_inf_config=1.0).history_consistent is True
+    rows[0][key] = value
+    report = verify_bound(rows, ens, x, g, g_inf_config=1.0)
+    assert report.history_consistent is False
+
+
 def test_verify_bound_rejects_rows_out_of_the_writers_order():
     ens, hist, x, g = constructed_oracle_run(20, 8)
     rows = history_rows(hist)
@@ -350,7 +364,7 @@ def test_curve_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "curve.csv"
     write_curve_csv(path, points)
     assert [CurvePoint(int(k), float(frac), float(acc))
-            for k, frac, acc in read_csv(path, CURVE_COLUMNS)] == points
+            for k, frac, acc in read_csv(path, CURVE_RECORD.names)] == points
     header = path.read_text().splitlines()[0]
     assert header == "prefix_k,cum_flops_fraction,accuracy"
 

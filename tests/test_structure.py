@@ -2,7 +2,8 @@
 
 Every CSV and JSON artifact is written and read through the codec in
 `ensdistill.core`, so only `core` may import `csv` or `json`, or `hashlib`
-and `zipfile`, which hash files and read their sidecars.  Only
+and `zipfile`, which hash files and read their sidecars, and only `core`
+may call `open`, `write_text`, `write_bytes` or `np.savez`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
 is handed the one array a candidate's connection reads.  Only `distill`
 knows the history file's columns: the verifier asks it whether a history
@@ -43,6 +44,30 @@ def test_only_the_codec_imports_the_format_modules(module, allowed):
     importers = {path.stem for path in files if module in imported_modules(path)}
     assert importers <= allowed, f"{module} imported by {sorted(importers - allowed)}"
     assert "core" in importers
+
+
+FILE_WRITERS = {"write_text", "write_bytes", "savez"}
+
+
+def file_calls(path: Path) -> set:
+    """The names of the calls in the file that open a file, `open(...)`, or
+    write one, `p.write_text(...)`, `p.write_bytes(...)`, `np.savez(...)`."""
+    calls = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                calls.add("open")
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in FILE_WRITERS:
+                calls.add(node.func.attr)
+    return calls
+
+
+def test_only_the_codec_opens_and_writes_files():
+    calls = {path.stem: file_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+    outside = {module: sorted(names) for module, names in calls.items()
+               if names and module != "core"}
+    assert not outside, f"files opened or written outside core: {outside}"
+    assert calls["core"] >= {"open", "savez"}
 
 
 def reads_os_fork(path: Path) -> bool:
