@@ -1,16 +1,23 @@
 """Numeric substrate: dense float64 matrices, a counter-based splittable RNG,
-and the codec every CSV and JSON artifact is written and read through.
+the package's one helper that runs work in forked children, and the codec
+every CSV and JSON artifact is written and read through.
 
 Everything here is deterministic: the same inputs (and the same RNG state)
 always produce the same bits on a given machine, which is what lets the rest
-of the pipeline promise byte-identical reruns.
+of the pipeline promise byte-identical reruns.  Work split over forked
+children is read back in order, so the CPU count changes no bit either: the
+weak-learner search trains its restart chunks that way, and `write_table`
+formats a large table's row ranges that way.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import zipfile
 from dataclasses import dataclass
 
@@ -124,13 +131,100 @@ class RngStream:
         return RngStream(int(_mix64(h)[0]), 0)
 
 
+# --- work in forked children --------------------------------------------------
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: how many chunks of work run at once.
+    A platform without the affinity call runs them one after another."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def split_range(items: range, parts: int) -> list:
+    """`items` cut into at most `parts` contiguous, non-empty ranges whose
+    lengths differ by at most one."""
+    n = len(items)
+    parts = min(parts, n)
+    return [items[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
+
+
+def _send_results(conn, results) -> None:
+    """A forked child's target: run `results` to its end, then send
+    `(True, item)` over `conn` for each item it yielded and `(False, None)`
+    after the last; or send `(False, the exception it raised)`.  One item to
+    a message keeps the reader's memory at one item, not the child's share."""
+    try:
+        items = list(results)
+    except BaseException as exc:
+        conn.send((False, exc))
+        return
+    for item in items:
+        conn.send((True, item))
+    conn.send((False, None))
+
+
+def _received(doing: str, child, conn):
+    """Yield what a child sent, raising its exception again; `doing` says
+    what the child was doing, for the error raised if it ended without
+    sending everything.  Reading waits for the child."""
+    while True:
+        try:
+            more, value = conn.recv()
+        except EOFError as exc:
+            child.join()
+            code = child.exitcode
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"the process {doing} {how} "
+                                    f"without a readable result") from exc
+        if not more:
+            if value is not None:
+                raise value
+            return
+        yield value
+
+
+def fork_chunks(chunks: list, work, workers: int, doing):
+    """Yield (chunk, what `work(chunk)`'s iterator yields) for each chunk,
+    in order; `doing(chunk)` says what a child does with its chunk.
+
+    `work` is called here for every chunk first.  Each of
+    `chunks[1:workers]` is read in a forked child, and the first is read
+    here meanwhile; a later chunk (only with one worker) is read here when
+    it is reached.  It must be the fork context: a child reads an iterator
+    built in this process, which cannot be pickled.  A platform without
+    fork has no such context, so it is asked for only where a child starts.
+    Closing the generator kills and reaps every child."""
+    results = [work(chunk) for chunk in chunks]
+    children = []
+    try:
+        for i in range(1, min(workers, len(chunks))):
+            fork = multiprocessing.get_context("fork")
+            conn, sent = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_results, args=(sent, results[i]))
+            child.start()
+            children.append((child, conn))
+            sent.close()   # so the child's exit ends `conn`
+            results[i] = _received(doing(chunks[i]), child, conn)
+        yield from zip(chunks, results)
+    finally:
+        for child, conn in children:
+            conn.close()
+            child.kill()
+            child.join()
+
+
 # --- artifact codec -----------------------------------------------------------
 # UTF-8.  JSON: indent 2, final newline.  CSV: every table (datasets, logits,
 # the run history, the curves, the early-exit summary) is a one-dimensional
 # record array, described by its record type alone: its header names the
 # record's fields (`_numeric_columns`), and since no number needs quoting,
 # `write_table` writes each record as its cells' repr joined by commas plus
-# CRLF, the line the csv module's default dialect would write.
+# CRLF, the line the csv module's default dialect would write.  Formatting
+# those cells is most of a large table's write, so a table cut into one
+# contiguous row range per usable CPU, with at least `_FORK_MIN_CELLS` cells
+# in each, is formatted in forked children (`fork_chunks`), the first range
+# here; the ranges are hashed and written in row order, so the bytes and the
+# digest do not depend on the CPU count.  A smaller table, or any table on
+# one usable CPU, is formatted here alone.
 # `read_numeric_csv` reads every table back; a file with a header and no rows
 # is an empty table, which the dataset and logits loaders refuse.
 #
@@ -169,22 +263,51 @@ def _numeric_columns(record: np.dtype) -> list:
     return names
 
 
+# the fewest cells a child formats.  On a 2-CPU host a write of 2 x 32768
+# cells is about where a child starts to pay for itself, but a fork also
+# costs the forking process afterwards, as it writes again to the pages it
+# shared with the child: in a pipeline process, forking the 2 x 40000-cell
+# write of `train_logits.csv` moved about as much time into the next phase
+# as the write saved.  At 2 x 65536 cells the write saves about 50 ms.
+_FORK_MIN_CELLS = 65536
+
+
+def _lines(records, rows: int):
+    """Yield the encoded lines of `records` (see the codec comment), `rows`
+    records to a block, so memory stays bounded."""
+    for start in range(0, len(records), rows):
+        block = records[start:start + rows]
+        fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
+        # `cells` is one record: a list of cells per field
+        yield "".join(",".join(map(repr, sum(cells, []))) + "\r\n"
+                      for cells in zip(*fields)).encode("ascii")
+
+
 def write_table(path, records, rows: int = 256) -> str:
     """Write `records`, a one-dimensional record array, as a CSV table (see
-    the codec comment), converting `rows` records at a time so memory stays
-    bounded; returns the sha256 of the bytes written."""
+    the codec comment); returns the sha256 of the bytes written.
+
+    A child's exception is raised again here, and a child that dies before
+    it has sent all its lines raises a `ChildProcessError` naming `path` and
+    its rows, counted from 0 after the header; the file is then left
+    part-written."""
+    header = _numeric_columns(records.dtype)
+    # as many ranges as usable CPUs, each with at least _FORK_MIN_CELLS cells
+    least_rows = -(-_FORK_MIN_CELLS // len(header))
+    ranges = split_range(range(len(records)),
+                         max(1, min(usable_cpus(), len(records) // least_rows)))
+    parts = fork_chunks(ranges, lambda part: _lines(records[part.start:part.stop], rows),
+                        len(ranges), lambda part: f"formatting rows {part[0]}-{part[-1]} of {path}")
+    head = (",".join(header) + "\r\n").encode("ascii")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def put(cells) -> None:
-            line = (",".join(cells) + "\r\n").encode("ascii")
-            digest.update(line)
-            fh.write(line)
-        put(_numeric_columns(records.dtype))
-        for start in range(0, len(records), rows):
-            block = records[start:start + rows]
-            fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
-            for cells in zip(*fields):   # one list of cells per field
-                put(map(repr, sum(cells, [])))
+    with contextlib.closing(parts):
+        blocks = itertools.chain.from_iterable(lines for _, lines in parts)
+        # reading the first block forks the children, so none holds the file
+        first = next(blocks, b"")
+        with open(path, "wb") as fh:
+            for block in itertools.chain([head, first], blocks):
+                digest.update(block)
+                fh.write(block)
     return digest.hexdigest()
 
 

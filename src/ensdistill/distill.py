@@ -215,7 +215,9 @@ def ensemble_to_dict(ens: Ensemble) -> dict:
 def ensemble_from_dict(doc: dict) -> Ensemble:
     try:
         meta = doc["meta"]
-        members = [_member_from_dict(i, m) for i, m in enumerate(doc["members"])]
+        members = []
+        for i, m in enumerate(doc["members"]):
+            members.append(_member_from_dict(i, m, members))
         _check_meta(meta, len(members))
         return Ensemble(members=members, class_rs=list(meta["member_class_r"]),
                         seed=meta["seed"], eta=meta["eta"], T=meta["T"], R=meta["R"],
@@ -224,10 +226,23 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
         raise ValueError(f"malformed ensemble document: {exc!r}") from exc
 
 
-def _member_from_dict(index: int, doc: dict):
-    """`params_from_dict`, whose refusal names the member."""
+def _member_from_dict(index: int, doc: dict, earlier: list):
+    """`params_from_dict`, whose refusal names the member.  A connected
+    member must tap a layer of one of the `earlier` members, the only
+    activations cached when it runs."""
     try:
-        return params_from_dict(doc)
+        params = params_from_dict(doc)
+        conn = params.connection
+        if conn.kind != "none":
+            check("source_round", conn.source_round,
+                  (lambda v: INTEGER[0](v) and 0 <= v < index,
+                   f"an earlier member's index in 0..{index - 1}" if index
+                   else "an earlier member's index (member 0 has none)"))
+            layers = len(earlier[conn.source_round].spec)
+            check("source_layer", conn.source_layer,
+                  (lambda v: INTEGER[0](v) and 0 <= v < layers,
+                   f"a layer index of member {conn.source_round} in 0..{layers - 1}"))
+        return params
     except ValueError as exc:   # ConfigError included, which keeps its type
         raise type(exc)(f"member {index}: {exc}") from exc
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, ShapeError, log_softmax, softmax
+from .core import RngStream, ShapeError, fork_chunks, log_softmax, softmax, split_range
+from .core import usable_cpus as _usable_cpus
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
@@ -284,7 +283,7 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     wall gradient can run away); it costs the restart, nothing more.  A
     search initialises every stack in its own process, so that process sees
     each restart's `init_params` call, and may read the iterator in a forked
-    child (`_stacks`).
+    child (`core.fork_chunks`).
 
     That final forward pass is the only divergence check.  It sees a slice
     that diverged at any step: once a minibatch logit is non-finite, so is
@@ -321,76 +320,10 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     return train()
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: how many restart chunks train at once.
-    A platform without the affinity call trains them one after another."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _split(restarts: range, parts: int) -> list:
-    """`restarts` cut into at most `parts` contiguous, non-empty ranges whose
-    lengths differ by at most one."""
-    n = len(restarts)
-    parts = min(parts, n)
-    return [restarts[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
-
-
-def _send_trained(conn, trained) -> None:
-    """A forked child's target: send `(True, what trained yields)`, or
-    `(False, the exception it raised)`, over `conn`."""
-    try:
-        outcome = (True, list(trained))
-    except BaseException as exc:
-        outcome = (False, exc)
-    conn.send(outcome)
-
-
-def _received(restarts: range, child, conn):
-    """Yield what a child sent for `restarts`, raising its exception again.
-    Reading waits for the child."""
-    try:
-        ok, value = conn.recv()
-    except EOFError as exc:
-        child.join()
-        code = child.exitcode
-        first, last = restarts[0], restarts[-1]
-        name = f"restart {first}" if first == last else f"restarts {first}-{last}"
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise ChildProcessError(f"the process training {name} {how} "
-                                f"without a readable result") from exc
-    if not ok:
-        raise value
-    yield from value
-
-
-def _stacks(chunks: list, train, workers: int):
-    """Yield (chunk, what `train(chunk)`'s iterator yields) for each chunk of
-    restarts, in order.
-
-    Every chunk is initialised here first.  Each of `chunks[1:workers]`
-    trains in a forked child, and the first trains here meanwhile; a later
-    chunk (only with one worker) trains here when it is reached.  It must be
-    the fork context: a child reads an iterator built in this process,
-    which cannot be pickled.  A platform without fork has no such context,
-    so it is asked for only where a child starts.  Closing the generator
-    kills and reaps every child."""
-    stacks = [train(chunk) for chunk in chunks]
-    children = []
-    try:
-        for i in range(1, min(workers, len(chunks))):
-            fork = multiprocessing.get_context("fork")
-            conn, sent = fork.Pipe(duplex=False)
-            child = fork.Process(target=_send_trained, args=(sent, stacks[i]))
-            child.start()
-            children.append((child, conn))
-            sent.close()   # so the child's exit ends `conn`
-            stacks[i] = _received(chunks[i], child, conn)
-        yield from zip(chunks, stacks)
-    finally:
-        for child, conn in children:
-            conn.close()
-            child.kill()
-            child.join()
+def _training(restarts: range) -> str:
+    """What a child training `restarts` does, as its failure names it."""
+    first, last = restarts[0], restarts[-1]
+    return f"training restart {first}" if first == last else f"training restarts {first}-{last}"
 
 
 def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
@@ -429,16 +362,16 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     # chunks change no bit of the result, only the wall time.
     workers = _usable_cpus()
     if degenerate:
-        chunks = _split(range(cfg.max_search), workers)
+        chunks = split_range(range(cfg.max_search), workers)
     else:
-        chunks = [range(1)] + _split(range(1, cfg.max_search), max(workers - 1, 1))
+        chunks = [range(1)] + split_range(range(1, cfg.max_search), max(workers - 1, 1))
 
     def train(chunk):
         return _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
                             [rng.split(restart) for restart in chunk])
 
     passed = best = None
-    with contextlib.closing(_stacks(chunks, train, workers)) as stacks:
+    with contextlib.closing(fork_chunks(chunks, train, workers, _training)) as stacks:
         for chunk, trained in stacks:
             for pos, params, logits in trained:
                 resid = logits - g_logits

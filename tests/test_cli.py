@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
 import shutil
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from oracle_runs import constructed_oracle_run
+from test_codec import lines_that
+from test_stack import assert_no_child_left
 
+from ensdistill import core
 from ensdistill import data as data_mod
 from ensdistill import distill as distill_mod
 from ensdistill import evaluate as eval_mod
@@ -561,6 +566,13 @@ def _break_input(case, pipeline, distilled, tmp_path):
     elif case == "config-list":
         config.write_text('["T"]\n', encoding="utf-8")
         named = "config must be a JSON object"
+    elif case == "ensemble-tap-self":
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        last = len(ens_doc["members"]) - 1
+        ens_doc["members"][last]["connection"] = {"kind": "residual_add", "source_round": last,
+                                                  "source_layer": 0, "target_layer": 0}
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = f"member {last}: 'source_round' must be an earlier member's index"
     elif case.startswith("ensemble-member-"):
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         last = len(ens_doc["members"]) - 1
@@ -658,7 +670,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
     ("resched-logits-width", 2), ("resched-logits-rows", 3),
     ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),
-    ("verify-history-cell", 3), ("config-R-one", 2),
+    ("verify-history-cell", 3), ("config-R-one", 2), ("ensemble-tap-self", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):
@@ -671,3 +683,19 @@ def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tm
     assert "RuntimeWarning" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not any((tmp_path / out).exists() for out in ("curve.csv", "out.json", "history.csv"))
+
+
+def test_gen_data_exits_io_when_a_writer_child_dies(tmp_path, capsys, monkeypatch):
+    """A child formatting rows of train.csv that is killed makes gen-data
+    exit 3 naming the file and the rows, with no sidecar beside the file
+    and no child left."""
+    monkeypatch.setattr(core, "_FORK_MIN_CELLS", 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_lines", lines_that(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--dataset", "cube", "--n", "100", "--d", "5", "--seed", "1",
+                 "--out", str(out)]) == 3
+    assert (f"error: the process formatting rows 40-79 of {out / 'train.csv'} "
+            f"was killed by signal 9") in capsys.readouterr().err
+    assert not (out / "train.csv.npz").exists()
+    assert_no_child_left()

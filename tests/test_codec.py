@@ -8,11 +8,16 @@ csv-module reader it replaced, on valid and on broken dataset and logits
 files, the table writer against the csv-module writer on every kind of
 table, and the binary sidecar each data file is written with against the
 parse of that file.  The round trip and the differential cases read with no
-sidecar present, so they test the parse.
+sidecar present, so they test the parse.  A table formatted in forked
+children, at any CPU count, must be the bytes of the one-process write, and
+a child that fails must be named with no child left behind.
 """
 
 import hashlib
+import multiprocessing
+import os
 import re
+import signal
 import tempfile
 from array import array
 from pathlib import Path
@@ -24,7 +29,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracle_runs import read_csv, write_csv
+from test_stack import assert_no_child_left
 
+from ensdistill import core
 from ensdistill.core import (RngStream, _file_sha256, read_numeric_csv, write_numeric_csv,
                             write_table)
 from ensdistill.data import (LabeledDataset, load_dataset_csv, load_logits_csv, mlp_spec,
@@ -84,10 +91,17 @@ def ensembles(draw):
         dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
         spec = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
         spec[-1] = LayerSpec(dims[-2], dims[-1], "linear")
-        kind = draw(st.sampled_from(CONNECTION_KINDS))
-        # a connected net's target must be one of its layers, or it does not load
-        target = draw(st.integers(-1, 5) if kind == "none" else st.integers(0, len(spec) - 1))
-        conn = ConnectionSpec(kind, *(draw(st.integers(-1, 5)) for _ in range(2)), target)
+        # only a member with an earlier one can be connected
+        kind = draw(st.sampled_from(CONNECTION_KINDS if members else ["none"]))
+        if kind == "none":
+            conn = ConnectionSpec(kind, *(draw(st.integers(-1, 5)) for _ in range(3)))
+        else:
+            # a connected net taps a layer of an earlier member, and its
+            # target is one of its own layers, or it does not load
+            source = draw(st.integers(0, len(members) - 1))
+            conn = ConnectionSpec(kind, source,
+                                  draw(st.integers(0, len(members[source].spec) - 1)),
+                                  draw(st.integers(0, len(spec) - 1)))
         members.append(LearnerParams(
             spec=spec, connection=conn,
             weights=[draw(arrays(np.float64, (s.in_dim, s.out_dim), elements=FLOATS))
@@ -493,3 +507,142 @@ def test_loaders_refuse_bad_cells_by_file_and_line(case, sidecar, tmp_path):
         Path(f"{path}.npz").unlink()
     with pytest.raises(ValueError, match=re.escape(f"{path} line {line}: {what}")):
         load(path)
+
+
+# --- row ranges formatted in forked children -----------------------------------
+
+# row counts around 1, 2 and 3 CPUs: fewer rows than workers, and ranges that
+# do not divide evenly
+FEW_ROWS = st.integers(0, 9)
+
+
+def _dataset_table(ds):
+    records = np.empty(ds.n, _dataset_record(ds.d + 1))
+    records["x"], records["label"] = ds.x, ds.labels
+    return records
+
+
+def _logits_table(logits):
+    records = np.empty(len(logits), _logits_record(logits.shape[1]))
+    records["l"] = logits
+    return records
+
+
+def _counting_forks(monkeypatch):
+    """Count the children started here: each asks for the fork context."""
+    started, original = [], multiprocessing.get_context
+
+    def get_context(method=None):
+        started.append(method)
+        return original(method)
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return started
+
+
+@settings(max_examples=30, deadline=None)
+@given(datasets(labels=INT64, x=matrices(rows=FEW_ROWS)), matrices(rows=FEW_ROWS),
+       tables(HISTORY_RECORD, FEW_ROWS), st.integers(1, 4))
+def test_forked_ranges_write_the_bytes_of_one_process(ds, logits, history, rows):
+    """At 1, 2 and 3 usable CPUs, with the cell minimum at one cell so that
+    every table of two rows or more forks, `write_table` writes the bytes
+    and returns the digest of the one-process path, `rows` records to a
+    block; `write_numeric_csv` writes the same sidecar; no child is left."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        mp.setattr(core, "_FORK_MIN_CELLS", 1)
+        started = _counting_forks(mp)
+        for records in (_dataset_table(ds), _logits_table(logits), history):
+            written = []
+            for workers in (1, 2, 3):
+                mp.setattr(core, "usable_cpus", lambda: workers)
+                del started[:]
+                digest = write_table(tmp / "table.csv", records, rows)
+                raw = (tmp / "table.csv").read_bytes()
+                assert digest == hashlib.sha256(raw).hexdigest()
+                assert len(started) == max(min(workers, len(records)) - 1, 0)
+                if records.dtype.names != HISTORY_RECORD.names:
+                    write_numeric_csv(tmp / "numeric.csv", records)
+                    assert (tmp / "numeric.csv").read_bytes() == raw
+                    raw += (tmp / "numeric.csv.npz").read_bytes()
+                written.append(raw)
+                assert_no_child_left()
+            assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_table_forks_only_when_each_share_has_the_cell_minimum(workers, tmp_path,
+                                                                  monkeypatch):
+    # 4 cells a row: each share needs _FORK_MIN_CELLS / 4 rows
+    least = -(-core._FORK_MIN_CELLS // 4)
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    started = _counting_forks(monkeypatch)
+    logits = np.arange(4.0 * workers * least).reshape(-1, 4) / 7.0
+    for n, children in ((2 * least - 1, 0), (2 * least, 1),
+                        (workers * least - 1, workers - 2), (workers * least, workers - 1)):
+        del started[:]
+        write_table(tmp_path / "table.csv", _logits_table(logits[:n]))
+        assert len(started) == children, n
+        assert_no_child_left()
+
+
+def test_one_cpu_formats_every_range_here(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a write on one CPU forked")
+
+    def no_fork_context(method=None):
+        # as on a platform without fork
+        raise ValueError(f"cannot find context for {method!r}")
+    logits = np.arange(60.0).reshape(20, 3) / 7.0
+    write_csv(tmp_path / "reference.csv", _logits_columns(3), logits.tolist())
+    monkeypatch.setattr(core, "_FORK_MIN_CELLS", 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+    write_numeric_csv(tmp_path / "numeric.csv", _logits_table(logits))
+    assert (tmp_path / "numeric.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert_no_child_left()
+
+
+def lines_that(action):
+    """`core._lines` that runs `action()` before each block it yields in a
+    child of this process."""
+    here, original = os.getpid(), core._lines
+
+    def lines(records, rows):
+        for block in original(records, rows):
+            if os.getpid() != here:
+                action()
+            yield block
+    return lines
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_value_error():
+    raise ValueError("bad cell 3")
+
+
+@pytest.mark.parametrize("workers, rows", [(2, "5-9"), (3, "3-5")])
+def test_a_writer_child_killed_mid_format_is_named(workers, rows, tmp_path, monkeypatch):
+    path = tmp_path / "logits.csv"
+    monkeypatch.setattr(core, "_FORK_MIN_CELLS", 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(core, "_lines", lines_that(_kill_self))
+    with pytest.raises(ChildProcessError, match=re.escape(
+            f"the process formatting rows {rows} of {path} was killed by signal 9")):
+        write_numeric_csv(path, _logits_table(np.ones((10, 2))))
+    assert not Path(f"{path}.npz").exists()
+    assert_no_child_left()
+
+
+def test_a_writer_childs_exception_reaches_the_writer(tmp_path, monkeypatch):
+    path = tmp_path / "logits.csv"
+    monkeypatch.setattr(core, "_FORK_MIN_CELLS", 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(core, "_lines", lines_that(_raise_value_error))
+    with pytest.raises(ValueError, match="^bad cell 3$"):
+        write_numeric_csv(path, _logits_table(np.ones((10, 2))))
+    assert not Path(f"{path}.npz").exists()
+    assert_no_child_left()

@@ -7,6 +7,7 @@ same bits as the reference loop below on every path built on the generator.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -155,10 +156,22 @@ def _tapping_pair():
     (0, -1),    # negative layer index
 ])
 def test_loaded_ensemble_with_missing_tap_names_it(source_round, source_layer):
+    """The loader refuses a tap of anything but a layer of an earlier
+    member, naming the reading member and the field; an ensemble built in
+    memory past the loader still has the tap named where it is read."""
     doc = json.loads(json.dumps(ensemble_to_dict(_tapping_pair())))
     doc["members"][1]["connection"].update(source_round=source_round,
                                            source_layer=source_layer)
-    ens = ensemble_from_dict(doc)
+    if source_round != 0:
+        refusal = f"'source_round' must be an earlier member's index in 0..0, got {source_round}"
+    else:
+        refusal = f"'source_layer' must be a layer index of member 0 in 0..2, got {source_layer}"
+    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
+        ensemble_from_dict(doc)
+    ens = _tapping_pair()
+    tapping = ens.members[1]
+    tapping.connection = replace(tapping.connection, source_round=source_round,
+                                 source_layer=source_layer)
     u, _ = RngStream(2).uniform(15)
     x = u.reshape(5, 3)
     g = np.zeros((5, 2))
@@ -171,3 +184,17 @@ def test_loaded_ensemble_with_missing_tap_names_it(source_round, source_layer):
             call()
     # the first member alone taps nothing and still evaluates
     assert ensemble_predict(ens, x, 1).shape == (5, 2)
+
+
+def test_a_tap_of_a_later_member_is_refused_at_load():
+    """Member 0 reading member 1, which runs after it: a forward tap."""
+    doc = json.loads(json.dumps(ensemble_to_dict(_tapping_pair())))
+    doc["members"][0]["connection"] = dict(doc["members"][1]["connection"], source_round=1)
+    with pytest.raises(ConfigError, match=re.escape(
+            "member 0: 'source_round' must be an earlier member's index (member 0 has none), "
+            "got 1")):
+        ensemble_from_dict(doc)
+    # with member 0 unconnected again, the file loads
+    doc["members"][0]["connection"] = {"kind": "none", "source_round": -1,
+                                       "source_layer": -1, "target_layer": -1}
+    assert len(ensemble_from_dict(doc).members) == 2

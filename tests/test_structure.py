@@ -7,8 +7,9 @@ may call `open`, `write_text`, `write_bytes` or `np.savez`.  Only
 `distill` addresses activations by (member, layer): the weak-learner search
 is handed the one array a candidate's connection reads.  Only `distill`
 knows the history file's columns: the verifier asks it whether a history
-matches the replay.  Only `findwl` makes processes, through
-`multiprocessing`, and no module calls `os.fork` itself.  Every top-level
+matches the replay.  Only `core` makes processes, through `multiprocessing`,
+in the one helper that the weak-learner search and the table writer share,
+and no module calls `os.fork` itself.  Every top-level
 name in the package is read by the package itself.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
@@ -82,10 +83,10 @@ def reads_os_fork(path: Path) -> bool:
     return False
 
 
-def test_only_the_search_makes_processes():
+def test_only_core_makes_processes():
     files = sorted(PACKAGE.glob("*.py"))
     importers = {path.stem for path in files if "multiprocessing" in imported_modules(path)}
-    assert importers == {"findwl"}, f"multiprocessing imported by {sorted(importers)}"
+    assert importers == {"core"}, f"multiprocessing imported by {sorted(importers)}"
     forks = {path.stem for path in files if reads_os_fork(path)}
     assert not forks, f"os.fork read by {sorted(forks)}"
 
