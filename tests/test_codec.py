@@ -333,6 +333,18 @@ def _logits_record(width):
     return np.dtype([("l", np.float64, (width,))])
 
 
+def _dataset_table(ds):
+    records = np.empty(ds.n, _dataset_record(ds.d + 1))
+    records["x"], records["label"] = ds.x, ds.labels
+    return records
+
+
+def _logits_table(logits):
+    records = np.empty(len(logits), _logits_record(logits.shape[1]))
+    records["l"] = logits
+    return records
+
+
 def parsed(path, record):
     """`read_numeric_csv` of `path` with its sidecar moved away and back."""
     sidecar = Path(f"{path}.npz")
@@ -380,11 +392,8 @@ def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits, histor
     int64 cells at both ends and one-column logits; the digest it returns is
     the file's, and `write_numeric_csv` writes the same bytes with a sidecar
     of that digest and those records."""
-    dataset = np.empty(ds.n, _dataset_record(ds.d + 1))
-    dataset["x"], dataset["label"] = ds.x, ds.labels
+    dataset, matrix = _dataset_table(ds), _logits_table(logits)
     rows = [row + [label] for row, label in zip(ds.x.tolist(), ds.labels.tolist())]
-    matrix = np.empty(len(logits), _logits_record(logits.shape[1]))
-    matrix["l"] = logits
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for records, names, cells in (
@@ -514,18 +523,6 @@ def test_loaders_refuse_bad_cells_by_file_and_line(case, sidecar, tmp_path):
 # row counts around 1, 2 and 3 CPUs: fewer rows than workers, and ranges that
 # do not divide evenly
 FEW_ROWS = st.integers(0, 9)
-
-
-def _dataset_table(ds):
-    records = np.empty(ds.n, _dataset_record(ds.d + 1))
-    records["x"], records["label"] = ds.x, ds.labels
-    return records
-
-
-def _logits_table(logits):
-    records = np.empty(len(logits), _logits_record(logits.shape[1]))
-    records["l"] = logits
-    return records
 
 
 def _counting_forks(monkeypatch):
