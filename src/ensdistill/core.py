@@ -35,12 +35,14 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted for overflow safety."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, shifted for overflow safety; written into `out` if
+    given."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -226,7 +228,10 @@ def fork_chunks(chunks: list, work, workers: int, doing):
 # digest do not depend on the CPU count.  A smaller table, or any table on
 # one usable CPU, is formatted here alone.
 # `read_numeric_csv` reads every table back; a file with a header and no rows
-# is an empty table, which the dataset and logits loaders refuse.
+# is an empty table, which the dataset and logits loaders refuse.  Every
+# file, JSON and sidecars included, is written under a temporary name in its
+# own directory and moved onto its path once complete, so a write that fails
+# part-way leaves the path as it was (`_replacing`).
 #
 # Only data files (datasets, logits) get a sidecar: `write_numeric_csv` also
 # saves `<file>.npz` beside the file, holding `records`, the record array
@@ -283,14 +288,34 @@ def _lines(records, rows: int):
                       for cells in zip(*fields)).encode("ascii")
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """A file opened in `mode` at a temporary name in `path`'s directory,
+    moved onto `path` by `os.replace` once the block ends, and removed if the
+    block raises: `path` then keeps what it held before, or stays absent."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def write_table(path, records, rows: int = 256) -> str:
     """Write `records`, a one-dimensional record array, as a CSV table (see
-    the codec comment); returns the sha256 of the bytes written.
+    the codec comment); returns the sha256 of the bytes written.  The bytes
+    go to a temporary file beside `path`, which replaces `path` after the
+    last block (`_replacing`).
 
     A child's exception is raised again here, and a child that dies before
     it has sent all its lines raises a `ChildProcessError` naming `path` and
-    its rows, counted from 0 after the header; the file is then left
-    part-written."""
+    its rows, counted from 0 after the header; `path` is then left as it
+    was, and the temporary file removed."""
     header = _numeric_columns(records.dtype)
     # as many ranges as usable CPUs, each with at least _FORK_MIN_CELLS cells
     least_rows = -(-_FORK_MIN_CELLS // len(header))
@@ -304,7 +329,7 @@ def write_table(path, records, rows: int = 256) -> str:
         blocks = itertools.chain.from_iterable(lines for _, lines in parts)
         # reading the first block forks the children, so none holds the file
         first = next(blocks, b"")
-        with open(path, "wb") as fh:
+        with _replacing(path, "wb") as fh:
             for block in itertools.chain([head, first], blocks):
                 digest.update(block)
                 fh.write(block)
@@ -312,9 +337,13 @@ def write_table(path, records, rows: int = 256) -> str:
 
 
 def write_numeric_csv(path, records) -> None:
-    """`write_table` of a data file, with its sidecar (see the codec comment).
-    np.savez stamps no time, so equal records give equal bytes."""
-    np.savez(f"{path}.npz", records=records, csv_sha256=np.array(write_table(path, records)))
+    """`write_table` of a data file, then its sidecar (see the codec
+    comment), each replacing its path whole.  np.savez stamps no time, so
+    equal records give equal bytes; it is handed an open file, since it
+    would add ".npz" to a temporary name that lacks it."""
+    digest = write_table(path, records)
+    with _replacing(f"{path}.npz", "wb") as fh:
+        np.savez(fh, records=records, csv_sha256=np.array(digest))
 
 
 def _npz_member(npz, name) -> np.ndarray:
@@ -383,7 +412,8 @@ def read_numeric_csv(path, record):
 
 
 def write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write `doc` (see the codec comment), replacing `path` whole."""
+    with _replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

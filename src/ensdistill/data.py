@@ -144,8 +144,11 @@ def hard_label_grad(labels: np.ndarray, n_classes: int):
     """Gradient of the cross-entropy against integer labels w.r.t. the
     logits, for teacher training, as `sgd_epoch`'s pair `(fn, targets)`: the
     one target is the one-hot label matrix."""
-    def fn(logits: np.ndarray, onehot: np.ndarray):
-        return (softmax(logits) - onehot) / logits.shape[0]
+    def fn(logits: np.ndarray, onehot: np.ndarray, out: np.ndarray | None = None):
+        grad = softmax(logits, out)
+        grad -= onehot
+        grad /= logits.shape[0]
+        return grad
     return fn, (np.eye(n_classes)[labels],)
 
 
@@ -161,14 +164,14 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
     params = init_params(spec, root.split(0))
     grad_fn = hard_label_grad(train.labels, n_classes)
     sgd_rng = root.split(1)
-    velocity = None
+    state = None
     # a diverging recipe overflows inside a matmul before `forward` sees
     # non-finite logits and raises, so the overflow itself is not reported
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(recipe.epochs):
-            params, velocity, sgd_rng = sgd_epoch(
+            params, state, sgd_rng = sgd_epoch(
                 params, train.x, grad_fn, recipe, sgd_rng,
-                lr=lr_at_epoch(epoch, recipe), velocity=velocity)
+                lr=lr_at_epoch(epoch, recipe), velocity=state)
     return params
 
 

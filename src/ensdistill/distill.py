@@ -34,7 +34,10 @@ _REPLAY_TOLERANCES = (0.0, 0.0, 1e-9, 1e-9, 1e-12, 0.0, None)
 @dataclass
 class DistillConfig:
     T: int = 7                       # max ensemble size
-    R: int = 2                       # search classes r = 1..R-1; only r >= 2 taps a member
+    # search classes r = 1..R-1: r = 1 is the base class, and every r >= 2 is
+    # one and the same class, one tap of the newest member, searched again
+    # with a new seed
+    R: int = 2
     eta: float = 1.0                 # fixed-mode learning rate of the weight player
     eta_mode: str = "fixed"          # "fixed" | "theorem"
     g_inf: float | None = None       # residual sup-norm bound, required in theorem mode

@@ -59,13 +59,13 @@ def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
     params = init_params(spec, rng.split(0))
     grad_fn = total_grad_fn(g_logits, None, cfg, 0.0)   # no barrier, so no bound
     sgd_rng = rng.split(1)
-    velocity = None
+    state = None
     # as for the teacher: `forward` raises on the non-finite logits
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.sgd.epochs):
-            params, velocity, sgd_rng = sgd_epoch(
+            params, state, sgd_rng = sgd_epoch(
                 params, x, grad_fn, cfg.sgd, sgd_rng,
-                lr=lr_at_epoch(epoch, cfg.sgd), velocity=velocity)
+                lr=lr_at_epoch(epoch, cfg.sgd), velocity=state)
     return params
 
 

@@ -19,7 +19,7 @@ from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
                    LearnerParams, backward, check_fields, flatten, forward, init_params,
-                   optional)
+                   optional, step_buffers)
 
 LOSS_MODES = ("ce_temperature", "squared_error")
 
@@ -116,17 +116,6 @@ def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
     return -float(terms.sum()) / barrier_gamma, int(np.count_nonzero(np.abs(l) >= limit))
 
 
-def barrier_grad(l: np.ndarray, mask: np.ndarray, b: float,
-                 barrier_gamma: float) -> np.ndarray:
-    """d(barrier)/dl; clamped entries get the boundary gradient.  It checks
-    nothing, since an SGD step calls it: `b` and `barrier_gamma` must be > 0,
-    which `total_grad_fn` checks once for all steps."""
-    limit = _clamp_limit(b)
-    lc = l.clip(-limit, limit)
-    grad = np.where(mask, 1.0 / (2.0 * b + lc), -1.0 / (2.0 * b - lc))
-    return -grad / barrier_gamma
-
-
 def _check_mode(mode: str, temperature: float) -> None:
     if mode not in LOSS_MODES:
         raise ValueError(f"unknown loss_mode {mode!r}")
@@ -157,17 +146,20 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
 
 
 def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
-                 temperature: float = 2.0) -> np.ndarray:
+                 temperature: float = 2.0, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of `distill_loss` w.r.t. the student logits, for float64
-    arrays of one shape.  An SGD step reads only this, so it is built
-    without the loss value and checks nothing but the mode it dispatches on;
-    `total_grad_fn` checks the temperature once for all steps."""
+    arrays of one shape, written into `out` if given.  An SGD step reads
+    only this, so it is built without the loss value and checks nothing but
+    the mode it dispatches on; `total_grad_fn` checks the temperature once
+    for all steps."""
     n = f_logits.shape[-2]
     if mode == "squared_error":
-        return (f_logits - g_logits) / n
+        grad = np.subtract(f_logits, g_logits, out=out)
+        grad /= n
+        return grad
     if mode == "ce_temperature":
         tau = temperature
-        return (tau / n) * (softmax(f_logits / tau) - softmax(g_logits / tau))
+        return np.multiply(tau / n, softmax(f_logits / tau) - softmax(g_logits / tau), out=out)
     raise ValueError(f"unknown loss_mode {mode!r}")
 
 
@@ -181,23 +173,77 @@ def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
     return cfg.lr * cfg.lr_factor ** drops
 
 
+@dataclass
+class SgdState:
+    """What `sgd_epoch` keeps across the epochs of one `params`: built by
+    the first epoch and refilled in place by the later ones, which allocate
+    no gathered rows, activations or gradients, only the epoch's permutation
+    and small temporaries (a single net's finiteness check, a softmax's row
+    maxima and sums).
+
+    `flat` holds every weight and bias (`nets.flatten`), `velocity` its
+    momentum, `grad` the step's gradient, which `backward` writes straight
+    into, and `scaled` the update's scratch.  `x_rows`, `tap_rows` and
+    `target_rows` hold `x`, the tap and the targets gathered into the
+    epoch's row order.  `batches` holds, for each minibatch in order, its
+    views of those rows (x, tap, targets), its `nets.StepBuffers` and the
+    buffer its loss gradient is written into; minibatches of one row count
+    share their buffers."""
+    flat: np.ndarray
+    velocity: np.ndarray
+    grad: np.ndarray
+    scaled: np.ndarray
+    x_rows: np.ndarray
+    tap_rows: np.ndarray | None
+    target_rows: list
+    batches: list
+
+
+def _sgd_state(params, x, tap, targets, perm, batch_size) -> SgdState:
+    """The state `sgd_epoch` builds on its first epoch; `perm` is that
+    epoch's row order, (n,) or (S, n) for a stack of S."""
+    flat = flatten(params)
+    grad = np.empty_like(flat)
+    n = perm.shape[-1]
+
+    def gathered(a):
+        return np.empty(perm.shape + a.shape[1:], dtype=a.dtype)
+    x_rows, target_rows = gathered(x), [gathered(t) for t in targets]
+    tap_rows = None if tap is None else gathered(tap)
+    buffers, batches = {}, []
+    for start in range(0, n, batch_size):
+        rows = slice(start, start + batch_size)
+        bx = x_rows[..., rows, :]
+        if bx.shape not in buffers:   # the batch size, and a ragged last batch
+            batch = bx.shape[:-1]
+            buffers[bx.shape] = (step_buffers(params, batch, grad),
+                                 np.empty(batch + (params.spec[-1].out_dim,)))
+        batches.append((bx, None if tap is None else tap_rows[..., rows, :],
+                        [t[..., rows, :] for t in target_rows]) + buffers[bx.shape])
+    return SgdState(flat=flat, velocity=np.zeros_like(flat), grad=grad,
+                    scaled=np.empty_like(flat), x_rows=x_rows, tap_rows=tap_rows,
+                    target_rows=target_rows, batches=batches)
+
+
 def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
-              rng: RngStream | list, lr: float, velocity=None, tap=None):
+              rng: RngStream | list, lr: float, velocity: SgdState | None = None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
     `grad_fn` is a pair `(fn, targets)`, as `total_grad_fn` and
     `data.hard_label_grad` build it: `targets` are arrays whose rows align
-    with `x`, and `fn(logits, *batch_targets) -> dloss/dlogits` sees each
-    minibatch with those arrays' rows for it; the step reads only the
-    gradient, so no loss value is computed.  `x`, `tap` (the activation
-    `params.connection` reads) and the targets are gathered into the epoch's
-    row order once, and each minibatch is a slice of them.
+    with `x`, and `fn(logits, *batch_targets, out=buffer)` writes
+    dloss/dlogits of each minibatch, with those arrays' rows for it, into
+    `buffer`, and may overwrite `logits` while it does; the step reads only
+    the gradient, so no loss value is computed.  `x`, `tap` (the activation
+    `params.connection` reads) and the targets are gathered into the
+    epoch's row order once, and each minibatch is a slice of them.
 
-    `velocity` carries momentum across epochs: on first use (None) the
-    weights and biases move into one buffer (`nets.flatten`), and the pair
-    (that buffer, its momentum) is returned for the next epoch of the same
-    `params`.  Each step then updates the whole buffer with a few ufuncs.
-    Returns (params, velocity, rng); params are updated in place.
+    `velocity` carries the `SgdState` across epochs: on first use (None)
+    the weights and biases move into its flat buffer, and it is returned for
+    the next epoch of the same `params`, `x`, `tap`, targets and batch size.
+    Each step then writes its activations and gradients into the state's
+    buffers and updates the whole flat buffer with a few ufuncs.
+    Returns (params, state, rng); params are updated in place.
 
     A stack of nets (see `nets.forward`) takes `rng` as a list with one
     stream per slice, each drawing that slice's permutation.  Nothing here
@@ -206,11 +252,6 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     others, and `_train_stack` drops it after training.
     """
     fn, targets = grad_fn
-    if velocity is None:
-        flat = flatten(params)
-        velocity = (flat, np.zeros_like(flat))
-    flat, vel = velocity
-    grad, scaled = np.empty_like(flat), np.empty_like(flat)
     n = x.shape[0]
     if isinstance(rng, list):
         draws = [stream.permutation(n) for stream in rng]
@@ -218,28 +259,32 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         rng = [draw[1] for draw in draws]
     else:
         perm, rng = rng.permutation(n)
+    state = (velocity if velocity is not None
+             else _sgd_state(params, x, tap, targets, perm, cfg.batch_size))
+    flat, vel, grad, scaled = state.flat, state.velocity, state.grad, state.scaled
     # `take` gathers the same rows as `x[perm]`, several times faster for
-    # arrays only a few columns wide
-    x_rows = x.take(perm, axis=0)
-    tap_rows = None if tap is None else tap.take(perm, axis=0)
-    target_rows = [t.take(perm, axis=0) for t in targets]
-    for start in range(0, n, cfg.batch_size):
-        rows = slice(start, start + cfg.batch_size)
-        bx = x_rows[..., rows, :]
-        btap = None if tap is None else tap_rows[..., rows, :]
-        logits, acts = forward(params, bx, btap)
-        dlogits = fn(logits, *[t[..., rows, :] for t in target_rows])
-        dW, db = backward(params, bx, acts, dlogits, btap)
+    # arrays only a few columns wide.  `perm` is a permutation, so "clip"
+    # clips nothing; it lets `take` write straight into `out`, which the
+    # default "raise" fills through a temporary copy
+    x.take(perm, axis=0, out=state.x_rows, mode="clip")
+    if tap is not None:
+        tap.take(perm, axis=0, out=state.tap_rows, mode="clip")
+    for t, rows in zip(targets, state.target_rows):
+        t.take(perm, axis=0, out=rows, mode="clip")
+    for bx, btap, btargets, buffers, out in state.batches:
+        logits, acts = forward(params, bx, btap, buffers)
+        dlogits = fn(logits, *btargets, out=out)
+        # writes the gradient into `grad`, laid out as `flat`
+        backward(params, bx, acts, dlogits, btap, buffers)
         # per element: grad = dW + wd * W; vel = momentum * vel + grad;
         # W -= lr * vel, as one pass over the whole buffer for each ufunc
-        np.concatenate([a.reshape(-1) for a in dW + db], out=grad)
         np.multiply(flat, cfg.weight_decay, out=scaled)
         grad += scaled
         vel *= cfg.momentum
         vel += grad
         np.multiply(vel, lr, out=scaled)
         flat -= scaled
-    return params, velocity, rng
+    return params, state, rng
 
 
 def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
@@ -248,18 +293,41 @@ def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConf
     barrier, the distillation loss alone.
 
     Returns `sgd_epoch`'s pair `(fn, targets)`: the targets are the teacher
-    logits and, with a barrier, the mask.  The loss mode, temperature, `b`
-    and `barrier_gamma` are checked here, once, so a step runs no checks."""
+    logits and, with a barrier, its signed wall `s`, 2B where `mask` holds
+    and -2B elsewhere, built here once.  The barrier's gradient
+    -(1 / (2B + l)) / gamma where `mask` holds and (1 / (2B - l)) / gamma
+    elsewhere, at the clamped residual l, is then (1 / (l + s)) / -gamma
+    everywhere, with the same bits.  The loss mode, temperature, `b` and
+    `barrier_gamma` are checked here, once, so a step runs no checks."""
     mode, tau, gamma = cfg.loss_mode, cfg.temperature, cfg.barrier_gamma
     _check_mode(mode, tau)
     g_logits = np.asarray(g_logits, dtype=np.float64)
     if mask is None:
-        return (lambda logits, g: distill_grad(logits, g, mode, tau)), (g_logits,)
+        def distill_only(logits, g, out=None):
+            return distill_grad(logits, g, mode, tau, out)
+        return distill_only, (g_logits,)
     _check_barrier(b, gamma)
+    limit = _clamp_limit(b)
+    wall = np.where(mask, 2.0 * b, -2.0 * b)
 
-    def fn(logits, g, m):
-        return distill_grad(logits, g, mode, tau) + barrier_grad(logits - g, m, b, gamma)
-    return fn, (g_logits, mask)
+    def fn(logits, g, s, out=None):
+        scratch = None if out is None else logits
+        if mode == "squared_error":   # one residual r = f - g serves both terms
+            grad = np.subtract(logits, g, out=out)
+            barrier = np.maximum(grad, -limit, out=scratch)
+            grad /= grad.shape[-2]
+        else:
+            grad = distill_grad(logits, g, mode, tau, out)
+            barrier = np.subtract(logits, g, out=scratch)
+            np.maximum(barrier, -limit, out=barrier)
+        # the clamp: `np.clip`'s bits (NaN stays NaN), without its wrappers
+        np.minimum(barrier, limit, out=barrier)
+        barrier += s
+        np.divide(1.0, barrier, out=barrier)
+        barrier /= -gamma
+        grad += barrier
+        return grad
+    return fn, (g_logits, wall)
 
 
 @dataclass
@@ -299,12 +367,15 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
         stack = LearnerParams(spec=nets[0].spec, connection=connection,
                               weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
                               biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
-        slices, velocity = streams, None
+        slices, state = streams, None
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(sgd_cfg.epochs):
-                stack, velocity, slices = sgd_epoch(
+                stack, state, slices = sgd_epoch(
                     stack, x, grad_fn, sgd_cfg, slices,
-                    lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
+                    lr=lr_at_epoch(epoch, sgd_cfg), velocity=state, tap=tap)
+        # the weights stay views of its flat buffer; the gathered rows and
+        # step buffers go before the passes over all of x
+        del state
         for pos in range(len(rngs)):
             params = LearnerParams(spec=stack.spec, connection=connection,
                                    weights=[w[pos] for w in stack.weights],
@@ -359,7 +430,12 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     # The restarts are cut into a chunk per usable CPU: the first trains in
     # this process, and each other one in a child at the same time.  Every
     # slice of a stack holds the bits of its restart trained alone, so the
-    # chunks change no bit of the result, only the wall time.
+    # chunks change no bit of the result, only the wall time.  On 2 CPUs the
+    # balanced plan [0, 1] | [2, 3] was measured against [0] | [1, 2, 3] and
+    # lost: it cut cube-escalate's distill from 3.14 to 2.70 s, but slowed
+    # the canonical ellipsoid's `distill.run`, whose 40 of 40 rounds pass at
+    # restart 0, from 4.90 to 6.07 s.  So the plan stays, and failing rounds
+    # get faster through a cheaper step instead.
     workers = _usable_cpus()
     if degenerate:
         chunks = split_range(range(cfg.max_search), workers)

@@ -112,9 +112,11 @@ def init_params(spec: list, rng: RngStream, connection: ConnectionSpec = NO_CONN
     return LearnerParams(spec=list(spec), connection=connection, weights=weights, biases=biases)
 
 
-def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None) -> np.ndarray:
+def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Input of the connection's target layer: `h` joined with `tap`, the
-    earlier member's activation that the connection reads."""
+    earlier member's activation that the connection reads; written into
+    `out` if given."""
     conn = params.connection
     if tap is None:
         raise ConfigError(f"missing cached activation for member {conn.source_round} "
@@ -122,13 +124,61 @@ def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None) -> np.nd
     if tap.shape[-2] != h.shape[-2]:
         raise ConfigError(f"cached activation has {tap.shape[-2]} rows, batch has {h.shape[-2]}")
     if conn.kind == "dense_concat":
-        return np.concatenate([h, tap], axis=-1)
+        return np.concatenate([h, tap], axis=-1, out=out)
     if tap.shape[-1] != h.shape[-1]:
         raise ConfigError(f"{conn.kind} width mismatch: source {tap.shape[-1]} vs {h.shape[-1]}")
-    return h + tap if conn.kind == "residual_add" else tap - h
+    return np.add(h, tap, out=out) if conn.kind == "residual_add" else np.subtract(tap, h, out=out)
 
 
-def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None):
+@dataclass
+class StepBuffers:
+    """The arrays one training step of a net (or a stack of nets) writes, for
+    minibatches of one shape; `step_buffers` allocates them.
+
+    `forward` writes each layer's output into `acts` and the connection's
+    joined input into `joined`; `backward` reads `joined` back instead of
+    joining again, writes each ReLU layer's mask and masked gradient into
+    `masks` and `dz`, the gradient w.r.t. layer idx's input into `dh[idx]`,
+    and the weight and bias gradients into `dW` and `db`, which are views of
+    one flat buffer laid out as `flatten` lays out the parameters."""
+    acts: list
+    joined: np.ndarray | None
+    masks: list      # None at a linear layer
+    dz: list         # None at a linear layer
+    dh: list         # None at layer 0
+    dW: list
+    db: list
+
+
+def _views(flat: np.ndarray, arrays: list) -> list:
+    """Views of consecutive pieces of `flat`, shaped like `arrays` in turn."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
+def step_buffers(params: LearnerParams, batch: tuple, grad: np.ndarray) -> StepBuffers:
+    """`StepBuffers` for minibatches of shape `batch` + (width,): `batch` is
+    (n,) for a single net, (S, n) for a stack of S.  `grad` is the flat
+    gradient buffer, as large as `flatten(params)`."""
+    conn, spec = params.connection, params.spec
+    relu = [layer.activation == "relu" for layer in spec]
+    grads = _views(grad, params.weights + params.biases)
+    return StepBuffers(
+        acts=[np.empty(batch + (layer.out_dim,)) for layer in spec],
+        joined=(np.empty(batch + (spec[conn.target_layer].in_dim,))
+                if conn.kind != "none" else None),
+        masks=[np.empty(batch + (layer.out_dim,), dtype=bool) if r else None
+               for layer, r in zip(spec, relu)],
+        dz=[np.empty(batch + (layer.out_dim,)) if r else None for layer, r in zip(spec, relu)],
+        dh=[None] + [np.empty(batch + (layer.in_dim,)) for layer in spec[1:]],
+        dW=grads[:len(spec)], db=grads[len(spec):])
+
+
+def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None,
+            buffers: StepBuffers | None = None):
     """Batch logits plus this member's per-layer post-activations, which later
     taps and `backward` read; `tap` is what `params.connection` reads on `x`.
 
@@ -137,18 +187,23 @@ def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None)
     activations then carry the same leading axis: one minibatch per slice.
     Only a single net's non-finite logits raise: a stack's caller drops the
     slices that diverged.
+
+    With `buffers` (a training step's, see `StepBuffers`) every layer's
+    output and the joined input are written into them; without, each is a
+    fresh array.
     """
     conn = params.connection
     h = np.asarray(x, dtype=np.float64)
     acts = []
     for idx, layer in enumerate(params.spec):
         if conn.kind != "none" and idx == conn.target_layer:
-            h = _join(params, h, tap)
+            h = _join(params, h, tap, None if buffers is None else buffers.joined)
         if h.shape[-1] != layer.in_dim:
             raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[-1]}")
-        # the matmul's result is fresh, so the bias and the ReLU can write
-        # into it without touching `x`, `tap` or an earlier activation
-        h = h @ params.weights[idx]
+        # the matmul's result is fresh or the layer's own buffer, so the bias
+        # and the ReLU can write into it without touching `x`, `tap` or an
+        # earlier activation
+        h = np.matmul(h, params.weights[idx], out=None if buffers is None else buffers.acts[idx])
         h += params.biases[idx][..., None, :]
         if layer.activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -162,20 +217,17 @@ def flatten(params: LearnerParams) -> np.ndarray:
     """Copy every weight and bias of `params` into one contiguous float64
     buffer and return it; `params.weights` and `params.biases` become views
     into it.  The layout is the weights in layer order, then the biases, each
-    in C order, so `np.concatenate([a.reshape(-1) for a in dW + db])` of
-    `backward`'s gradients lines up with it element for element."""
+    in C order: the layout of `StepBuffers.dW` and `db` in a gradient buffer
+    of the same size."""
     arrays = params.weights + params.biases
     flat = np.concatenate([a.reshape(-1) for a in arrays], dtype=np.float64)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
+    views = _views(flat, arrays)
     params.weights, params.biases = views[:len(params.weights)], views[len(params.weights):]
     return flat
 
 
 def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarray,
-             tap: np.ndarray | None = None):
+             tap: np.ndarray | None = None, buffers: StepBuffers | None = None):
     """Exact gradients of a logits-composed loss w.r.t. every weight and bias.
 
     `acts` are the activations `forward` returned for the same `x` and
@@ -184,26 +236,36 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
     its output is positive.  The tap is a constant: no gradient is returned
     (or propagated) for earlier members.  A stack of nets (see `forward`)
     gets one gradient per slice, stacked like its weights and biases.
+
+    With `buffers`, the ones `forward` wrote for this minibatch, every
+    intermediate goes into them and the returned gradients are their `dW`
+    and `db`, views of the flat gradient buffer.
     """
     conn = params.connection
-    dW = [None] * len(params.spec)
-    db = [None] * len(params.spec)
+    if buffers is None:   # every output fresh
+        dW, db = [None] * len(params.spec), [None] * len(params.spec)
+        masks = dzs = dhs = [None] * len(params.spec)
+    else:
+        dW, db, masks, dzs, dhs = (buffers.dW, buffers.db, buffers.masks, buffers.dz,
+                                   buffers.dh)
     dh = np.asarray(dlogits, dtype=np.float64)
     for idx in range(len(params.spec) - 1, -1, -1):
         layer = params.spec[idx]
-        dz = dh if layer.activation == "linear" else dh * (acts[idx] > 0.0)
+        dz = dh if layer.activation == "linear" else np.multiply(
+            dh, np.greater(acts[idx], 0.0, out=masks[idx]), out=dzs[idx])
         h = acts[idx - 1] if idx > 0 else np.asarray(x, dtype=np.float64)
         joined = conn.kind != "none" and idx == conn.target_layer
         if joined:
-            h = _join(params, h, tap)
-        dW[idx] = h.swapaxes(-1, -2) @ dz
-        db[idx] = dz.sum(axis=-2)
+            h = _join(params, h, tap) if buffers is None else buffers.joined
+        dW[idx] = np.matmul(h.swapaxes(-1, -2), dz, out=dW[idx])
+        # `add.reduce` is what `dz.sum(axis=-2)` calls, without its wrappers
+        db[idx] = np.add.reduce(dz, axis=-2, out=db[idx])
         if idx == 0:
             break
-        dh = dz @ params.weights[idx].swapaxes(-1, -2)
+        dh = np.matmul(dz, params.weights[idx].swapaxes(-1, -2), out=dhs[idx])
         if joined:
             if conn.kind == "delta":
-                dh = -dh
+                np.negative(dh, out=dh)
             elif conn.kind == "dense_concat":
                 dh = dh[..., : acts[idx - 1].shape[-1]]   # drop the tap's columns
             # residual_add: identity on the current path
@@ -215,8 +277,10 @@ def expand_class(base: list, kind: str, r: int, ensemble_so_far: list):
 
     r=0 is the base class itself.  r>=1 adds a single connection of `kind`
     tapping the last hidden layer of the most recent ensemble member, feeding
-    the input of the new model's output layer.  Width mismatches are hard
-    errors; nothing is silently padded or projected.
+    the input of the new model's output layer.  The level is read no
+    further: every r >= 1 (the run's classes 2 and up) is that same class,
+    so escalating past it only searches it again with a new seed.  Width
+    mismatches are hard errors; nothing is silently padded or projected.
     """
     validate_spec(base)
     if kind not in CONNECTION_KINDS:

@@ -8,8 +8,10 @@ the sup norm of residuals at exactly G_inf = 1.
 
 Beside them are the second paths the tests check the package's first ones
 against: the weight game replayed in closed form, an ensemble's FLOPs
-counted from its layer shapes, and a CSV writer and reader on the csv
-module, the reference for the codec's own table writer and reader.
+counted from its layer shapes, the barrier's gradient on its own, the
+reference for the search's fused training gradient, and a CSV writer and
+reader on the csv module, the reference for the codec's own table writer
+and reader.
 """
 
 import csv
@@ -18,6 +20,7 @@ import numpy as np
 
 from ensdistill.core import RngStream, ShapeError
 from ensdistill.distill import Ensemble, RoundRecord, RunHistory
+from ensdistill.findwl import _clamp_limit
 from ensdistill.game import WeightState, init_uniform, md_update
 from ensdistill.nets import NO_CONNECTION, LayerSpec, LearnerParams
 
@@ -130,3 +133,13 @@ def read_csv(path, header):
             if len(row) != len(found):
                 raise ValueError(f"{path} line {reader.line_num}: expected {len(found)} fields")
             yield row
+
+
+def barrier_grad(l, mask, b, barrier_gamma):
+    """d(barrier)/dl, with `findwl.barrier_loss`'s clamp: clamped entries get
+    the boundary gradient.  `findwl.total_grad_fn` fuses this with the
+    distillation gradient and must give the bits of their sum."""
+    limit = _clamp_limit(b)
+    lc = l.clip(-limit, limit)
+    grad = np.where(mask, 1.0 / (2.0 * b + lc), -1.0 / (2.0 * b - lc))
+    return -grad / barrier_gamma

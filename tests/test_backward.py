@@ -65,18 +65,25 @@ def reference_backward(params, x, dlogits, tap=None):
     return dW, db
 
 
-def reference_backward_per_net(params, x, acts, dlogits, tap=None):
+def reference_backward_per_net(params, x, acts, dlogits, tap=None, buffers=None):
     """`reference_backward` with `backward`'s signature; a stack of nets is
-    differentiated one net at a time and its gradients restacked."""
+    differentiated one net at a time and its gradients restacked.  Given a
+    step's `buffers`, the gradients are copied into their `dW` and `db`,
+    where the step reads them."""
     if params.weights[0].ndim == 2:
-        return reference_backward(params, x, dlogits, tap)
-    grads = [reference_backward(
-        LearnerParams(params.spec, params.connection, [w[s] for w in params.weights],
-                      [b[s] for b in params.biases]),
-        x[s], dlogits[s], None if tap is None else tap[s])
-        for s in range(len(params.weights[0]))]
-    return ([np.stack(dws) for dws in zip(*(dW for dW, _ in grads))],
-            [np.stack(dbs) for dbs in zip(*(db for _, db in grads))])
+        dW, db = reference_backward(params, x, dlogits, tap)
+    else:
+        grads = [reference_backward(
+            LearnerParams(params.spec, params.connection, [w[s] for w in params.weights],
+                          [b[s] for b in params.biases]),
+            x[s], dlogits[s], None if tap is None else tap[s])
+            for s in range(len(params.weights[0]))]
+        dW = [np.stack(dws) for dws in zip(*(dW for dW, _ in grads))]
+        db = [np.stack(dbs) for dbs in zip(*(db for _, db in grads))]
+    if buffers is not None:
+        for out, grad in zip(buffers.dW + buffers.db, dW + db):
+            out[...] = grad
+    return dW, db
 
 
 def same_bits(a, b) -> bool:

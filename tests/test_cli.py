@@ -687,8 +687,8 @@ def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tm
 
 def test_gen_data_exits_io_when_a_writer_child_dies(tmp_path, capsys, monkeypatch):
     """A child formatting rows of train.csv that is killed makes gen-data
-    exit 3 naming the file and the rows, with no sidecar beside the file
-    and no child left."""
+    exit 3 naming the file and the rows.  Neither train.csv nor its sidecar
+    nor the temporary file it was written to is left, and no child."""
     monkeypatch.setattr(core, "_FORK_MIN_CELLS", 1)
     monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     monkeypatch.setattr(core, "_lines", lines_that(lambda: os.kill(os.getpid(), signal.SIGKILL)))
@@ -697,5 +697,6 @@ def test_gen_data_exits_io_when_a_writer_child_dies(tmp_path, capsys, monkeypatc
                  "--out", str(out)]) == 3
     assert (f"error: the process formatting rows 40-79 of {out / 'train.csv'} "
             f"was killed by signal 9") in capsys.readouterr().err
-    assert not (out / "train.csv.npz").exists()
+    # meta.json is written whole before train.csv, and nothing else is left
+    assert sorted(path.name for path in out.iterdir()) == ["meta.json"]
     assert_no_child_left()

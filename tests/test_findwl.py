@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensdistill.core import RngStream
 from ensdistill.findwl import (
+    _CLAMP_MARGIN,
+    LOSS_MODES,
     FindWlConfig,
     SgdConfig,
-    barrier_grad,
     barrier_loss,
     default_logit_bound,
     distill_grad,
@@ -20,6 +23,8 @@ from ensdistill.findwl import (
 )
 from ensdistill.game import WeightState, edge, init_uniform
 from ensdistill.nets import NO_CONNECTION, LayerSpec, backward, forward, init_params
+
+from oracle_runs import barrier_grad
 
 
 # --- barrier loss -----------------------------------------------------------
@@ -200,7 +205,8 @@ def test_sgd_lr_zero_is_identity():
     params = init_params(spec, RngStream(1))
     before = [w.copy() for w in params.weights]
 
-    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
+    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
+               (target,))
 
     cfg = SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=8)
     params, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(2), lr=0.0)
@@ -213,7 +219,8 @@ def test_sgd_convex_loss_non_increasing():
     spec = [LayerSpec(4, 2, "linear")]
     params = init_params(spec, RngStream(3))
 
-    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
+    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
+               (target,))
 
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
@@ -237,7 +244,8 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     w0 = params.weights[0].copy()
     b0 = params.biases[0].copy()
 
-    grad_fn = (lambda logits, t: distill_grad(logits, t, "squared_error"), (target,))
+    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
+               (target,))
 
     lr = 0.1
     cfg = SgdConfig(lr=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=32)
@@ -276,7 +284,62 @@ def test_total_loss_is_distill_plus_barrier():
     grad = fn(logits, *targets)
     dlg = distill_grad(logits, g, "squared_error")
     bg = barrier_grad(logits - g, mask, b, 2.0)
-    assert np.allclose(grad, dlg + bg, atol=1e-12)
+    assert same_bits(grad, dlg + bg)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def grad_cases(draw):
+    """Teacher logits, a mask or none, and student logits whose residuals
+    lie inside the barrier's clamp 2B(1 - 1e-6), at it (to the rounding of
+    f = g + r) or beyond it, on either side; for one net, or gathered for a
+    stack of 2-3 as an epoch gathers its rows, one permutation per slice."""
+    rows, labels = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    root = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    g, _ = root.split(0).gaussian(rows * labels)
+    g = draw(st.floats(0.1, 10.0)) * g.reshape(rows, labels)
+    m, _ = root.split(1).uniform(rows * labels)
+    mask = m.reshape(rows, labels) > 0.5 if draw(st.booleans()) else None
+    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)),
+                       temperature=draw(st.floats(0.25, 4.0)),
+                       barrier_gamma=draw(st.floats(0.05, 5.0)))
+    b = default_logit_bound(g)
+    slices = draw(st.sampled_from((0, 2, 3)))   # 0: one net
+    perm = np.arange(rows)
+    if slices:
+        perm = np.stack([RngStream(s).permutation(rows)[0] for s in range(slices)])
+    shape = perm.shape + (labels,)
+    size = int(np.prod(shape))
+    u, _ = root.split(2).uniform(size)
+    limit = 2.0 * b * (1.0 - _CLAMP_MARGIN)
+    # per entry: inside the clamp, exactly at it, or up to twice it away
+    where = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    magnitude = np.choose(where, [u * limit, np.full(size, limit), (1.0 + u) * limit])
+    sign = np.where(draw(st.lists(st.booleans(), min_size=size, max_size=size)), 1.0, -1.0)
+    resid = (sign * magnitude).reshape(shape)
+    g_rows = g.take(perm, axis=0)
+    return g, mask, cfg, b, perm, g_rows + resid, g_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(grad_cases())
+def test_fused_gradient_has_the_bits_of_distill_plus_barrier(case):
+    g, mask, cfg, b, perm, logits, g_rows = case
+    fn, targets = total_grad_fn(g, mask, cfg, b)
+    rows = [t.take(perm, axis=0) for t in targets]
+    want = distill_grad(logits, g_rows, cfg.loss_mode, cfg.temperature)
+    if mask is not None:
+        want = want + barrier_grad(logits - g_rows, mask.take(perm, axis=0), b,
+                                   cfg.barrier_gamma)
+    assert same_bits(fn(logits, *rows), want)
+    # a step's call: the gradient into its buffer, the logits as scratch
+    out = np.empty_like(logits)
+    assert fn(logits.copy(), *rows, out=out) is out
+    assert same_bits(out, want)
 
 
 # --- find_weak_learner ------------------------------------------------------
