@@ -71,14 +71,25 @@ def _load_config(path: str | None) -> distill_mod.DistillConfig:
     return build_config(doc)
 
 
+def _check_features(path: Path, ds, members: list) -> None:
+    """Refuse `ds`, the dataset read from `path`, unless its feature count is
+    the input width of member 0, the one member that reads the features
+    alone; an ensemble without members is refused where it is evaluated."""
+    if members and members[0].spec[0].in_dim != ds.d:
+        raise ConfigError(f"{path} has {ds.d} feature columns, but member 0 "
+                          f"expects input width {members[0].spec[0].in_dim}")
+
+
 def _training_pair(data_dir: Path, members: list = ()):
     """`train.csv` and its teacher logits `train_logits.csv`, refused unless
     they have the same row count and, given the ensemble members they are
-    read against, one logit column per output of each member."""
+    read against, member 0's input width in features (`_check_features`) and
+    one logit column per output of each member."""
     train = data_mod.load_dataset_csv(data_dir / "train.csv")
     g = data_mod.load_logits_csv(data_dir / "train_logits.csv")
     if train.n != g.shape[0]:
         raise ValueError(f"data has {train.n} rows but teacher logits {g.shape[0]}")
+    _check_features(data_dir / "train.csv", train, members)
     for i, member in enumerate(members):
         if member.spec[-1].out_dim != g.shape[1]:
             raise ConfigError(f"member {i} has {member.spec[-1].out_dim} outputs, but "
@@ -158,6 +169,7 @@ def cmd_eval(args) -> int:
     teacher = params_from_dict(parse_json(raw, f"teacher {args.teacher}"))
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
+    _check_features(data_dir / "test.csv", test, ens.members)
     teacher_cost = flops(teacher)
     if args.mode == "anytime":
         points = eval_mod.anytime_curve(ens, test.x, test.labels, teacher_cost)

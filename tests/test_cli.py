@@ -628,6 +628,18 @@ def _break_input(case, pipeline, distilled, tmp_path):
         return ["verify", "--history", str(named), "--ensemble", str(ensemble),
                 "--data", str(data_dir), "--g-inf", "1.0",
                 "--out", str(tmp_path / "out.json")], f"{named}: "
+    elif case in ("eval-test-features", "verify-train-features"):
+        path = data_dir / ("test.csv" if case.startswith("eval-") else "train.csv")
+        ds = data_mod.load_dataset_csv(path)
+        data_mod.save_dataset_csv(path, data_mod.LabeledDataset(x=ds.x[:, 1:], labels=ds.labels))
+        named = f"{path} has {ds.d - 1} feature columns, but member 0 expects input width {ds.d}"
+        if case.startswith("verify-"):
+            return ["verify", "--history", str(distilled["history"]), "--ensemble", str(ensemble),
+                    "--data", str(data_dir), "--g-inf", "1.0",
+                    "--out", str(tmp_path / "out.json")], named
+        return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
+                "--teacher", str(teacher), "--mode", "anytime",
+                "--out", str(tmp_path / "curve.csv")], named
     elif case.endswith(("-logits-width", "-logits-rows")):
         path = data_dir / "train_logits.csv"
         g = data_mod.load_logits_csv(path)
@@ -671,6 +683,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("resched-logits-width", 2), ("resched-logits-rows", 3),
     ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),
     ("verify-history-cell", 3), ("config-R-one", 2), ("ensemble-tap-self", 2),
+    ("eval-test-features", 2), ("verify-train-features", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn):

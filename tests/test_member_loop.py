@@ -4,10 +4,19 @@
 Random small ensembles, with every connection kind, taps of older members
 and of any layer (as a hand-edited ensemble.json can hold), must give the
 same bits as the reference loop below on every path built on the generator.
+
+A batch of two blocks or more is evaluated block by block on threads.  With
+blocks shrunk to 8 or 16 rows and 1-3 usable CPUs, each member's logits must
+keep the whole batch's bits, an exception in a thread must reach the caller
+as it was raised, and no thread may outlive a call, so a forked search after
+it sees none.
 """
 
+import contextlib
 import json
 import re
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensdistill.distill as distill
+import ensdistill.findwl as findwl
 from ensdistill.core import RngStream, softmax
 from ensdistill.distill import (Ensemble, ensemble_from_dict, ensemble_predict,
                                 ensemble_to_dict, member_logits)
 from ensdistill.evaluate import CurvePoint, accuracy, anytime_curve, early_exit, verify_bound
+from ensdistill.findwl import find_weak_learner
 from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConfigError, ConnectionSpec,
                              LayerSpec, flops, forward, init_params)
+from test_stack import _search, assert_no_child_left, assert_same_result, loop_reference
 
 
 def reference_member_logits(members, x):
@@ -65,11 +78,12 @@ def same_bits(a, b) -> bool:
 
 
 @st.composite
-def ensembles(draw):
-    """(ensemble, x, labels, teacher logits) with random layers and taps."""
+def ensembles(draw, rows=st.integers(1, 8)):
+    """(ensemble, x, labels, teacher logits) with random layers and taps, on
+    `rows` rows."""
     d = draw(st.integers(1, 4))
     n_labels = draw(st.integers(1, 3))
-    n_rows = draw(st.integers(1, 8))
+    n_rows = draw(rows)
     seed = draw(st.integers(0, 2 ** 32 - 1))
     members = []
     for j in range(draw(st.integers(1, 4))):
@@ -198,3 +212,102 @@ def test_a_tap_of_a_later_member_is_refused_at_load():
     doc["members"][0]["connection"] = {"kind": "none", "source_round": -1,
                                        "source_layer": -1, "target_layer": -1}
     assert len(ensemble_from_dict(doc).members) == 2
+
+
+# --- row blocks on threads ----------------------------------------------------
+
+@contextlib.contextmanager
+def blocks_on(block_rows, cpus):
+    """`member_logits` cutting `block_rows`-row blocks, on `cpus` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distill, "_BLOCK_ROWS", block_rows)
+        mp.setattr(distill, "usable_cpus", lambda: cpus)
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blocks_on_threads_keep_the_bits_of_the_whole_batch(data):
+    """Row counts on and either side of the block edges, 1 to 5 blocks."""
+    block_rows = data.draw(st.sampled_from((8, 16)), label="block_rows")
+    cpus = data.draw(st.sampled_from((1, 2, 3)), label="cpus")
+    rows = st.builds(lambda blocks, offset: max(1, blocks * block_rows + offset),
+                     st.integers(1, 5), st.integers(-2, 2))
+    ens, x, _, _ = data.draw(ensembles(rows=rows), label="case")
+    threads = threading.active_count()
+    with blocks_on(block_rows, cpus):
+        got = list(member_logits(ens.members, x))
+        prefix = ensemble_predict(ens, x, len(ens.members))
+    assert threading.active_count() == threads
+    expected = reference_member_logits(ens.members, x)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert same_bits(a, b)
+    assert same_bits(prefix, reference_prefixes(ens.members, x)[-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_missing_tap_raised_in_a_thread_reaches_the_caller_unchanged(cpus):
+    """Five blocks of 8 rows, each raising the ConfigError that one block
+    of 40 rows raises."""
+    ens = _tapping_pair()
+    ens.members[1].connection = replace(ens.members[1].connection, source_round=5)
+    u, _ = RngStream(2).uniform(40 * 3)
+    x = u.reshape(40, 3)
+    with pytest.raises(ConfigError) as whole:
+        list(member_logits(ens.members, x))
+    threads = threading.active_count()
+    with blocks_on(8, cpus), pytest.raises(ConfigError) as blocked:
+        list(member_logits(ens.members, x))
+    assert threading.active_count() == threads
+    assert str(blocked.value) == str(whole.value) == "missing cached activation for member 5 layer 0"
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_thread_computes_under_the_callers_errstate(cpus):
+    """Only the last of four 8-row blocks, which a thread evaluates,
+    overflows.  Under the caller's np.errstate(over="raise") numpy raises
+    there, and that error reaches the caller; with overflow and the invalid
+    operations on inf that follow ignored, the non-finite logits are refused
+    instead."""
+    member = init_params([LayerSpec(3, 4), LayerSpec(4, 2, "linear")], RngStream(3))
+    member.weights[0][:] = 1.0
+    x = np.ones((32, 3))
+    x[-1] = 1e308
+    threads = threading.active_count()
+    with blocks_on(8, cpus):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                      match="overflow encountered in matmul"):
+            list(member_logits([member], x))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="logits contains non-finite"):
+            list(member_logits([member], x))
+    assert threading.active_count() == threads
+
+
+def test_a_forked_search_after_a_blocked_prediction_sees_no_thread(monkeypatch):
+    """Three 1024-row blocks on two threads, then a search that forks a
+    child: no thread of the prediction is left when it forks, and it returns
+    the bits of the restart-by-restart loop and leaves no child."""
+    calls = []
+    thread_chunks = distill.thread_chunks
+    monkeypatch.setattr(distill, "thread_chunks",
+                        lambda chunks, work, workers: calls.append((len(chunks), workers))
+                        or thread_chunks(chunks, work, workers))
+    monkeypatch.setattr(distill, "usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    ens = _tapping_pair()
+    u, _ = RngStream(4).uniform(3 * distill._BLOCK_ROWS * 3)
+    x = u.reshape(-1, 3)
+    assert same_bits(ensemble_predict(ens, x, 2), reference_prefixes(ens.members, x)[-1])
+    assert calls == [(3, 2)]
+    assert threading.active_count() == threads
+
+    args, kwargs = _search("degenerate")
+    want = loop_reference(*args, **kwargs)
+    monkeypatch.setattr(findwl, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with other threads forks
+        warnings.simplefilter("error", DeprecationWarning)
+        assert_same_result(find_weak_learner(*args, **kwargs), want)
+    assert_no_child_left()
