@@ -154,6 +154,14 @@ def split_range(items: range, parts: int) -> list:
     return [items[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
 
 
+def row_blocks(n: int, rows: int) -> list:
+    """`range(n)` cut into slices of `rows` rows, the last one taking the
+    remainder: `max(n // rows, 1)` blocks, each of `rows` to `2 * rows - 1`
+    rows unless `n` is smaller.  The edges depend on `n` and `rows` alone."""
+    starts = [i * rows for i in range(max(n // rows, 1))] + [n]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
+
+
 def _send_results(conn, results) -> None:
     """A forked child's target: run `results` to its end, then send
     `(True, item)` over `conn` for each item it yielded and `(False, None)`
@@ -329,10 +337,10 @@ def _lines(records, rows: int):
     records to a block, so memory stays bounded."""
     for start in range(0, len(records), rows):
         block = records[start:start + rows]
-        fields = [block[name].reshape(len(block), -1).tolist() for name in records.dtype.names]
-        # `cells` is one record: a list of cells per field
-        yield "".join(",".join(map(repr, sum(cells, []))) + "\r\n"
-                      for cells in zip(*fields)).encode("ascii")
+        # one iterator of formatted cells per column, zipped into records
+        columns = [map(repr, column) for name in records.dtype.names
+                   for column in block[name].reshape(len(block), -1).T.tolist()]
+        yield "".join(",".join(cells) + "\r\n" for cells in zip(*columns)).encode("ascii")
 
 
 @contextlib.contextmanager

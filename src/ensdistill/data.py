@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import RngStream, read_numeric_csv, softmax, write_numeric_csv
 from .findwl import SgdConfig, lr_at_epoch, sgd_epoch
-from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params
+from .nets import ConfigError, LayerSpec, LearnerParams, forward, init_params, split_head
 
 
 @dataclass
@@ -171,12 +171,16 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
         for epoch in range(recipe.epochs):
             params, state, sgd_rng = sgd_epoch(
                 params, train.x, grad_fn, recipe, sgd_rng,
-                lr=lr_at_epoch(epoch, recipe), velocity=state)
+                lr=lr_at_epoch(epoch, recipe), state=state)
     return params
 
 
 def teacher_logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:
-    logits, _ = forward(params, x)
+    """The teacher's logits on `x`.  Its hidden layers run in row blocks
+    (`nets.split_head`), so only the last one is held for all rows, and its
+    output layer runs on all rows at once."""
+    head, rows = split_head(params, x)
+    logits, _ = forward(head, rows)
     return logits
 
 

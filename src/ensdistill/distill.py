@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RngStream, read_json, read_numeric_csv, thread_chunks, usable_cpus,
-                   write_json, write_table)
+from .core import (RngStream, read_json, read_numeric_csv, row_blocks, thread_chunks,
+                   usable_cpus, write_json, write_table)
 from .data import mlp_spec
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
 from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    LIST_AT_LEAST_ONE, NUMBER, check, check_fields, expand_class, forward,
-                   optional, params_from_dict, params_to_dict)
+                   optional, params_from_dict, params_to_dict, split_head)
 
 # a history file's record: one per (round, label)
 HISTORY_RECORD = np.dtype([("round", np.int64), ("label", np.int64), ("edge_gamma", np.float64),
@@ -129,19 +129,21 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     root = RngStream(cfg.seed)
     ens = Ensemble(seed=cfg.seed, eta=eta, T=cfg.T, R=cfg.R, teacher_hash=teacher_hash)
     hist = RunHistory()
-    cache = {}
+    tap, tapped = None, None   # the activation a connected class reads, and its member
     r = 1
     attempt = 0
     while len(ens.members) < cfg.T and r < cfg.R:
         spec, conn = expand_class(base, cfg.connection_kind, r - 1, ens.members)
-        tap = cache.get((conn.source_round, conn.source_layer))
+        if conn.kind != "none" and conn.source_round != tapped:
+            # expand_class taps the newest member's last hidden layer, the
+            # input of its output layer
+            tapped, tap = conn.source_round, split_head(ens.members[conn.source_round], x)[1]
         result = find_weak_learner(state, spec, conn, x, g, cfg.findwl,
                                    root.split(attempt), tap=tap, edge_tol=cfg.edge_tol)
         attempt += 1
         reject = result.params is None
         if not reject:
-            logits, acts = forward(result.params, x, tap)
-            resid = logits - g
+            resid = result.logits - g
             # a candidate whose residuals would overflow the exponential
             # update is no weak learner, however its edge came out
             reject = eta * float(np.max(np.abs(resid))) > EXP_ARG_LIMIT
@@ -152,8 +154,6 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
                 break                 # nothing to tap: no larger class exists
             continue
         member_index = len(ens.members)
-        # expand_class taps only the newest member, so older layers can go
-        cache = {(member_index, layer_index): act for layer_index, act in enumerate(acts)}
         state, record = md_update(state, resid, eta)
         ens.members.append(result.params)
         ens.class_rs.append(r)
@@ -163,10 +163,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     return ens, hist
 
 
-# the rows of one block of `member_logits`.  A multiple of 4: with the
-# SkylakeX kernels of OpenBLAS 0.3.31, a batch cut at any multiple of 4 rows
-# gives the bits of the whole batch, and a cut at any other row count from
-# 1 to 69 did not
+# the rows of one block of `member_logits`
 _BLOCK_ROWS = 1024
 
 
@@ -177,18 +174,22 @@ def member_logits(members: list, x: np.ndarray):
     names it.
 
     `x` is cut into blocks of `_BLOCK_ROWS` rows, the last one taking the
-    remainder, so a batch under two blocks is one block, evaluated lazily,
-    member by member, with no copy.  Otherwise every block runs every
-    member, with its own tap cache, on the usable CPUs' threads
+    remainder (`core.row_blocks`), so a batch under two blocks is one block,
+    evaluated lazily, member by member, with no copy.  Otherwise every block
+    runs every member, with its own tap cache, on the usable CPUs' threads
     (`thread_chunks`), writing its rows of one array per member, before
     this returns.  The block edges depend on the block size alone, so the
-    bits do not depend on the CPU count."""
+    bits do not depend on the CPU count.  They are not always the bits of
+    the uncut batch: with OpenBLAS 0.3.31 a row cut kept the bits of the 24-
+    and 64-wide hidden layers, but not of a 2- or 4-column output layer
+    once the uncut product left BLAS's small-matrix path (M*N*K above about
+    10**6).  A (40000 x 24) @ (24 x 2) product cut at any of 4 to 20000
+    rows differed from the uncut one, while the test split's 10,000 rows
+    stay on that path whole and in blocks."""
     x = np.asarray(x, dtype=np.float64)
-    n_blocks = x.shape[0] // _BLOCK_ROWS
-    if n_blocks < 2:
+    blocks = row_blocks(x.shape[0], _BLOCK_ROWS)
+    if len(blocks) < 2:
         return _block_logits(members, x)
-    starts = [i * _BLOCK_ROWS for i in range(n_blocks)] + [x.shape[0]]
-    blocks = [slice(start, stop) for start, stop in zip(starts, starts[1:])]
     outs = [np.empty((x.shape[0], m.spec[-1].out_dim)) for m in members]
 
     def work(rows):

@@ -65,7 +65,7 @@ def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
         for epoch in range(cfg.sgd.epochs):
             params, state, sgd_rng = sgd_epoch(
                 params, x, grad_fn, cfg.sgd, sgd_rng,
-                lr=lr_at_epoch(epoch, cfg.sgd), velocity=state)
+                lr=lr_at_epoch(epoch, cfg.sgd), state=state)
     return params
 
 

@@ -19,7 +19,7 @@ from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
                    LearnerParams, backward, check_fields, flatten, forward, init_params,
-                   optional, step_buffers)
+                   optional, split_head, step_buffers)
 
 LOSS_MODES = ("ce_temperature", "squared_error")
 
@@ -226,7 +226,7 @@ def _sgd_state(params, x, tap, targets, perm, batch_size) -> SgdState:
 
 
 def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
-              rng: RngStream | list, lr: float, velocity: SgdState | None = None, tap=None):
+              rng: RngStream | list, lr: float, state: SgdState | None = None, tap=None):
     """One shuffled pass of minibatch SGD with momentum and weight decay.
 
     `grad_fn` is a pair `(fn, targets)`, as `total_grad_fn` and
@@ -238,7 +238,7 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     `params.connection` reads) and the targets are gathered into the
     epoch's row order once, and each minibatch is a slice of them.
 
-    `velocity` carries the `SgdState` across epochs: on first use (None)
+    `state` carries the `SgdState` across epochs: on first use (None)
     the weights and biases move into its flat buffer, and it is returned for
     the next epoch of the same `params`, `x`, `tap`, targets and batch size.
     Each step then writes its activations and gradients into the state's
@@ -259,8 +259,8 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         rng = [draw[1] for draw in draws]
     else:
         perm, rng = rng.permutation(n)
-    state = (velocity if velocity is not None
-             else _sgd_state(params, x, tap, targets, perm, cfg.batch_size))
+    if state is None:
+        state = _sgd_state(params, x, tap, targets, perm, cfg.batch_size)
     flat, vel, grad, scaled = state.flat, state.velocity, state.grad, state.scaled
     # `take` gathers the same rows as `x[perm]`, several times faster for
     # arrays only a few columns wide.  `perm` is a permutation, so "clip"
@@ -339,6 +339,7 @@ class FindResult:
     train_loss: float
     clamp_count: int
     restart_index: int
+    logits: np.ndarray | None = None   # of `params` on the search's rows
 
 
 def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
@@ -362,6 +363,15 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     slice is dropped only if the final logits are still non-finite."""
     nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
     streams = [rng.split(1) for rng in rngs]
+    head_only = connection.kind == "none" or connection.target_layer == len(spec) - 1
+
+    def logits_on_x(params):
+        # one net at a time, keeping only its logits: activations on all of
+        # x are the search's largest arrays.  A class `expand_class` builds
+        # connects its output layer alone, so its hidden layers run in
+        # blocks (`split_head`) and only the last one is held for all of x
+        head, rows = split_head(params, x) if head_only else (params, x)
+        return forward(head, rows, tap)[0]
 
     def train():
         stack = LearnerParams(spec=nets[0].spec, connection=connection,
@@ -372,7 +382,7 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
             for epoch in range(sgd_cfg.epochs):
                 stack, state, slices = sgd_epoch(
                     stack, x, grad_fn, sgd_cfg, slices,
-                    lr=lr_at_epoch(epoch, sgd_cfg), velocity=state, tap=tap)
+                    lr=lr_at_epoch(epoch, sgd_cfg), state=state, tap=tap)
         # the weights stay views of its flat buffer; the gathered rows and
         # step buffers go before the passes over all of x
         del state
@@ -381,10 +391,8 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
                                    weights=[w[pos] for w in stack.weights],
                                    biases=[b[pos] for b in stack.biases])
             try:
-                # one net at a time, keeping only its logits: activations on
-                # all of x are the search's largest arrays
                 with np.errstate(over="ignore", invalid="ignore"):
-                    logits = forward(params, x, tap)[0]
+                    logits = logits_on_x(params)
             except FloatingPointError:
                 continue
             yield pos, params, logits
@@ -407,7 +415,8 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     candidate passes the weak-learning check wins, making the outcome
     independent of any execution order.  When the state is degenerate the
     check cannot pass, so the lowest-total-loss candidate is returned instead.
-    A result with params=None means every restart failed.  A restart whose
+    A result with params=None means every restart failed; any other holds
+    its candidate's logits on `x`, from the check.  A restart whose
     logits on `x` are not finite after training diverged and is dropped:
     that one end-of-training check is the search's only divergence check.
 
@@ -459,9 +468,10 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
                 verdict = weak_learning_check(state, resid, edge_tol)
                 if verdict == CHECK_PASS:
                     if passed is None:
-                        passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos])
+                        passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos],
+                                            logits)
                 elif best is None or total < best.train_loss:
-                    best = FindResult(params, verdict, total, clamps, chunk[pos])
+                    best = FindResult(params, verdict, total, clamps, chunk[pos], logits)
             if passed is not None:
                 return passed
     if best is not None and best.verdict == CHECK_DEGENERATE:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, check_finite
+from .core import RngStream, check_finite, row_blocks
 
 ACTIVATIONS = ("relu", "linear")
 CONNECTION_KINDS = ("none", "residual_add", "dense_concat", "delta")
@@ -195,22 +195,73 @@ def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None,
     conn = params.connection
     h = np.asarray(x, dtype=np.float64)
     acts = []
-    for idx, layer in enumerate(params.spec):
+    for idx in range(len(params.spec)):
         if conn.kind != "none" and idx == conn.target_layer:
             h = _join(params, h, tap, None if buffers is None else buffers.joined)
-        if h.shape[-1] != layer.in_dim:
-            raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[-1]}")
-        # the matmul's result is fresh or the layer's own buffer, so the bias
-        # and the ReLU can write into it without touching `x`, `tap` or an
-        # earlier activation
-        h = np.matmul(h, params.weights[idx], out=None if buffers is None else buffers.acts[idx])
-        h += params.biases[idx][..., None, :]
-        if layer.activation == "relu":
-            np.maximum(h, 0.0, out=h)
+        h = _layer(params, idx, h, None if buffers is None else buffers.acts[idx])
         acts.append(h)
     if h.ndim == 2:
         check_finite("logits", h)
     return h, acts
+
+
+def _layer(params: LearnerParams, idx: int, h: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Layer `idx` of `params` on its input `h`, written into `out` if given."""
+    layer = params.spec[idx]
+    if h.shape[-1] != layer.in_dim:
+        raise ConfigError(f"layer {idx} expects input width {layer.in_dim}, got {h.shape[-1]}")
+    # the matmul's result is fresh or `out`, so the bias and the ReLU can
+    # write into it without touching `h`, a tap or an earlier activation
+    h = np.matmul(h, params.weights[idx], out=out)
+    h += params.biases[idx][..., None, :]
+    if layer.activation == "relu":
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
+# the rows of one block of `split_head`'s hidden layers
+_BLOCK_ROWS = 1024
+
+
+def split_head(params: LearnerParams, x: np.ndarray):
+    """`(head, rows)`: the output layer of a single net `params` as a
+    one-layer net, and that layer's input on all of `x`, the last hidden
+    layer's output (`x` itself for a net with no hidden layer).  A
+    connection must feed the output layer, as every one `expand_class`
+    builds does; the head reads it at its layer 0, so `forward(head, rows,
+    tap)` gives the logits of `forward(params, x, tap)`.  A connection into
+    a hidden layer is refused.
+
+    The hidden layers run on blocks of `_BLOCK_ROWS` rows, the last one
+    taking the remainder (`core.row_blocks`), through block buffers that
+    every block reuses; only the last one is written for all rows, so a
+    pass over a whole training split holds one hidden layer of it.  The
+    head runs on all rows at once in the caller's `forward`, because a row
+    cut can change the bits of a narrow layer's product (with OpenBLAS
+    0.3.31, 2- and 4-column output layers did, once the uncut product left
+    BLAS's small-matrix path), while the 24- and 64-wide hidden layers kept
+    their bits at every cut of 2 or more rows tried."""
+    spec, conn = params.spec, params.connection
+    last = len(spec) - 1
+    if conn.kind != "none" and conn.target_layer != last:
+        raise ConfigError(f"split_head: the connection feeds hidden layer {conn.target_layer}, "
+                          f"not the output layer {last}")
+    head = LearnerParams(spec=[spec[last]],
+                         connection=conn if conn.kind == "none" else replace(conn, target_layer=0),
+                         weights=[params.weights[last]], biases=[params.biases[last]])
+    x = np.asarray(x, dtype=np.float64)
+    if last == 0:
+        return head, x
+    blocks = row_blocks(x.shape[0], _BLOCK_ROWS)
+    most = blocks[-1].stop - blocks[-1].start   # the last block is the largest
+    rows = np.empty((x.shape[0], spec[last - 1].out_dim))
+    buffers = [np.empty((most, layer.out_dim)) for layer in spec[:last - 1]]
+    for block in blocks:
+        h = x[block]
+        outs = [buffer[:block.stop - block.start] for buffer in buffers] + [rows[block]]
+        for idx, out in enumerate(outs):
+            h = _layer(params, idx, h, out)
+    return head, rows
 
 
 def flatten(params: LearnerParams) -> np.ndarray:

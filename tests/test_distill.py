@@ -105,7 +105,7 @@ def test_always_passing_search_fills_ensemble(monkeypatch):
     def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         calls.append(connection.kind)
         params = init_params(spec, rng.split(0), connection)
-        return FindResult(params, "pass", 0.0, 0, 0)
+        return FindResult(params, "pass", 0.0, 0, 0, forward(params, x, tap)[0])
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
@@ -129,7 +129,7 @@ def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
         searched.append(connection.kind)
         if np.array_equal(state.kplus, state.kminus):
             params = init_params(spec, rng.split(0), connection)
-            return FindResult(params, "degenerate", 0.0, 0, 0)
+            return FindResult(params, "degenerate", 0.0, 0, 0, forward(params, x, tap)[0])
         return FindResult(None, "none", float("nan"), 0, -1)
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
@@ -146,7 +146,7 @@ def test_overflowing_candidates_escalate_instead_of_crashing(monkeypatch):
     def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         params = init_params(spec, rng.split(0), connection)
         params.biases[-1][:] = 1e6            # eta*|l| far past the exp limit
-        return FindResult(params, "pass", 0.0, 0, 0)
+        return FindResult(params, "pass", 0.0, 0, 0, forward(params, x, tap)[0])
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
@@ -158,6 +158,55 @@ def test_overflowing_candidates_escalate_instead_of_crashing(monkeypatch):
     ens, hist = run(_fast_config(T=3, R=3, connection_kind="none"), x, g)
     assert ens.members == []
     assert [new_r for _, new_r in hist.escalations] == [2, 3]
+
+
+def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkeypatch):
+    # the base class fails once a member exists, so the run escalates to the
+    # connected class; 2500 rows are two row blocks of `nets.split_head`
+    forwards, splits, searches = [], [], []
+    monkeypatch.setattr(distill_mod, "forward",
+                        lambda *a, **k: forwards.append(a) or forward(*a, **k))
+    split_head = distill_mod.split_head
+    monkeypatch.setattr(distill_mod, "split_head",
+                        lambda *a: splits.append(a) or split_head(*a))
+    search = distill_mod.find_weak_learner
+
+    def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
+        if connection.kind == "none" and not np.array_equal(state.kplus, state.kminus):
+            return FindResult(None, "none", float("nan"), 0, -1)
+        result = search(state, spec, connection, x, g_logits, cfg, rng, tap, edge_tol)
+        searches.append((connection, tap, result))
+        return result
+
+    monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
+    rng = RngStream(12)
+    x, _ = rng.split(0).gaussian(2500 * 32)
+    g, _ = rng.split(1).gaussian(2500 * 2)
+    x, g = x.reshape(2500, 32), g.reshape(2500, 2)
+    sgd = SgdConfig(lr=0.005, epochs=1, batch_size=256)
+    cfg = _fast_config(T=3, R=3, base_hidden=[24, 24],
+                       findwl=FindWlConfig(loss_mode="squared_error", max_search=1, sgd=sgd))
+    ens, hist = run(cfg, x, g)
+    assert forwards == []           # no pass over the split after a search
+    tapped = [(conn, tap) for conn, tap, _ in searches if conn.kind != "none"]
+    assert tapped and len(splits) == len({conn.source_round for conn, _ in tapped})
+    for conn, tap in tapped:
+        want = forward(ens.members[conn.source_round], x)[1][conn.source_layer]
+        assert tap.tobytes() == want.tobytes()
+    accepted = [result for _, _, result in searches if result.params is not None]
+    assert len(accepted) == len(ens.members)
+    assert all(result.params is member for result, member in zip(accepted, ens.members))
+    # the first member's residuals, taken from the search's logits, replay
+    # to the history's first round
+    first = accepted[0]
+    record = md_update(init_uniform(2500, 2), first.logits - g, ens.eta)[1]
+    assert np.array_equal(hist.rounds[0].edge_gamma, record.edge_gamma)
+    # with no connection, no class reads a tap
+    splits.clear()
+    run(_fast_config(T=2, R=2, base_hidden=[24, 24], connection_kind="none",
+                     findwl=FindWlConfig(loss_mode="squared_error", max_search=1, sgd=sgd)),
+        x, g)
+    assert splits == [] and forwards == []
 
 
 def test_empty_or_mismatched_data_rejected():

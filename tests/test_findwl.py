@@ -22,7 +22,8 @@ from ensdistill.findwl import (
     total_grad_fn,
 )
 from ensdistill.game import WeightState, edge, init_uniform
-from ensdistill.nets import NO_CONNECTION, LayerSpec, backward, forward, init_params
+from ensdistill.nets import (NO_CONNECTION, LayerSpec, backward, expand_class, forward,
+                             init_params)
 
 from oracle_runs import barrier_grad
 
@@ -225,12 +226,11 @@ def test_sgd_convex_loss_non_increasing():
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
     losses = []
-    velocity = None
+    state = None
     for epoch in range(cfg.epochs):
         logits, _ = forward(params, x)
         losses.append(distill_loss(logits, target, "squared_error"))
-        params, velocity, rng = sgd_epoch(params, x, grad_fn, cfg, rng,
-                                          lr=cfg.lr, velocity=velocity)
+        params, state, rng = sgd_epoch(params, x, grad_fn, cfg, rng, lr=cfg.lr, state=state)
     logits, _ = forward(params, x)
     losses.append(distill_loss(logits, target, "squared_error"))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -418,3 +418,25 @@ def test_find_zero_class_returns_none():
     assert result.verdict == "none"
     assert result.params is None
     assert result.restart_index == -1
+
+
+# a degenerate round returns its best candidate, so every class here returns
+# one; 2500 rows are two row blocks of `nets.split_head`
+@pytest.mark.parametrize("kind", ["none", "residual_add", "dense_concat", "delta"])
+def test_find_result_holds_the_logits_of_its_params(kind):
+    root = RngStream(31)
+    u, _ = root.split(0).uniform(2500 * 32)
+    x = 2.0 * u.reshape(2500, 32) - 1.0
+    g, _ = root.split(1).gaussian(2500 * 2)
+    g = g.reshape(2500, 2)
+    base = [LayerSpec(32, 24), LayerSpec(24, 24), LayerSpec(24, 2, "linear")]
+    source = init_params(base, root.split(2))
+    spec, connection = expand_class(base, kind, 1, [source])
+    tap = forward(source, x)[1][-2] if kind != "none" else None
+    cfg = FindWlConfig(loss_mode="squared_error", max_search=2,
+                       sgd=SgdConfig(lr=0.005, epochs=1, batch_size=256))
+    result = find_weak_learner(init_uniform(2500, 2), spec, connection, x, g, cfg,
+                               RngStream(32), tap=tap)
+    assert result.verdict == "degenerate"
+    want = forward(result.params, x, tap)[0]
+    assert result.logits.tobytes() == want.tobytes()

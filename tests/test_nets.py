@@ -1,12 +1,14 @@
 """Tests for student networks: init, forward/backward, class expansion, FLOPs."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ensdistill.core import RngStream
 from ensdistill.nets import (
+    CONNECTION_KINDS,
     NO_CONNECTION,
     ConfigError,
     ConnectionSpec,
@@ -19,6 +21,7 @@ from ensdistill.nets import (
     init_params,
     params_from_dict,
     params_to_dict,
+    split_head,
     validate_spec,
 )
 
@@ -301,3 +304,69 @@ def test_params_from_dict_refuses_non_finite_arrays_as_config(field):
     (arr[0] if field == "weights" else arr)[0] = float("nan")
     with pytest.raises(ConfigError, match=f"layer 1 {field} contains non-finite entries"):
         params_from_dict(doc)
+
+
+# --- split_head: hidden layers in row blocks, the output layer whole ---------
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _split_case(kind, hidden, labels, n, d=32):
+    """Inputs, an `expand_class` member of `kind` over a base of two
+    `hidden`-wide layers, and the tap it reads: its source's last hidden
+    layer on all of x.  Every bias is drawn too, so none is zero."""
+    rng = RngStream(n * 100 + hidden + labels)
+    u, _ = rng.split(0).uniform(n * d)
+    x = 2.0 * u.reshape(n, d) - 1.0
+    base = [LayerSpec(d, hidden), LayerSpec(hidden, hidden), LayerSpec(hidden, labels, "linear")]
+    source = init_params(base, rng.split(1))
+    spec, conn = expand_class(base, kind, 1, [source])
+    params = init_params(spec, rng.split(2), conn)
+    for i, b in enumerate(source.biases + params.biases):
+        b[:] = 0.1 * rng.split(10 + i).gaussian(b.size)[0]
+    return x, source, params, forward(source, x)[1][-2]
+
+
+# row counts on each side of the block edges, and one whose 2- and 4-column
+# output products are past OpenBLAS's small-matrix path, where a row cut
+# changes their bits
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2047, 2048, 40000])
+@pytest.mark.parametrize("hidden, labels", [(24, 2), (24, 4), (64, 2), (64, 4)])
+@pytest.mark.parametrize("kind", CONNECTION_KINDS)
+def test_split_head_gives_the_bits_of_forward(kind, hidden, labels, n):
+    x, source, params, tap = _split_case(kind, hidden, labels, n)
+    head, rows = split_head(params, x)
+    assert _same_bits(forward(head, rows, tap)[0], forward(params, x, tap)[0])
+    assert _same_bits(rows, forward(params, x, tap)[1][-2])
+    # the tap a run hands a connected class is its source's split rows
+    assert _same_bits(split_head(source, x)[1], tap)
+    assert len(head.spec) == 1 and head.weights[0] is params.weights[-1]
+    assert head.connection.target_layer == (0 if kind != "none" else -1)
+
+
+def test_split_head_of_a_net_without_hidden_layers_is_the_net_on_x():
+    params = init_params([LayerSpec(3, 2, "linear")], RngStream(1))
+    x = np.arange(12.0).reshape(4, 3)
+    head, rows = split_head(params, x)
+    assert rows is x and head.spec == params.spec
+    assert _same_bits(forward(head, rows)[0], forward(params, x)[0])
+
+
+def test_split_head_refuses_a_connection_into_a_hidden_layer():
+    params = init_params(MLP, RngStream(2), ConnectionSpec("residual_add", 0, 1, 1))
+    with pytest.raises(ConfigError, match="hidden layer 1, not the output layer 2"):
+        split_head(params, np.zeros((4, 10)))
+
+
+def test_split_head_holds_one_hidden_layer_of_all_rows():
+    x, _, params, _ = _split_case("none", 64, 2, 40000)
+    tracemalloc.start()
+    try:
+        _, rows = split_head(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the last hidden layer (20.5 MB) and one block of the first (0.6 MB);
+    # `forward` holds both hidden layers and the logits, 41.6 MB
+    assert peak < 1.1 * rows.nbytes

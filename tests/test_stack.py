@@ -50,11 +50,11 @@ def solo_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng):
     stacking; a diverging candidate raises FloatingPointError."""
     params = findwl.init_params(spec, rng.split(0), connection)
     sgd_rng = rng.split(1)
-    velocity = None
+    state = None
     for epoch in range(sgd_cfg.epochs):
-        params, velocity, sgd_rng = findwl.sgd_epoch(
+        params, state, sgd_rng = findwl.sgd_epoch(
             params, x, grad_fn, sgd_cfg, sgd_rng,
-            lr=lr_at_epoch(epoch, sgd_cfg), velocity=velocity, tap=tap)
+            lr=lr_at_epoch(epoch, sgd_cfg), state=state, tap=tap)
     return params
 
 
@@ -454,15 +454,16 @@ def test_a_pass_at_restart_0_does_not_wait_for_the_children(monkeypatch):
 
 # --- the flat-buffer update against the per-array loop ------------------------
 
-def per_array_sgd_epoch(params, x, grad_fn, cfg, rng, lr, velocity=None, tap=None):
+def per_array_sgd_epoch(params, x, grad_fn, cfg, rng, lr, state=None, tap=None):
     """`findwl.sgd_epoch` as it was before the flat buffer: each minibatch's
     rows gathered at its step, and weight decay, momentum and the step
-    applied to one weight or bias array at a time."""
+    applied to one weight or bias array at a time.  Its state is the
+    velocity of each weight and of each bias."""
     fn, targets = grad_fn
-    if velocity is None:
-        velocity = ([np.zeros_like(w) for w in params.weights],
-                    [np.zeros_like(b) for b in params.biases])
-    vel_w, vel_b = velocity
+    if state is None:
+        state = ([np.zeros_like(w) for w in params.weights],
+                 [np.zeros_like(b) for b in params.biases])
+    vel_w, vel_b = state
     n = x.shape[0]
     if isinstance(rng, list):
         draws = [stream.permutation(n) for stream in rng]
@@ -548,18 +549,18 @@ def sgd_cases(draw):
 
 
 def _train(epoch_fn, params, x, tap, grad_fn, sgd_cfg, rng):
-    """Weights, biases and velocity after `sgd_cfg.epochs` epochs of
+    """Weights, biases and state after `sgd_cfg.epochs` epochs of
     `epoch_fn`, or the FloatingPointError a single net raised."""
-    velocity = None
+    state = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(sgd_cfg.epochs):
-                params, velocity, rng = epoch_fn(params, x, grad_fn, sgd_cfg, rng,
-                                                 lr=lr_at_epoch(epoch, sgd_cfg),
-                                                 velocity=velocity, tap=tap)
+                params, state, rng = epoch_fn(params, x, grad_fn, sgd_cfg, rng,
+                                              lr=lr_at_epoch(epoch, sgd_cfg),
+                                              state=state, tap=tap)
     except FloatingPointError as exc:
         return str(exc)
-    return params, velocity
+    return params, state
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,7 +627,7 @@ def test_an_epoch_after_the_first_allocates_no_copy_of_its_rows(kind, slices):
     params, state, rng = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, tap=tap)
     tracemalloc.start()
     try:
-        _, again, _ = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, velocity=state,
+        _, again, _ = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, state=state,
                                        tap=tap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
