@@ -8,7 +8,10 @@ csv-module reader it replaced, on valid and on broken dataset and logits
 files, the table writer against the csv-module writer on every kind of
 table, and the binary sidecar each data file is written with against the
 parse of that file.  The round trip and the differential cases read with no
-sidecar present, so they test the parse.  A table formatted in forked
+sidecar present, so they test the parse.  The cell encoder alone is checked
+against repr and str on floats drawn from raw 64-bit patterns (every
+exponent, subnormals, +-0.0, +-inf and NaN payloads), on pinned boundary
+cells and on int64 cells at both ends.  A table formatted in forked
 children, at any CPU count, must be the bytes of the one-process write, and
 a child that fails must be named with no child left behind.
 """
@@ -371,7 +374,7 @@ def test_a_sidecar_holds_what_parsing_its_file_gives(ds, logits):
             assert same_bits(parsed(path, record), saved)
 
 
-# row counts on both sides of the writer's 256-record blocks
+# row counts up to 600, a few of them around 256 (block edges: test_block_edges_change_no_byte)
 BLOCK_ROWS = st.one_of(st.integers(0, 6), st.sampled_from([256, 257, 600]))
 
 
@@ -413,6 +416,105 @@ def test_the_numeric_writer_writes_what_the_csv_module_writes(ds, logits, histor
             with np.load(tmp / "numeric.csv.npz", allow_pickle=False) as npz:
                 assert str(npz["csv_sha256"]) == digest
                 assert same_bits(npz["records"], records)
+
+
+# --- the cell encoder against repr and str ----------------------------------------
+
+# cells where the digits or their layout change: both sides of the switch to
+# the exponent form, 2**53 +- k, the least subnormal and normal floats, the
+# largest float, decimals with no exact binary value, and large floats whose
+# digits hang on a half-way point that scales exactly
+BOUNDARY = (1e-05, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e15, 1e16,
+            999999999999999.9, 9999999999999998.0, 1.0000000000000002e16, 1e17, 123.0, 0.5,
+            *(2.0 ** 53 + k for k in range(-4, 5)), 2.0 ** 54, 5e-324, 1e-323,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+            0.3, 0.1, 1e23, 1e22, 5e-310, 123456789012345.67,
+            1.806717506761523e16, 7.36760751540142e16, 2.947043006160568e17, 4.6e22)
+EVERY_POWER_OF_TWO = tuple(2.0 ** k for k in range(-1074, 1024))
+NON_FINITE_BITS = (0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                   0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.sampled_from(NON_FINITE_BITS),
+    st.sampled_from([int(v) for v in np.array(BOUNDARY + tuple(-v for v in BOUNDARY))
+                     .view(np.uint64)]))
+INT64_ENDS = (-2 ** 63, -2 ** 63 + 1, -10 ** 18, -1, 0, 1, 9, 10, 10 ** 18 - 1, 10 ** 18,
+              2 ** 63 - 2, 2 ** 63 - 1)
+
+
+def repr_lines(values) -> bytes:
+    """The lines the csv module writes for the rows of `values`: repr of a
+    float, str of an int."""
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in values.tolist()).encode()
+
+
+def one_field(values):
+    records = np.empty(len(values), [("c", values.dtype, values.shape[1:])])
+    records["c"] = values
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.uint64, shape, elements=FLOAT_BITS)))
+def test_the_encoder_writes_repr_of_every_float64(bits):
+    values = bits.view(np.float64)
+    assert core._encode_block(one_field(values)) == repr_lines(values)
+
+
+@pytest.mark.parametrize("cells", [
+    BOUNDARY + tuple(-v for v in BOUNDARY) + (0.0, -0.0),
+    EVERY_POWER_OF_TWO + tuple(-v for v in EVERY_POWER_OF_TWO),
+    np.array(INT64_ENDS, dtype=np.int64),
+], ids=["boundary", "powers-of-two", "int64-ends"])
+def test_the_encoder_writes_repr_of_the_pinned_cells(cells):
+    values = np.asarray(cells).reshape(-1, 2)
+    assert core._encode_block(one_field(values)) == repr_lines(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+              elements=st.one_of(INT64, st.sampled_from(INT64_ENDS))))
+def test_the_encoder_writes_str_of_every_int64(values):
+    assert core._encode_block(one_field(values)) == repr_lines(values)
+
+
+def test_non_finite_cells_are_written_as_repr_writes_them(tmp_path):
+    """inf, -inf and every NaN (either sign, any payload) are written as
+    `repr` writes them, in a dataset, a logits table and a history."""
+    odd = np.array(NON_FINITE_BITS, dtype=np.uint64).view(np.float64)
+    ds = LabeledDataset(x=np.stack([odd, odd[::-1]]), labels=np.array([3, 0]))
+    history = np.array([(1, 0, np.inf, np.nan, -np.inf, 1, 0)], HISTORY_RECORD)
+    for records, names, cells in (
+            (_dataset_table(ds), _dataset_columns(ds.d + 1),
+             [row + [label] for row, label in zip(ds.x.tolist(), ds.labels.tolist())]),
+            (_logits_table(ds.x), _logits_columns(ds.d), ds.x.tolist()),
+            (history, HISTORY_RECORD.names, history.tolist())):
+        write_table(tmp_path / "table.csv", records)
+        write_csv(tmp_path / "reference.csv", names, cells)
+        raw = (tmp_path / "table.csv").read_bytes()
+        assert raw == (tmp_path / "reference.csv").read_bytes()
+        assert b"inf" in raw and b"nan" in raw and b"-nan" not in raw
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 33, 100])
+def test_block_edges_change_no_byte(cells, tmp_path, monkeypatch):
+    """Blocks of any size write the bytes of the default blocks: a block
+    holds `_BLOCK_CELLS // width` records, and at least one."""
+    rng = np.random.default_rng(cells)
+    ds = LabeledDataset(x=rng.standard_normal((301, 6)) * 10.0 ** rng.integers(-5, 20, (301, 6)),
+                        labels=rng.integers(0, 4, 301))
+    expected = write_table(tmp_path / "default.csv", _dataset_table(ds))
+    monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+    assert write_table(tmp_path / "table.csv", _dataset_table(ds)) == expected
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", [np.bool_, np.uint64, np.complex128, np.longdouble, "U3"])
+def test_a_field_of_another_type_is_named(kind):
+    records = np.zeros(2, [("x", np.float64), ("odd", kind)])
+    with pytest.raises(TypeError, match="odd"):
+        core._encode_block(records)
 
 
 def _small_dataset(tmp_path):
@@ -538,22 +640,23 @@ def _counting_forks(monkeypatch):
 
 @settings(max_examples=30, deadline=None)
 @given(datasets(labels=INT64, x=matrices(rows=FEW_ROWS)), matrices(rows=FEW_ROWS),
-       tables(HISTORY_RECORD, FEW_ROWS), st.integers(1, 4))
-def test_forked_ranges_write_the_bytes_of_one_process(ds, logits, history, rows):
+       tables(HISTORY_RECORD, FEW_ROWS), st.integers(1, 28))
+def test_forked_ranges_write_the_bytes_of_one_process(ds, logits, history, cells):
     """At 1, 2 and 3 usable CPUs, with the cell minimum at one cell so that
     every table of two rows or more forks, `write_table` writes the bytes
-    and returns the digest of the one-process path, `rows` records to a
+    and returns the digest of the one-process path, about `cells` cells to a
     block; `write_numeric_csv` writes the same sidecar; no child is left."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         tmp = Path(tmp)
         mp.setattr(core, "_FORK_MIN_CELLS", 1)
+        mp.setattr(core, "_BLOCK_CELLS", cells)
         started = _counting_forks(mp)
         for records in (_dataset_table(ds), _logits_table(logits), history):
             written = []
             for workers in (1, 2, 3):
                 mp.setattr(core, "usable_cpus", lambda: workers)
                 del started[:]
-                digest = write_table(tmp / "table.csv", records, rows)
+                digest = write_table(tmp / "table.csv", records)
                 raw = (tmp / "table.csv").read_bytes()
                 assert digest == hashlib.sha256(raw).hexdigest()
                 assert len(started) == max(min(workers, len(records)) - 1, 0)
@@ -605,8 +708,8 @@ def lines_that(action):
     child of this process."""
     here, original = os.getpid(), core._lines
 
-    def lines(records, rows):
-        for block in original(records, rows):
+    def lines(records):
+        for block in original(records):
             if os.getpid() != here:
                 action()
             yield block
