@@ -1,7 +1,6 @@
 """Numeric substrate: dense float64 matrices, a counter-based splittable RNG,
-the package's one helper that runs work in forked children and its one
-helper that runs work on threads, and the codec every CSV and JSON artifact
-is written and read through.
+the package's one helper that runs work in forked children, and the codec
+every CSV and JSON artifact is written and read through.
 
 Everything here is deterministic: the same inputs (and the same RNG state)
 always produce the same bits on a given machine, which is what lets the rest
@@ -10,21 +9,18 @@ repr, computed for a block of cells at a time by integer array arithmetic
 rather than by a `repr` call per cell.  Work split over forked children is
 read back in order, so the CPU count changes no bit either: the
 weak-learner search trains its restart chunks that way, and `write_table`
-formats a large table's row ranges that way.  Work split over threads
-(`thread_chunks`) is the ensemble's forward pass over fixed row blocks,
-whose edges do not depend on the CPU count.
+formats a large table's row ranges that way.  The package starts no
+threads of its own.
 """
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import csv
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
-import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -140,7 +136,7 @@ class RngStream:
         return RngStream(int(_mix64(h)[0]), 0)
 
 
-# --- work in forked children and on threads --------------------------------
+# --- work in forked children ----------------------------------------------
 
 def usable_cpus() -> int:
     """CPUs this process may run on: how many chunks of work run at once.
@@ -227,48 +223,6 @@ def fork_chunks(chunks: list, work, workers: int, doing):
             conn.close()
             child.kill()
             child.join()
-
-
-def thread_chunks(chunks: list, work, workers: int) -> None:
-    """Call `work(chunk)` for each chunk, on up to `workers` threads.
-
-    The chunks are cut into contiguous runs whose lengths differ by at most
-    one, the longer runs first, since a caller's last chunk may hold a
-    remainder (`member_logits`' last block does).  The first run is worked
-    here and each other one in a thread of its own, which runs in a copy of
-    this thread's `contextvars` context, so an `np.errstate` set here holds
-    there too.  numpy drops the GIL in its matmul and ufunc loops, so the
-    runs compute at the same time, as long as each chunk writes its own
-    memory; each such call hands the GIL over, so many small calls gain
-    little.  The first exception, in chunk order, is raised again here.
-    Every thread is joined before this returns or raises, so no
-    `fork_chunks` fork ever sees one alive."""
-    n = len(chunks)
-    runs = [range(n - part.stop, n - part.start)
-            for part in reversed(split_range(range(n), workers))]
-    errors = [None] * len(runs)
-
-    def run(i):
-        try:
-            for j in runs[i]:
-                work(chunks[j])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, len(runs)):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-            thread.start()
-            threads.append(thread)
-        if runs:
-            run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 # --- artifact codec -----------------------------------------------------------

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RngStream, read_json, read_numeric_csv, row_blocks, thread_chunks,
-                   usable_cpus, write_json, write_table)
+from .core import RngStream, read_json, read_numeric_csv, write_json, write_table
 from .data import mlp_spec
 from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
 from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
-                   LIST_AT_LEAST_ONE, NUMBER, check, check_fields, expand_class, forward,
-                   optional, params_from_dict, params_to_dict, split_head)
+                   LIST_AT_LEAST_ONE, NUMBER, ConfigError, check, check_fields, expand_class,
+                   forward, optional, params_from_dict, params_to_dict, split_head)
 
 # a history file's record: one per (round, label)
 HISTORY_RECORD = np.dtype([("round", np.int64), ("label", np.int64), ("edge_gamma", np.float64),
@@ -54,6 +53,10 @@ class DistillConfig:
         # eta_mode picks the field that sets the rate; the other one is unread,
         # so its rule above checks only its type
         check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": FINITE_POSITIVE})
+        # a connected class taps a member's last hidden layer
+        if self.connection_kind != "none":
+            check("base_hidden", self.base_hidden,
+                  (bool, f"a non-empty list with connection_kind {self.connection_kind!r}"))
         self.findwl.validate()
 
 
@@ -163,54 +166,33 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     return ens, hist
 
 
-# the rows of one block of `member_logits`
-_BLOCK_ROWS = 1024
-
-
 def member_logits(members: list, x: np.ndarray):
-    """An iterator over each member's logits on x, in order.  Only the
-    (member, layer) activations some connection reads are cached; a tap of
-    one that is not cached when its reader runs raises the ConfigError that
-    names it.
-
-    `x` is cut into blocks of `_BLOCK_ROWS` rows, the last one taking the
-    remainder (`core.row_blocks`), so a batch under two blocks is one block,
-    evaluated lazily, member by member, with no copy.  Otherwise every block
-    runs every member, with its own tap cache, on the usable CPUs' threads
-    (`thread_chunks`), writing its rows of one array per member, before
-    this returns.  The block edges depend on the block size alone, so the
-    bits do not depend on the CPU count.  They are not always the bits of
-    the uncut batch: with OpenBLAS 0.3.31 a row cut kept the bits of the 24-
-    and 64-wide hidden layers, but not of a 2- or 4-column output layer
-    once the uncut product left BLAS's small-matrix path (M*N*K above about
-    10**6).  A (40000 x 24) @ (24 x 2) product cut at any of 4 to 20000
-    rows differed from the uncut one, while the test split's 10,000 rows
-    stay on that path whole and in blocks."""
+    """An iterator over each member's logits on x, in order, computed
+    lazily, member by member: `forward(head, rows, tap)` after
+    `nets.split_head`, which decides how the rows are cut.  A member's
+    `rows`, its last hidden layer on x, is cached as (member, layer) only
+    if some connection reads it; a tap that is not cached when its reader
+    runs raises the ConfigError that names it.  An untapped `rows` array is
+    written over by the next member of its width: a fresh array of a
+    batch's size per member faulted its pages in again on every call.  A
+    member loaded from a file taps nothing else (`_check_tap`), and the
+    run's search computes its candidates' logits the same way, so these
+    are the run's bits."""
     x = np.asarray(x, dtype=np.float64)
-    blocks = row_blocks(x.shape[0], _BLOCK_ROWS)
-    if len(blocks) < 2:
-        return _block_logits(members, x)
-    outs = [np.empty((x.shape[0], m.spec[-1].out_dim)) for m in members]
-
-    def work(rows):
-        for out, logits in zip(outs, _block_logits(members, x[rows])):
-            out[rows] = logits
-
-    thread_chunks(blocks, work, usable_cpus())
-    return iter(outs)
-
-
-def _block_logits(members: list, x: np.ndarray):
-    """`member_logits` of one block."""
     tapped = {(m.connection.source_round, m.connection.source_layer) for m in members}
     cache = {}
+    spares = {}   # width -> an untapped member's `rows`, which a later one overwrites
     for member_index, params in enumerate(members):
         conn = params.connection
-        logits, acts = forward(params, x, cache.get((conn.source_round, conn.source_layer)))
-        for layer_index, act in enumerate(acts):
-            if (member_index, layer_index) in tapped:
-                cache[(member_index, layer_index)] = act
-        del acts  # untapped layers are not held while the caller runs
+        hidden = len(params.spec) - 2   # the last hidden layer; -1 for none
+        width = params.spec[hidden].out_dim
+        head, rows = split_head(params, x, spares.pop(width, None) if hidden >= 0 else None)
+        logits, _ = forward(head, rows, cache.get((conn.source_round, conn.source_layer)))
+        if hidden >= 0:
+            if (member_index, hidden) in tapped:
+                cache[(member_index, hidden)] = rows
+            else:
+                spares[width] = rows
         yield logits
 
 
@@ -246,6 +228,8 @@ def _check_meta(meta: dict, n_members: int) -> None:
 def ensemble_to_dict(ens: Ensemble) -> dict:
     meta = {"seed": ens.seed, "eta": ens.eta, "T": ens.T, "R": ens.R,
             "teacher_hash": ens.teacher_hash, "member_class_r": list(ens.class_rs)}
+    for i, member in enumerate(ens.members):
+        _check_tap(i, member, ens.members[:i])
     _check_meta(meta, len(ens.members))
     return {"meta": meta, "members": [params_to_dict(m) for m in ens.members]}
 
@@ -265,24 +249,38 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
 
 
 def _member_from_dict(index: int, doc: dict, earlier: list):
-    """`params_from_dict`, whose refusal names the member.  A connected
-    member must tap a layer of one of the `earlier` members, the only
-    activations cached when it runs."""
+    """`params_from_dict`, whose refusal names the member, and `_check_tap`."""
     try:
         params = params_from_dict(doc)
-        conn = params.connection
-        if conn.kind != "none":
-            check("source_round", conn.source_round,
-                  (lambda v: INTEGER[0](v) and 0 <= v < index,
-                   f"an earlier member's index in 0..{index - 1}" if index
-                   else "an earlier member's index (member 0 has none)"))
-            layers = len(earlier[conn.source_round].spec)
-            check("source_layer", conn.source_layer,
-                  (lambda v: INTEGER[0](v) and 0 <= v < layers,
-                   f"a layer index of member {conn.source_round} in 0..{layers - 1}"))
-        return params
     except ValueError as exc:   # ConfigError included, which keeps its type
         raise type(exc)(f"member {index}: {exc}") from exc
+    _check_tap(index, params, earlier)
+    return params
+
+
+def _check_tap(index: int, params, earlier: list) -> None:
+    """Refuse a connection of member `index` of any shape but the one
+    `expand_class` builds, naming the member and the field: it feeds the
+    member's output layer and reads the last hidden layer of one of the
+    `earlier` members, the one activation `member_logits` caches."""
+    conn = params.connection
+    if conn.kind == "none":
+        return
+    try:
+        check("source_round", conn.source_round,
+              (lambda v: INTEGER[0](v) and 0 <= v < index,
+               f"an earlier member's index in 0..{index - 1}" if index
+               else "an earlier member's index (member 0 has none)"))
+        last = len(params.spec) - 1
+        check("target_layer", conn.target_layer,
+              (lambda v: INTEGER[0](v) and v == last, f"the output layer's index, {last}"))
+        hidden = len(earlier[conn.source_round].spec) - 2
+        check("source_layer", conn.source_layer,
+              (lambda v: INTEGER[0](v) and v == hidden >= 0,
+               f"member {conn.source_round}'s last hidden layer's index, {hidden}" if hidden >= 0
+               else f"a hidden layer's index, of which member {conn.source_round} has none"))
+    except ConfigError as exc:
+        raise ConfigError(f"member {index}: {exc}") from exc
 
 
 def save_ensemble(path, ens: Ensemble) -> None:

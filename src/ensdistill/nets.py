@@ -219,28 +219,33 @@ def _layer(params: LearnerParams, idx: int, h: np.ndarray, out: np.ndarray | Non
     return h
 
 
-# the rows of one block of `split_head`'s hidden layers
+# the rows of one block of a net's hidden layers, the one row cut (`split_head`)
 _BLOCK_ROWS = 1024
 
 
-def split_head(params: LearnerParams, x: np.ndarray):
+def split_head(params: LearnerParams, x: np.ndarray, out: np.ndarray | None = None):
     """`(head, rows)`: the output layer of a single net `params` as a
     one-layer net, and that layer's input on all of `x`, the last hidden
     layer's output (`x` itself for a net with no hidden layer).  A
     connection must feed the output layer, as every one `expand_class`
     builds does; the head reads it at its layer 0, so `forward(head, rows,
     tap)` gives the logits of `forward(params, x, tap)`.  A connection into
-    a hidden layer is refused.
+    a hidden layer is refused.  `rows` is written into `out` if given, an
+    array of its shape; a net with no hidden layer ignores it.
 
-    The hidden layers run on blocks of `_BLOCK_ROWS` rows, the last one
-    taking the remainder (`core.row_blocks`), through block buffers that
-    every block reuses; only the last one is written for all rows, so a
-    pass over a whole training split holds one hidden layer of it.  The
-    head runs on all rows at once in the caller's `forward`, because a row
-    cut can change the bits of a narrow layer's product (with OpenBLAS
-    0.3.31, 2- and 4-column output layers did, once the uncut product left
-    BLAS's small-matrix path), while the 24- and 64-wide hidden layers kept
-    their bits at every cut of 2 or more rows tried."""
+    This is the package's one rule for cutting a batch into rows: the
+    teacher's logits, a search's candidates on all of its split and every
+    ensemble member (`distill.member_logits`) are computed through it, so
+    each gets the same bits on the same rows wherever it is evaluated.  The
+    hidden layers run on blocks of `_BLOCK_ROWS` rows, the last one taking
+    the remainder (`core.row_blocks`), through block buffers that every
+    block reuses; only the last one is written for all rows, so a pass over
+    a whole training split holds one hidden layer of it.  The head runs on
+    all rows at once in the caller's `forward`, because a row cut can change
+    the bits of a narrow layer's product (with OpenBLAS 0.3.31, 2- and
+    4-column output layers did, once the uncut product left BLAS's
+    small-matrix path), while the 24- and 64-wide hidden layers kept their
+    bits at every cut of 2 or more rows tried."""
     spec, conn = params.spec, params.connection
     last = len(spec) - 1
     if conn.kind != "none" and conn.target_layer != last:
@@ -254,7 +259,7 @@ def split_head(params: LearnerParams, x: np.ndarray):
         return head, x
     blocks = row_blocks(x.shape[0], _BLOCK_ROWS)
     most = blocks[-1].stop - blocks[-1].start   # the last block is the largest
-    rows = np.empty((x.shape[0], spec[last - 1].out_dim))
+    rows = np.empty((x.shape[0], spec[last - 1].out_dim)) if out is None else out
     buffers = [np.empty((most, layer.out_dim)) for layer in spec[:last - 1]]
     for block in blocks:
         h = x[block]

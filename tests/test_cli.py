@@ -481,6 +481,9 @@ _BAD_VALUE = {
     "config-lr-factor-negative": ({"findwl": {"sgd": {"lr_factor": -1}}}, "'lr_factor'"),
     "config-lr-factor-above-one": ({"findwl": {"sgd": {"lr_factor": 5}}}, "'lr_factor'"),
     "config-R-one": ({"R": 1}, "'R' must be an integer >= 2, got 1"),
+    "config-base-hidden-empty-connected": (
+        {"base_hidden": []},
+        "'base_hidden' must be a non-empty list with connection_kind 'residual_add', got []"),
 }
 
 
@@ -504,6 +507,16 @@ def _break_member(case, member):
         member["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
                                 "target_layer": 7}
         return f"'target_layer' must be a layer index in 0..{layers - 1}, got 7"
+    # member 0 is of the same class, so its last hidden layer is `layers - 2`
+    if case == "ensemble-member-target-hidden":
+        member["connection"] = {"kind": "residual_add", "source_round": 0,
+                                "source_layer": layers - 2, "target_layer": 0}
+        return f"'target_layer' must be the output layer's index, {layers - 1}, got 0"
+    if case == "ensemble-member-source-layer":
+        member["connection"] = {"kind": "residual_add", "source_round": 0,
+                                "source_layer": layers - 1, "target_layer": layers - 1}
+        return (f"'source_layer' must be member 0's last hidden layer's index, {layers - 2}, "
+                f"got {layers - 1}")
     if case == "ensemble-member-weight-nan":
         member["weights"][0][0][0] = float("nan")
         return "layer 0 weights contains non-finite entries"
@@ -679,6 +692,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("ensemble-member-sigmoid", 2), ("ensemble-member-spec-empty", 2),
     ("ensemble-member-connection-unknown", 2),
     ("ensemble-member-target-layer", 2), ("ensemble-member-weight-nan", 2),
+    ("ensemble-member-target-hidden", 2), ("ensemble-member-source-layer", 2),
+    ("config-base-hidden-empty-connected", 2),
     ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
     ("resched-logits-width", 2), ("resched-logits-rows", 3),
     ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),

@@ -1,9 +1,6 @@
-"""Tests for the numeric substrate: finiteness, softmax, the RNG, and the
-helper that runs chunks of work on threads."""
+"""Tests for the numeric substrate: finiteness, softmax and the RNG."""
 
 import itertools
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from ensdistill.core import (
     check_finite,
     log_softmax,
     softmax,
-    thread_chunks,
 )
 
 
@@ -166,48 +162,3 @@ def test_tied_uniforms_keep_their_positions(monkeypatch, keys):
     monkeypatch.setattr(RngStream, "uniform", lambda self, n: (u[:n].copy(), self))
     perm, _ = RngStream(0).permutation(len(keys))
     assert np.array_equal(perm, np.argsort(u, kind="stable"))
-
-
-# --- work on threads --------------------------------------------------------
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 9])
-def test_thread_chunks_works_every_chunk_once_in_contiguous_runs(workers):
-    threads = threading.active_count()
-    ran_on = {}
-
-    def work(chunk):
-        assert chunk not in ran_on
-        ran_on[chunk] = threading.current_thread()
-    thread_chunks(list(range(7)), work, workers)
-    assert sorted(ran_on) == list(range(7))
-    # contiguous runs, the longer ones first, the first one here, one thread each
-    runs = [list(group) for _, group in itertools.groupby(range(7), key=ran_on.get)]
-    assert len(runs) == len(set(ran_on.values())) == min(workers, 7)
-    assert [len(run) for run in runs] == sorted(map(len, runs), reverse=True)
-    assert len(runs[0]) - len(runs[-1]) <= 1
-    assert ran_on[0] is threading.current_thread()
-    assert threading.active_count() == threads
-    thread_chunks([], work, workers)
-    assert len(ran_on) == 7
-
-
-def test_thread_chunks_raises_the_first_exception_in_chunk_order_after_every_join():
-    """Runs [0, 1, 2] here, [3, 4] and [5, 6] in two threads: chunk 3 raises
-    at once, and chunk 6 raises after chunk 5 has slept.  The first in
-    chunk order is raised here, the very object its thread raised, and only
-    once every thread, the slow one too, is done."""
-    errors = {3: KeyError("three"), 6: ValueError("six")}
-    finished = []
-    threads = threading.active_count()
-
-    def work(chunk):
-        if chunk == 5:
-            time.sleep(0.05)
-        if chunk in errors:
-            raise errors[chunk]
-        finished.append(chunk)
-    with pytest.raises(KeyError) as info:
-        thread_chunks(list(range(7)), work, 3)
-    assert info.value is errors[3]
-    assert sorted(finished) == [0, 1, 2, 5]
-    assert threading.active_count() == threads

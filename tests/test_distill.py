@@ -1,6 +1,7 @@
 """Tests for the outer boosting loop, ensemble prediction, and run I/O."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from ensdistill.distill import (
 )
 from ensdistill.findwl import FindResult, FindWlConfig, SgdConfig
 from ensdistill.game import init_uniform, md_update
-from ensdistill.nets import ConfigError, LayerSpec, forward, init_params
+from ensdistill.nets import ConfigError, LayerSpec, expand_class, forward, init_params
 
 
 def _small_problem(seed=0, n=16, d=3, labels=2):
@@ -56,6 +57,10 @@ def test_config_validation():
         _fast_config(R=1).validate()
     with pytest.raises(ValueError):
         _fast_config(eta=0.0).validate()
+    # a connected class taps a hidden layer, which an empty base lacks
+    with pytest.raises(ConfigError, match="'base_hidden' must be a non-empty list"):
+        _fast_config(base_hidden=[]).validate()
+    _fast_config(base_hidden=[], connection_kind="none").validate()
     _fast_config().validate()
 
 
@@ -209,6 +214,45 @@ def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkey
     assert splits == [] and forwards == []
 
 
+def test_verify_replays_the_runs_logits_bit_for_bit(monkeypatch):
+    """4800 training rows are four row blocks, and a 64-wide last hidden
+    layer into 4 labels takes the output layer's product off BLAS's
+    small-matrix path, where a row cut of it can change its bits.  The
+    members read back from the ensemble file give each accepted
+    candidate's own logits, so the history replays with ==, the connected
+    member's included."""
+    accepted = []
+    search = distill_mod.find_weak_learner
+
+    def stub(state, spec, connection, *args, **kwargs):
+        # the base class fails once a member exists, so the run escalates
+        if connection.kind == "none" and not np.array_equal(state.kplus, state.kminus):
+            return FindResult(None, "none", float("nan"), 0, -1)
+        result = search(state, spec, connection, *args, **kwargs)
+        if result.params is not None:
+            accepted.append(result)
+        return result
+
+    monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
+    train, _ = split(gen_cube(3, 6000, 8), 0.8, 3)
+    teacher = train_teacher(train, mlp_spec(8, [32, 32], 4),
+                            replace(default_teacher_recipe(), epochs=10, batch_size=256), 3)
+    g = teacher_logits(teacher, train.x)
+    cfg = _fast_config(T=3, R=5, base_hidden=[64], seed=3,
+                       findwl=FindWlConfig(max_search=3, sgd=SgdConfig(epochs=4, batch_size=128)))
+    ens, hist = run(cfg, train.x, g)
+    assert train.x.shape[0] >= 2 * 2048
+    assert [m.connection.kind for m in ens.members][:2] == ["none", "residual_add"]
+    loaded = distill_mod.ensemble_from_dict(distill_mod.ensemble_to_dict(ens))
+    got = list(member_logits(loaded.members, train.x))
+    assert len(got) == len(accepted) == len(hist.rounds)
+    state = init_uniform(*g.shape)
+    for logits, result, rec in zip(got, accepted, hist.rounds):
+        assert logits.tobytes() == result.logits.tobytes()
+        state, replay = md_update(state, logits - g, loaded.eta)
+        assert np.all(replay.edge_gamma == rec.edge_gamma) and np.all(replay.z == rec.z)
+
+
 def test_empty_or_mismatched_data_rejected():
     x, g = _small_problem()
     with pytest.raises(ValueError):
@@ -230,7 +274,7 @@ def test_round_one_fits_realizable_teacher():
     g, _ = forward(teacher, x)
     cfg = DistillConfig(
         T=1, R=2, eta=0.5, seed=3,
-        base_hidden=[],
+        base_hidden=[], connection_kind="none",
         findwl=FindWlConfig(loss_mode="squared_error", max_search=1,
                             sgd=SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
                                           epochs=200, batch_size=32)))
@@ -330,6 +374,29 @@ def test_save_refuses_an_ensemble_that_would_not_load(tmp_path):
     path = tmp_path / "ens.json"
     with pytest.raises(ConfigError, match="'T' must be"):
         save_ensemble(path, Ensemble(members=ens.members[:1], class_rs=[1]))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, value, refusal", [
+    ("target_layer", 0, "'target_layer' must be the output layer's index, 1, got 0"),
+    ("source_layer", 1, "'source_layer' must be member 0's last hidden layer's index, 0, got 1"),
+], ids=["target_layer", "source_layer"])
+def test_save_refuses_a_tap_that_a_load_refuses(tmp_path, key, value, refusal):
+    """A connection must feed the output layer from an earlier member's last
+    hidden layer, as `expand_class` builds it, in a file and in memory."""
+    base = mlp_spec(3, [4], 2)
+    first = init_params(base, RngStream(1).split(0))
+    spec, conn = expand_class(base, "residual_add", 1, [first])
+    ens = Ensemble(members=[first, init_params(spec, RngStream(1).split(1), conn)],
+                   class_rs=[1, 2], eta=0.3, T=2, R=3)
+    doc = distill_mod.ensemble_to_dict(ens)
+    doc["members"][1]["connection"][key] = value
+    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
+        distill_mod.ensemble_from_dict(doc)
+    ens.members[1].connection = replace(conn, **{key: value})
+    path = tmp_path / "ens.json"
+    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
+        save_ensemble(path, ens)
     assert not path.exists()
 
 

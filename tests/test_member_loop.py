@@ -1,18 +1,18 @@
 """The one member-evaluation loop against the every-layer cache it replaced.
 
-`distill.member_logits` caches only the activations some connection taps.
-Random small ensembles, with every connection kind, taps of older members
-and of any layer (as a hand-edited ensemble.json can hold), must give the
-same bits as the reference loop below on every path built on the generator.
+`distill.member_logits` runs each member through `nets.split_head` and
+caches only the last hidden layers some connection taps.  Random small
+ensembles, with every connection kind and taps of any earlier member, in
+the shape `expand_class` builds (the only one an ensemble file may hold),
+must give the same bits as the reference loop below on every path built on
+the generator.
 
-A batch of two blocks or more is evaluated block by block on threads.  With
-blocks shrunk to 8 or 16 rows and 1-3 usable CPUs, each member's logits must
-keep the whole batch's bits, an exception in a thread must reach the caller
-as it was raised, and no thread may outlive a call, so a forked search after
-it sees none.
+A batch of two blocks or more has its hidden layers evaluated block by
+block, in this thread.  With blocks shrunk to 8 or 16 rows, each member's
+logits must keep the whole batch's bits, and a forked search after a
+prediction of several blocks sees no thread and keeps its bits.
 """
 
-import contextlib
 import json
 import re
 import threading
@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ensdistill.distill as distill
 import ensdistill.findwl as findwl
+import ensdistill.nets as nets
 from ensdistill.core import RngStream, softmax
 from ensdistill.distill import (Ensemble, ensemble_from_dict, ensemble_predict,
                                 ensemble_to_dict, member_logits)
@@ -87,27 +87,25 @@ def ensembles(draw, rows=st.integers(1, 8)):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     members = []
     for j in range(draw(st.integers(1, 4))):
-        hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        # only a member with a hidden layer can be tapped
+        sources = [i for i, m in enumerate(members) if len(m.spec) >= 2]
+        kind = draw(st.sampled_from(CONNECTION_KINDS if sources else ("none",)))
+        hidden = draw(st.lists(st.integers(1, 5), min_size=int(kind != "none"), max_size=3))
         dims = [d] + hidden + [n_labels]          # layer l maps dims[l] -> dims[l + 1]
-        kind = draw(st.sampled_from(CONNECTION_KINDS if j else ("none",)))
         conn, width = NO_CONNECTION, 0
         if kind != "none":
-            source_round = draw(st.integers(0, j - 1))
+            # as `expand_class` builds it: the last hidden layer of an
+            # earlier member feeds the output layer
+            source_round = draw(st.sampled_from(sources))
             source_spec = members[source_round].spec
-            source_layer = draw(st.integers(0, len(source_spec) - 1))
-            width = source_spec[source_layer].out_dim
-            if kind == "dense_concat":
-                target = draw(st.integers(0, len(dims) - 2))
-            else:
-                # the tap is added to the target's input, so widths must agree
-                target = draw(st.integers(0 if width == d else 1, len(dims) - 2))
-                if target:
-                    dims[target] = width
-            conn = ConnectionSpec(kind, source_round, source_layer, target)
+            width = source_spec[-2].out_dim
+            if kind != "dense_concat":
+                dims[-2] = width   # the tap is added to the output layer's input
+            conn = ConnectionSpec(kind, source_round, len(source_spec) - 2, len(dims) - 2)
         spec = [LayerSpec(dims[i], dims[i + 1]) for i in range(len(dims) - 2)]
         spec.append(LayerSpec(dims[-2], dims[-1], "linear"))
         if kind == "dense_concat":
-            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+            spec[-1] = replace(spec[-1], in_dim=spec[-1].in_dim + width)
         members.append(init_params(spec, RngStream(seed).split(j), conn))
     ens = Ensemble(members=members, class_rs=[1] * len(members), eta=0.01, T=len(members))
     root = RngStream(seed).split(99)
@@ -155,10 +153,10 @@ def test_generator_paths_match_every_layer_reference(case, threshold):
 
 
 def _tapping_pair():
-    """Two members; the second adds member 0's first hidden layer to its own."""
+    """Two members; the second adds member 0's last hidden layer to its own."""
     spec = [LayerSpec(3, 4), LayerSpec(4, 4), LayerSpec(4, 2, "linear")]
     first = init_params(spec, RngStream(1).split(0))
-    conn = ConnectionSpec("residual_add", source_round=0, source_layer=0, target_layer=2)
+    conn = ConnectionSpec("residual_add", source_round=0, source_layer=1, target_layer=2)
     second = init_params(spec, RngStream(1).split(1), conn)
     return Ensemble(members=[first, second], class_rs=[1, 2], eta=0.01, T=2, R=3)
 
@@ -168,18 +166,21 @@ def _tapping_pair():
     (1, 0),     # the reader itself: not evaluated when it reads
     (0, 7),     # no such layer
     (0, -1),    # negative layer index
+    (0, 0),     # a hidden layer, but not the last one
 ])
 def test_loaded_ensemble_with_missing_tap_names_it(source_round, source_layer):
-    """The loader refuses a tap of anything but a layer of an earlier
-    member, naming the reading member and the field; an ensemble built in
-    memory past the loader still has the tap named where it is read."""
+    """The loader refuses a tap of anything but the last hidden layer of an
+    earlier member, naming the reading member and the field; an ensemble
+    built in memory past the loader still has the tap named where it is
+    read."""
     doc = json.loads(json.dumps(ensemble_to_dict(_tapping_pair())))
     doc["members"][1]["connection"].update(source_round=source_round,
                                            source_layer=source_layer)
     if source_round != 0:
         refusal = f"'source_round' must be an earlier member's index in 0..0, got {source_round}"
     else:
-        refusal = f"'source_layer' must be a layer index of member 0 in 0..2, got {source_layer}"
+        refusal = (f"'source_layer' must be member 0's last hidden layer's index, 1, "
+                   f"got {source_layer}")
     with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
         ensemble_from_dict(doc)
     ens = _tapping_pair()
@@ -214,31 +215,20 @@ def test_a_tap_of_a_later_member_is_refused_at_load():
     assert len(ensemble_from_dict(doc).members) == 2
 
 
-# --- row blocks on threads ----------------------------------------------------
-
-@contextlib.contextmanager
-def blocks_on(block_rows, cpus):
-    """`member_logits` cutting `block_rows`-row blocks, on `cpus` usable CPUs."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distill, "_BLOCK_ROWS", block_rows)
-        mp.setattr(distill, "usable_cpus", lambda: cpus)
-        yield
-
+# --- row blocks --------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_blocks_on_threads_keep_the_bits_of_the_whole_batch(data):
+def test_blocks_keep_the_bits_of_the_whole_batch(data):
     """Row counts on and either side of the block edges, 1 to 5 blocks."""
     block_rows = data.draw(st.sampled_from((8, 16)), label="block_rows")
-    cpus = data.draw(st.sampled_from((1, 2, 3)), label="cpus")
     rows = st.builds(lambda blocks, offset: max(1, blocks * block_rows + offset),
                      st.integers(1, 5), st.integers(-2, 2))
     ens, x, _, _ = data.draw(ensembles(rows=rows), label="case")
-    threads = threading.active_count()
-    with blocks_on(block_rows, cpus):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_BLOCK_ROWS", block_rows)
         got = list(member_logits(ens.members, x))
         prefix = ensemble_predict(ens, x, len(ens.members))
-    assert threading.active_count() == threads
     expected = reference_member_logits(ens.members, x)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -246,62 +236,25 @@ def test_blocks_on_threads_keep_the_bits_of_the_whole_batch(data):
     assert same_bits(prefix, reference_prefixes(ens.members, x)[-1])
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_a_missing_tap_raised_in_a_thread_reaches_the_caller_unchanged(cpus):
-    """Five blocks of 8 rows, each raising the ConfigError that one block
-    of 40 rows raises."""
-    ens = _tapping_pair()
-    ens.members[1].connection = replace(ens.members[1].connection, source_round=5)
-    u, _ = RngStream(2).uniform(40 * 3)
-    x = u.reshape(40, 3)
-    with pytest.raises(ConfigError) as whole:
-        list(member_logits(ens.members, x))
-    threads = threading.active_count()
-    with blocks_on(8, cpus), pytest.raises(ConfigError) as blocked:
-        list(member_logits(ens.members, x))
-    assert threading.active_count() == threads
-    assert str(blocked.value) == str(whole.value) == "missing cached activation for member 5 layer 0"
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_a_thread_computes_under_the_callers_errstate(cpus):
-    """Only the last of four 8-row blocks, which a thread evaluates,
-    overflows.  Under the caller's np.errstate(over="raise") numpy raises
-    there, and that error reaches the caller; with overflow and the invalid
-    operations on inf that follow ignored, the non-finite logits are refused
-    instead."""
-    member = init_params([LayerSpec(3, 4), LayerSpec(4, 2, "linear")], RngStream(3))
-    member.weights[0][:] = 1.0
-    x = np.ones((32, 3))
-    x[-1] = 1e308
-    threads = threading.active_count()
-    with blocks_on(8, cpus):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
-                                                      match="overflow encountered in matmul"):
-            list(member_logits([member], x))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                FloatingPointError, match="logits contains non-finite"):
-            list(member_logits([member], x))
-    assert threading.active_count() == threads
-
-
 def test_a_forked_search_after_a_blocked_prediction_sees_no_thread(monkeypatch):
-    """Three 1024-row blocks on two threads, then a search that forks a
-    child: no thread of the prediction is left when it forks, and it returns
-    the bits of the restart-by-restart loop and leaves no child."""
-    calls = []
-    thread_chunks = distill.thread_chunks
-    monkeypatch.setattr(distill, "thread_chunks",
-                        lambda chunks, work, workers: calls.append((len(chunks), workers))
-                        or thread_chunks(chunks, work, workers))
-    monkeypatch.setattr(distill, "usable_cpus", lambda: 2)
+    """Two members of three 1024-row blocks each, evaluated without starting
+    a thread, then a search that forks a child: it returns the bits of the
+    restart-by-restart loop, with Python's warning about forking a process
+    that has other threads raised as an error, and leaves no child."""
+    blocks, started = [], []
+    row_blocks = nets.row_blocks
+    monkeypatch.setattr(nets, "row_blocks",
+                        lambda n, rows: blocks.append(n // rows) or row_blocks(n, rows))
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
     threads = threading.active_count()
     ens = _tapping_pair()
-    u, _ = RngStream(4).uniform(3 * distill._BLOCK_ROWS * 3)
+    u, _ = RngStream(4).uniform(3 * nets._BLOCK_ROWS * 3)
     x = u.reshape(-1, 3)
     assert same_bits(ensemble_predict(ens, x, 2), reference_prefixes(ens.members, x)[-1])
-    assert calls == [(3, 2)]
-    assert threading.active_count() == threads
+    assert blocks == [3, 3]
+    assert started == [] and threading.active_count() == threads
 
     args, kwargs = _search("degenerate")
     want = loop_reference(*args, **kwargs)

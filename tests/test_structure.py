@@ -9,8 +9,8 @@ is handed the one array a candidate's connection reads.  Only `distill`
 knows the history file's columns: the verifier asks it whether a history
 matches the replay.  Only `core` makes processes, through `multiprocessing`,
 in the one helper that the weak-learner search and the table writer share,
-and no module calls `os.fork` itself; only `core` makes threads, in the
-helper that the ensemble's forward pass uses.  Every top-level
+and no module calls `os.fork` itself; no module makes threads, so a fork
+never copies a process with a second thread running.  Every top-level
 name in the package is read by the package itself.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
@@ -92,10 +92,12 @@ def test_only_core_makes_processes():
     assert not forks, f"os.fork read by {sorted(forks)}"
 
 
-def test_only_core_makes_threads():
+def test_no_module_makes_threads():
     files = sorted(PACKAGE.glob("*.py"))
-    importers = {path.stem for path in files if "threading" in imported_modules(path)}
-    assert importers == {"core"}, f"threading imported by {sorted(importers)}"
+    assert len(files) >= 9
+    importers = {path.stem for path in files
+                 if imported_modules(path) & {"threading", "contextvars"}}
+    assert not importers, f"threading or contextvars imported by {sorted(importers)}"
 
 
 def test_the_search_reads_no_tap_address():
