@@ -21,7 +21,7 @@ from . import evaluate as eval_mod
 from .core import content_hash, parse_json, read_json, write_json, write_table
 from .findwl import FindWlConfig, SgdConfig
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, LIST_AT_LEAST_ONE,
-                   NONNEGATIVE_BELOW_ONE, POSITIVE_UP_TO_ONE, ConfigError, flops,
+                   NONNEGATIVE_BELOW_ONE, POSITIVE_UP_TO_ONE, ConfigError, check, flops,
                    params_from_dict, params_to_dict)
 
 EXIT_OK = 0
@@ -167,6 +167,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"teacher {args.teacher} has hash {teacher_hash}, but the ensemble "
                           f"was distilled from a teacher with hash {ens.teacher_hash!r}")
     teacher = params_from_dict(parse_json(raw, f"teacher {args.teacher}"))
+    # a teacher taps no member, and its cost is read from its layers alone
+    check("kind", teacher.connection.kind, (lambda v: v == "none", "'none' in a teacher"))
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
     _check_features(data_dir / "test.csv", test, ens.members)

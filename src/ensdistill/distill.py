@@ -138,8 +138,7 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
     while len(ens.members) < cfg.T and r < cfg.R:
         spec, conn = expand_class(base, cfg.connection_kind, r - 1, ens.members)
         if conn.kind != "none" and conn.source_round != tapped:
-            # expand_class taps the newest member's last hidden layer, the
-            # input of its output layer
+            # a tap reads its member's last hidden layer, `split_head`'s rows
             tapped, tap = conn.source_round, split_head(ens.members[conn.source_round], x)[1]
         result = find_weak_learner(state, spec, conn, x, g, cfg.findwl,
                                    root.split(attempt), tap=tap, edge_tol=cfg.edge_tol)
@@ -170,27 +169,25 @@ def member_logits(members: list, x: np.ndarray):
     """An iterator over each member's logits on x, in order, computed
     lazily, member by member: `forward(head, rows, tap)` after
     `nets.split_head`, which decides how the rows are cut.  A member's
-    `rows`, its last hidden layer on x, is cached as (member, layer) only
-    if some connection reads it; a tap that is not cached when its reader
-    runs raises the ConfigError that names it.  An untapped `rows` array is
-    written over by the next member of its width: a fresh array of a
-    batch's size per member faulted its pages in again on every call.  A
-    member loaded from a file taps nothing else (`_check_tap`), and the
-    run's search computes its candidates' logits the same way, so these
-    are the run's bits."""
+    `rows`, its last hidden layer on x and the one layer a connection
+    reads, is cached under the member's index only if some connection reads
+    it; a tap that is not cached when its reader runs raises the ConfigError
+    that names it.  An untapped `rows` array is written over by the next
+    member of its width: a fresh array of a batch's size per member faulted
+    its pages in again on every call.  The run's search computes its
+    candidates' logits the same way, so these are the run's bits."""
     x = np.asarray(x, dtype=np.float64)
-    tapped = {(m.connection.source_round, m.connection.source_layer) for m in members}
+    tapped = {m.connection.source_round for m in members if m.connection.kind != "none"}
     cache = {}
     spares = {}   # width -> an untapped member's `rows`, which a later one overwrites
     for member_index, params in enumerate(members):
-        conn = params.connection
-        hidden = len(params.spec) - 2   # the last hidden layer; -1 for none
-        width = params.spec[hidden].out_dim
-        head, rows = split_head(params, x, spares.pop(width, None) if hidden >= 0 else None)
-        logits, _ = forward(head, rows, cache.get((conn.source_round, conn.source_layer)))
-        if hidden >= 0:
-            if (member_index, hidden) in tapped:
-                cache[(member_index, hidden)] = rows
+        hidden = len(params.spec) > 1
+        width = params.spec[-2].out_dim if hidden else None
+        head, rows = split_head(params, x, spares.pop(width, None))
+        logits, _ = forward(head, rows, cache.get(params.connection.source_round))
+        if hidden:
+            if member_index in tapped:
+                cache[member_index] = rows
             else:
                 spares[width] = rows
         yield logits
@@ -228,10 +225,10 @@ def _check_meta(meta: dict, n_members: int) -> None:
 def ensemble_to_dict(ens: Ensemble) -> dict:
     meta = {"seed": ens.seed, "eta": ens.eta, "T": ens.T, "R": ens.R,
             "teacher_hash": ens.teacher_hash, "member_class_r": list(ens.class_rs)}
-    for i, member in enumerate(ens.members):
-        _check_tap(i, member, ens.members[:i])
+    members = [params_to_dict(member, _check_tap(i, member, ens.members[:i]))
+               for i, member in enumerate(ens.members)]
     _check_meta(meta, len(ens.members))
-    return {"meta": meta, "members": [params_to_dict(m) for m in ens.members]}
+    return {"meta": meta, "members": members}
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
@@ -254,33 +251,39 @@ def _member_from_dict(index: int, doc: dict, earlier: list):
         params = params_from_dict(doc)
     except ValueError as exc:   # ConfigError included, which keeps its type
         raise type(exc)(f"member {index}: {exc}") from exc
-    _check_tap(index, params, earlier)
+    _check_tap(index, params, earlier, doc["connection"])
     return params
 
 
-def _check_tap(index: int, params, earlier: list) -> None:
-    """Refuse a connection of member `index` of any shape but the one
-    `expand_class` builds, naming the member and the field: it feeds the
-    member's output layer and reads the last hidden layer of one of the
-    `earlier` members, the one activation `member_logits` caches."""
+def _check_tap(index: int, params, earlier: list, recorded: dict | None = None) -> int:
+    """Refuse, naming the member and the field, a connection of member
+    `index` but one that `expand_class` builds: a member with a hidden layer
+    reading the last hidden layer of one of the `earlier` members.  Returns
+    that layer's index (-1 without a tap), the file's `source_layer`; the
+    layer indices a file `recorded` must be it and the output layer's."""
     conn = params.connection
     if conn.kind == "none":
-        return
+        return -1
     try:
+        check("spec", len(params.spec), (lambda v: v >= 2, f"2 layers or more with a "
+                                                          f"{conn.kind!r} connection"))
         check("source_round", conn.source_round,
               (lambda v: INTEGER[0](v) and 0 <= v < index,
                f"an earlier member's index in 0..{index - 1}" if index
                else "an earlier member's index (member 0 has none)"))
-        last = len(params.spec) - 1
-        check("target_layer", conn.target_layer,
-              (lambda v: INTEGER[0](v) and v == last, f"the output layer's index, {last}"))
         hidden = len(earlier[conn.source_round].spec) - 2
-        check("source_layer", conn.source_layer,
-              (lambda v: INTEGER[0](v) and v == hidden >= 0,
-               f"member {conn.source_round}'s last hidden layer's index, {hidden}" if hidden >= 0
-               else f"a hidden layer's index, of which member {conn.source_round} has none"))
+        check("source_round", conn.source_round,
+              (lambda v: hidden >= 0, "a member with a hidden layer to tap"))
+        if recorded is not None:
+            last = len(params.spec) - 1
+            check("target_layer", recorded["target_layer"],
+                  (lambda v: INTEGER[0](v) and v == last, f"the output layer's index, {last}"))
+            check("source_layer", recorded["source_layer"],
+                  (lambda v: INTEGER[0](v) and v == hidden,
+                   f"member {conn.source_round}'s last hidden layer's index, {hidden}"))
     except ConfigError as exc:
         raise ConfigError(f"member {index}: {exc}") from exc
+    return hidden
 
 
 def save_ensemble(path, ens: Ensemble) -> None:

@@ -363,15 +363,6 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     slice is dropped only if the final logits are still non-finite."""
     nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
     streams = [rng.split(1) for rng in rngs]
-    head_only = connection.kind == "none" or connection.target_layer == len(spec) - 1
-
-    def logits_on_x(params):
-        # one net at a time, keeping only its logits: activations on all of
-        # x are the search's largest arrays.  A class `expand_class` builds
-        # connects its output layer alone, so its hidden layers run in
-        # blocks (`split_head`) and only the last one is held for all of x
-        head, rows = split_head(params, x) if head_only else (params, x)
-        return forward(head, rows, tap)[0]
 
     def train():
         stack = LearnerParams(spec=nets[0].spec, connection=connection,
@@ -391,8 +382,10 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
                                    weights=[w[pos] for w in stack.weights],
                                    biases=[b[pos] for b in stack.biases])
             try:
+                # one net at a time, holding its last hidden layer on all of
+                # x (`split_head`) and keeping only its logits
                 with np.errstate(over="ignore", invalid="ignore"):
-                    logits = logits_on_x(params)
+                    logits = forward(*split_head(params, x), tap)[0]
             except FloatingPointError:
                 continue
             yield pos, params, logits

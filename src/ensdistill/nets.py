@@ -1,8 +1,9 @@
 """Student/teacher network substrate.
 
 Fully connected nets with manual backprop, plus the machinery that lets a new
-ensemble member reuse cached activations of earlier members (residual, dense
-and feature-delta connections) to grow capacity at near-zero inference cost.
+ensemble member reuse a cached activation of an earlier member (residual,
+dense and feature-delta connections) to grow capacity at near-zero inference
+cost.  A tap is joined at one place only: the input of a net's output layer.
 Earlier members are frozen: gradients never flow through a tapped activation.
 """
 from __future__ import annotations
@@ -64,17 +65,13 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ConnectionSpec:
-    """One tap into a previous member's cached activation.
-
-    `source_layer` names the layer of member `source_round` whose
-    post-activation output is consumed; `target_layer` names the layer of the
-    new model whose *input* is modified by it.
-    """
+    """One tap of an earlier member's cached activation: the last hidden
+    layer of member `source_round`, joined by `kind` with the input of this
+    net's output layer.  The layer indices an ensemble file records beside
+    these two fields follow from the nets, and `distill` derives them."""
 
     kind: str = "none"
     source_round: int = -1
-    source_layer: int = -1
-    target_layer: int = -1
 
 
 NO_CONNECTION = ConnectionSpec()
@@ -114,13 +111,12 @@ def init_params(spec: list, rng: RngStream, connection: ConnectionSpec = NO_CONN
 
 def _join(params: LearnerParams, h: np.ndarray, tap: np.ndarray | None,
           out: np.ndarray | None = None) -> np.ndarray:
-    """Input of the connection's target layer: `h` joined with `tap`, the
-    earlier member's activation that the connection reads; written into
-    `out` if given."""
+    """Input of the output layer: `h` joined with `tap`, the earlier
+    member's activation that the connection reads; written into `out` if
+    given."""
     conn = params.connection
     if tap is None:
-        raise ConfigError(f"missing cached activation for member {conn.source_round} "
-                          f"layer {conn.source_layer}")
+        raise ConfigError(f"missing cached activation for member {conn.source_round}")
     if tap.shape[-2] != h.shape[-2]:
         raise ConfigError(f"cached activation has {tap.shape[-2]} rows, batch has {h.shape[-2]}")
     if conn.kind == "dense_concat":
@@ -168,8 +164,7 @@ def step_buffers(params: LearnerParams, batch: tuple, grad: np.ndarray) -> StepB
     grads = _views(grad, params.weights + params.biases)
     return StepBuffers(
         acts=[np.empty(batch + (layer.out_dim,)) for layer in spec],
-        joined=(np.empty(batch + (spec[conn.target_layer].in_dim,))
-                if conn.kind != "none" else None),
+        joined=np.empty(batch + (spec[-1].in_dim,)) if conn.kind != "none" else None,
         masks=[np.empty(batch + (layer.out_dim,), dtype=bool) if r else None
                for layer, r in zip(spec, relu)],
         dz=[np.empty(batch + (layer.out_dim,)) if r else None for layer, r in zip(spec, relu)],
@@ -180,7 +175,8 @@ def step_buffers(params: LearnerParams, batch: tuple, grad: np.ndarray) -> StepB
 def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None,
             buffers: StepBuffers | None = None):
     """Batch logits plus this member's per-layer post-activations, which later
-    taps and `backward` read; `tap` is what `params.connection` reads on `x`.
+    taps and `backward` read; `tap` is what `params.connection` reads on `x`,
+    joined with the output layer's input (`x` itself for a one-layer net).
 
     Weights of shape (S, in, out) and biases (S, out) make `params` a stack
     of S nets with one spec and connection.  `x`, `tap`, the logits and the
@@ -192,11 +188,11 @@ def forward(params: LearnerParams, x: np.ndarray, tap: np.ndarray | None = None,
     output and the joined input are written into them; without, each is a
     fresh array.
     """
-    conn = params.connection
+    last = len(params.spec) - 1
     h = np.asarray(x, dtype=np.float64)
     acts = []
     for idx in range(len(params.spec)):
-        if conn.kind != "none" and idx == conn.target_layer:
+        if idx == last and params.connection.kind != "none":
             h = _join(params, h, tap, None if buffers is None else buffers.joined)
         h = _layer(params, idx, h, None if buffers is None else buffers.acts[idx])
         acts.append(h)
@@ -225,13 +221,12 @@ _BLOCK_ROWS = 1024
 
 def split_head(params: LearnerParams, x: np.ndarray, out: np.ndarray | None = None):
     """`(head, rows)`: the output layer of a single net `params` as a
-    one-layer net, and that layer's input on all of `x`, the last hidden
-    layer's output (`x` itself for a net with no hidden layer).  A
-    connection must feed the output layer, as every one `expand_class`
-    builds does; the head reads it at its layer 0, so `forward(head, rows,
-    tap)` gives the logits of `forward(params, x, tap)`.  A connection into
-    a hidden layer is refused.  `rows` is written into `out` if given, an
-    array of its shape; a net with no hidden layer ignores it.
+    one-layer net with the same connection, and that layer's input on all of
+    `x` before the join, the last hidden layer's output (`x` itself for a net
+    with no hidden layer).  A tap joins the output layer, so `forward(head,
+    rows, tap)` gives the logits of `forward(params, x, tap)`.  `rows` is
+    written into `out` if given, an array of its shape; a net with no hidden
+    layer ignores it.
 
     This is the package's one rule for cutting a batch into rows: the
     teacher's logits, a search's candidates on all of its split and every
@@ -246,13 +241,9 @@ def split_head(params: LearnerParams, x: np.ndarray, out: np.ndarray | None = No
     4-column output layers did, once the uncut product left BLAS's
     small-matrix path), while the 24- and 64-wide hidden layers kept their
     bits at every cut of 2 or more rows tried."""
-    spec, conn = params.spec, params.connection
+    spec = params.spec
     last = len(spec) - 1
-    if conn.kind != "none" and conn.target_layer != last:
-        raise ConfigError(f"split_head: the connection feeds hidden layer {conn.target_layer}, "
-                          f"not the output layer {last}")
-    head = LearnerParams(spec=[spec[last]],
-                         connection=conn if conn.kind == "none" else replace(conn, target_layer=0),
+    head = LearnerParams(spec=[spec[last]], connection=params.connection,
                          weights=[params.weights[last]], biases=[params.biases[last]])
     x = np.asarray(x, dtype=np.float64)
     if last == 0:
@@ -288,8 +279,8 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
 
     `acts` are the activations `forward` returned for the same `x` and
     `tap`: a layer's input is the previous layer's activation (or `x`),
-    joined again at the connection's target, and a ReLU passes gradient where
-    its output is positive.  The tap is a constant: no gradient is returned
+    joined again at the output layer, and a ReLU passes gradient where its
+    output is positive.  The tap is a constant: no gradient is returned
     (or propagated) for earlier members.  A stack of nets (see `forward`)
     gets one gradient per slice, stacked like its weights and biases.
 
@@ -297,7 +288,7 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
     intermediate goes into them and the returned gradients are their `dW`
     and `db`, views of the flat gradient buffer.
     """
-    conn = params.connection
+    conn, last = params.connection, len(params.spec) - 1
     if buffers is None:   # every output fresh
         dW, db = [None] * len(params.spec), [None] * len(params.spec)
         masks = dzs = dhs = [None] * len(params.spec)
@@ -305,12 +296,12 @@ def backward(params: LearnerParams, x: np.ndarray, acts: list, dlogits: np.ndarr
         dW, db, masks, dzs, dhs = (buffers.dW, buffers.db, buffers.masks, buffers.dz,
                                    buffers.dh)
     dh = np.asarray(dlogits, dtype=np.float64)
-    for idx in range(len(params.spec) - 1, -1, -1):
+    for idx in range(last, -1, -1):
         layer = params.spec[idx]
         dz = dh if layer.activation == "linear" else np.multiply(
             dh, np.greater(acts[idx], 0.0, out=masks[idx]), out=dzs[idx])
         h = acts[idx - 1] if idx > 0 else np.asarray(x, dtype=np.float64)
-        joined = conn.kind != "none" and idx == conn.target_layer
+        joined = idx == last and conn.kind != "none"
         if joined:
             h = _join(params, h, tap) if buffers is None else buffers.joined
         dW[idx] = np.matmul(h.swapaxes(-1, -2), dz, out=dW[idx])
@@ -332,11 +323,12 @@ def expand_class(base: list, kind: str, r: int, ensemble_so_far: list):
     """Grow the base class for escalation level r.
 
     r=0 is the base class itself.  r>=1 adds a single connection of `kind`
-    tapping the last hidden layer of the most recent ensemble member, feeding
-    the input of the new model's output layer.  The level is read no
-    further: every r >= 1 (the run's classes 2 and up) is that same class,
-    so escalating past it only searches it again with a new seed.  Width
-    mismatches are hard errors; nothing is silently padded or projected.
+    from the most recent ensemble member, `ConnectionSpec`'s one shape: its
+    last hidden layer joins the input of the new model's output layer, which
+    `dense_concat` widens.  The level is read no further: every r >= 1 (the
+    run's classes 2 and up) is that same class, so escalating past it only
+    searches it again with a new seed.  Width mismatches are hard errors;
+    nothing is silently padded or projected.
     """
     validate_spec(base)
     if kind not in CONNECTION_KINDS:
@@ -351,19 +343,13 @@ def expand_class(base: list, kind: str, r: int, ensemble_so_far: list):
     source_spec = ensemble_so_far[source_round].spec
     if len(source_spec) < 2:
         raise ConfigError("source member has no hidden layer to tap")
-    source_layer = len(source_spec) - 2
-    source_width = source_spec[source_layer].out_dim
-    target_layer = len(base) - 1
-    conn = ConnectionSpec(kind=kind, source_round=source_round,
-                          source_layer=source_layer, target_layer=target_layer)
+    source_width = source_spec[-2].out_dim
+    conn = ConnectionSpec(kind=kind, source_round=source_round)
     if kind == "dense_concat":
-        widened = list(base)
-        tgt = widened[target_layer]
-        widened[target_layer] = replace(tgt, in_dim=tgt.in_dim + source_width)
-        return widened, conn
-    if source_width != base[target_layer].in_dim:
+        return base[:-1] + [replace(base[-1], in_dim=base[-1].in_dim + source_width)], conn
+    if source_width != base[-1].in_dim:
         raise ConfigError(
-            f"{kind} width mismatch: source {source_width} vs target input {base[target_layer].in_dim}")
+            f"{kind} width mismatch: source {source_width} vs target input {base[-1].in_dim}")
     return list(base), conn
 
 
@@ -378,21 +364,26 @@ def flops(params: LearnerParams) -> int:
 def connection_flops(params: LearnerParams) -> int:
     """The tap's own cost, separated out for overhead reporting."""
     if params.connection.kind in ("residual_add", "delta"):
-        return params.spec[params.connection.target_layer].in_dim
+        return params.spec[-1].in_dim
     return 0
 
 
 # --- model file format ------------------------------------------------------
 
-def params_to_dict(params: LearnerParams) -> dict:
+def params_to_dict(params: LearnerParams, source_layer: int = -1) -> dict:
+    """The network file's layout.  Its connection records, beside the
+    connection's fields, the tapped layer's index `source_layer`, which only
+    the ensemble knows (`distill` derives it), and the joined layer's index,
+    the output layer's (-1 for each without a tap)."""
+    conn = params.connection
     return {
         "spec": [{"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation}
                  for s in params.spec],
         "connection": {
-            "kind": params.connection.kind,
-            "source_round": params.connection.source_round,
-            "source_layer": params.connection.source_layer,
-            "target_layer": params.connection.target_layer,
+            "kind": conn.kind,
+            "source_round": conn.source_round,
+            "source_layer": source_layer,
+            "target_layer": len(params.spec) - 1 if conn.kind != "none" else -1,
         },
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
@@ -401,23 +392,21 @@ def params_to_dict(params: LearnerParams) -> dict:
 
 def params_from_dict(doc: dict) -> LearnerParams:
     """A network read back from `params_to_dict`'s layout.  Its layers, its
-    connection's kind and target layer, and its arrays' count, shapes and
-    finiteness are checked, each refused by name, so a net that loads is one
-    `forward` computes as written."""
+    connection's kind, and its arrays' count, shapes and finiteness are
+    checked, each refused by name, so a net that loads is one `forward`
+    computes as written.  The connection's layer indices are not read here:
+    `distill` checks them against the ensemble."""
     try:
         spec = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in doc["spec"]]
         validate_spec(spec)
         c = doc["connection"]
-        conn = ConnectionSpec(c["kind"], c["source_round"], c["source_layer"], c["target_layer"])
+        conn = ConnectionSpec(c["kind"], c["source_round"])
         weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
     except (KeyError, TypeError) as exc:   # a missing key, or a list where an object belongs
         raise ValueError(f"malformed network document: {exc!r}") from exc
     if conn.kind not in CONNECTION_KINDS:
         raise ConfigError(f"unknown connection kind {conn.kind!r}")
-    if conn.kind != "none":
-        check("target_layer", conn.target_layer, (lambda v: INTEGER[0](v) and 0 <= v < len(spec),
-                                                   f"a layer index in 0..{len(spec) - 1}"))
     for name, arrays in (("weight", weights), ("bias", biases)):
         if len(arrays) != len(spec):
             raise ConfigError(f"{len(arrays)} {name} arrays for {len(spec)} layers")

@@ -104,7 +104,7 @@ def ensemble_flops_direct(ens: Ensemble) -> int:
         for layer in params.spec:
             total += 2 * layer.in_dim * layer.out_dim + layer.out_dim
         if params.connection.kind in ("residual_add", "delta"):
-            total += params.spec[params.connection.target_layer].in_dim
+            total += params.spec[-1].in_dim   # the tap joins the output layer
     return total
 
 

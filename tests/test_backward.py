@@ -2,8 +2,8 @@
 
 `backward` takes the activations `forward` returned instead of running the
 forward pass again.  The reference below is the re-tracing backward it
-replaced; random nets with every connection kind and any target layer must
-give the same gradient bits, and a tapped search, which trains its restarts
+replaced; random nets of any depth with every connection kind, joined at the
+output layer, must give the same gradient bits, and a tapped search, which trains its restarts
 as a stack, must train the same weights as the reference run net by net.
 """
 
@@ -28,7 +28,7 @@ def reference_trace(params, x, tap):
     h = np.asarray(x, dtype=np.float64)
     inputs, pre_acts = [], []
     for idx, layer in enumerate(params.spec):
-        if conn.kind != "none" and idx == conn.target_layer:
+        if conn.kind != "none" and idx == len(params.spec) - 1:
             if conn.kind == "residual_add":
                 h = h + tap
             elif conn.kind == "delta":
@@ -57,7 +57,7 @@ def reference_backward(params, x, dlogits, tap=None):
         if idx == 0:
             break
         dh = dz @ params.weights[idx].T
-        if conn.kind != "none" and idx == conn.target_layer:
+        if conn.kind != "none" and idx == len(params.spec) - 1:
             if conn.kind == "delta":
                 dh = -dh
             elif conn.kind == "dense_concat":
@@ -93,8 +93,9 @@ def same_bits(a, b) -> bool:
 
 @st.composite
 def tapped_nets(draw):
-    """(params, x, tap, dlogits): a 1-3 layer net, maybe tapping a non-last
-    layer of a 2-3 layer source member at any target layer."""
+    """(params, x, tap, dlogits): a 1-3 layer net, maybe joining the last
+    hidden layer of a 2-3 layer source member with its output layer's input
+    (`x` itself for a one-layer net, a `split_head` head)."""
     d = draw(st.integers(1, 4))
     n_labels = draw(st.integers(1, 3))
     n_rows = draw(st.integers(1, 8))
@@ -107,23 +108,21 @@ def tapped_nets(draw):
     kind = draw(st.sampled_from(CONNECTION_KINDS))
     conn, tap, width = NO_CONNECTION, None, 0
     if kind != "none":
-        target = draw(st.integers(0, len(dims) - 2))
         source_dims = [d] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)) + [2]
-        source_layer = draw(st.integers(0, len(source_dims) - 3))
         if kind != "dense_concat":
-            # the tap is added to the target's input, so widths must agree
-            source_dims[source_layer + 1] = dims[target]
+            # the tap is added to the output layer's input, so widths must agree
+            source_dims[-2] = dims[-2]
         source_spec = [LayerSpec(source_dims[i], source_dims[i + 1])
                        for i in range(len(source_dims) - 2)]
         source_spec.append(LayerSpec(source_dims[-2], source_dims[-1], "linear"))
         source = init_params(source_spec, root.split(1))
         _, source_acts = forward(source, x)
-        tap = source_acts[source_layer]
-        width = source_dims[source_layer + 1]
-        conn = ConnectionSpec(kind, 0, source_layer, target)
+        tap = source_acts[-2]
+        width = source_dims[-2]
+        conn = ConnectionSpec(kind, 0)
     spec = [LayerSpec(dims[i], dims[i + 1], activations[i]) for i in range(len(dims) - 1)]
     if kind == "dense_concat":
-        spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+        spec[-1] = replace(spec[-1], in_dim=spec[-1].in_dim + width)
     params = init_params(spec, root.split(2), conn)
     dlogits, _ = root.split(3).gaussian(n_rows * n_labels)
     return params, x, tap, dlogits.reshape(n_rows, n_labels)

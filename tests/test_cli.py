@@ -506,7 +506,7 @@ def _break_member(case, member):
     if case == "ensemble-member-target-layer":
         member["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
                                 "target_layer": 7}
-        return f"'target_layer' must be a layer index in 0..{layers - 1}, got 7"
+        return f"'target_layer' must be the output layer's index, {layers - 1}, got 7"
     # member 0 is of the same class, so its last hidden layer is `layers - 2`
     if case == "ensemble-member-target-hidden":
         member["connection"] = {"kind": "residual_add", "source_round": 0,
@@ -517,6 +517,15 @@ def _break_member(case, member):
                                 "source_layer": layers - 1, "target_layer": layers - 1}
         return (f"'source_layer' must be member 0's last hidden layer's index, {layers - 2}, "
                 f"got {layers - 1}")
+    if case == "ensemble-member-no-hidden":
+        # one dense_concat layer over the features and member 0's hidden layer
+        d, width = member["spec"][0]["in_dim"], member["spec"][0]["out_dim"]
+        labels = member["spec"][-1]["out_dim"]
+        member["spec"] = [{"in_dim": d + width, "out_dim": labels, "activation": "linear"}]
+        member["weights"], member["biases"] = [[[0.5] * labels] * (d + width)], [[0.0] * labels]
+        member["connection"] = {"kind": "dense_concat", "source_round": 0, "source_layer": 0,
+                                "target_layer": 0}
+        return "'spec' must be 2 layers or more with a 'dense_concat' connection, got 1"
     if case == "ensemble-member-weight-nan":
         member["weights"][0][0][0] = float("nan")
         return "layer 0 weights contains non-finite entries"
@@ -573,6 +582,15 @@ def _break_input(case, pipeline, distilled, tmp_path):
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
         named = "'spec'"
+    elif case == "teacher-connected":
+        doc = json.loads(teacher.read_text(encoding="utf-8"))
+        doc["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
+                             "target_layer": 7}
+        teacher.write_text(json.dumps(doc), encoding="utf-8")
+        ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
+        ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
+        ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+        named = "'kind' must be 'none' in a teacher, got 'residual_add'"
     elif case in _BAD_VALUE:
         doc, named = _BAD_VALUE[case]
         _write_config(config, doc)
@@ -693,6 +711,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("ensemble-member-connection-unknown", 2),
     ("ensemble-member-target-layer", 2), ("ensemble-member-weight-nan", 2),
     ("ensemble-member-target-hidden", 2), ("ensemble-member-source-layer", 2),
+    ("ensemble-member-no-hidden", 2), ("teacher-connected", 2),
     ("config-base-hidden-empty-connected", 2),
     ("teacher-bias-inf", 2), ("verify-logits-width", 2), ("verify-logits-rows", 3),
     ("resched-logits-width", 2), ("resched-logits-rows", 3),

@@ -94,17 +94,17 @@ def ensembles(draw):
         dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
         spec = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
         spec[-1] = LayerSpec(dims[-2], dims[-1], "linear")
-        # only a member with an earlier one that has a hidden layer can be
-        # connected
+        # only a member with a hidden layer, with an earlier one that has a
+        # hidden layer, can be connected
         sources = [i for i, m in enumerate(members) if len(m.spec) >= 2]
-        kind = draw(st.sampled_from(CONNECTION_KINDS if sources else ["none"]))
+        connectable = sources and len(spec) >= 2
+        kind = draw(st.sampled_from(CONNECTION_KINDS if connectable else ["none"]))
         if kind == "none":
-            conn = ConnectionSpec(kind, *(draw(st.integers(-1, 5)) for _ in range(3)))
+            conn = ConnectionSpec(kind, draw(st.integers(-1, 5)))
         else:
             # a connected net feeds its output layer from the last hidden
             # layer of an earlier member, or it does not load
-            source = draw(st.sampled_from(sources))
-            conn = ConnectionSpec(kind, source, len(members[source].spec) - 2, len(spec) - 1)
+            conn = ConnectionSpec(kind, draw(st.sampled_from(sources)))
         members.append(LearnerParams(
             spec=spec, connection=conn,
             weights=[draw(arrays(np.float64, (s.in_dim, s.out_dim), elements=FLOATS))

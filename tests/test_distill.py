@@ -2,10 +2,14 @@
 
 import hashlib
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ensdistill.distill as distill_mod
 from ensdistill.core import RngStream
@@ -15,6 +19,7 @@ from ensdistill.distill import (
     DistillConfig,
     Ensemble,
     ensemble_predict,
+    ensemble_to_dict,
     load_ensemble,
     member_logits,
     read_history,
@@ -25,7 +30,8 @@ from ensdistill.distill import (
 )
 from ensdistill.findwl import FindResult, FindWlConfig, SgdConfig
 from ensdistill.game import init_uniform, md_update
-from ensdistill.nets import ConfigError, LayerSpec, expand_class, forward, init_params
+from ensdistill.nets import (CONNECTION_KINDS, ConfigError, LayerSpec, expand_class, forward,
+                             init_params, params_to_dict)
 
 
 def _small_problem(seed=0, n=16, d=3, labels=2):
@@ -196,7 +202,7 @@ def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkey
     tapped = [(conn, tap) for conn, tap, _ in searches if conn.kind != "none"]
     assert tapped and len(splits) == len({conn.source_round for conn, _ in tapped})
     for conn, tap in tapped:
-        want = forward(ens.members[conn.source_round], x)[1][conn.source_layer]
+        want = forward(ens.members[conn.source_round], x)[1][-2]   # its last hidden layer
         assert tap.tobytes() == want.tobytes()
     accepted = [result for _, _, result in searches if result.params is not None]
     assert len(accepted) == len(ens.members)
@@ -377,27 +383,78 @@ def test_save_refuses_an_ensemble_that_would_not_load(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("key, value, refusal", [
-    ("target_layer", 0, "'target_layer' must be the output layer's index, 1, got 0"),
-    ("source_layer", 1, "'source_layer' must be member 0's last hidden layer's index, 0, got 1"),
+@pytest.mark.parametrize("key, value, refusal, underivable", [
+    ("target_layer", 0, "'target_layer' must be the output layer's index, 1, got 0",
+     "'spec' must be 2 layers or more with a 'dense_concat' connection, got 1"),
+    ("source_layer", 1, "'source_layer' must be member 0's last hidden layer's index, 0, got 1",
+     "'source_round' must be a member with a hidden layer to tap, got 0"),
 ], ids=["target_layer", "source_layer"])
-def test_save_refuses_a_tap_that_a_load_refuses(tmp_path, key, value, refusal):
-    """A connection must feed the output layer from an earlier member's last
-    hidden layer, as `expand_class` builds it, in a file and in memory."""
+def test_save_refuses_a_tap_that_a_load_refuses(tmp_path, key, value, refusal, underivable):
+    """A connection feeds the output layer from an earlier member's last
+    hidden layer, as `expand_class` builds it, and a file that records other
+    layers is refused.  In memory a connection names its member alone and a
+    save derives the layers, so what a save refuses is a tap with no layer
+    to derive: a member with no hidden layer before its output layer, or a
+    source member with none to tap.  A file of either is refused too."""
     base = mlp_spec(3, [4], 2)
     first = init_params(base, RngStream(1).split(0))
-    spec, conn = expand_class(base, "residual_add", 1, [first])
+    spec, conn = expand_class(base, "dense_concat", 1, [first])
     ens = Ensemble(members=[first, init_params(spec, RngStream(1).split(1), conn)],
                    class_rs=[1, 2], eta=0.3, T=2, R=3)
     doc = distill_mod.ensemble_to_dict(ens)
     doc["members"][1]["connection"][key] = value
     with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
         distill_mod.ensemble_from_dict(doc)
-    ens.members[1].connection = replace(conn, **{key: value})
+    if key == "target_layer":   # one layer over the features and the tap
+        ens.members[1] = init_params([replace(spec[-1], in_dim=3 + 4)], RngStream(1).split(2),
+                                     conn)
+    else:                       # one layer over the features
+        ens.members[0] = init_params([replace(base[-1], in_dim=3)], RngStream(1).split(3))
     path = tmp_path / "ens.json"
-    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(refusal)}$"):
+    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(underivable)}$"):
         save_ensemble(path, ens)
     assert not path.exists()
+    doc["members"] = [params_to_dict(ens.members[0]), params_to_dict(ens.members[1], 0)]
+    with pytest.raises(ConfigError, match=f"^member 1: {re.escape(underivable)}$"):
+        distill_mod.ensemble_from_dict(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_an_expand_class_ensemble_keeps_its_bytes_and_logits_through_a_file(data):
+    """For every kind, escalation level and base depth, an ensemble that
+    `expand_class` builds is saved with the layers each connection joins,
+    and loads back to the same bytes and the same `member_logits` bits."""
+    kind = data.draw(st.sampled_from(CONNECTION_KINDS), label="kind")
+    hidden = data.draw(st.lists(st.integers(1, 5), min_size=int(kind != "none"), max_size=3),
+                       label="hidden")
+    levels = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), label="levels")
+    d = data.draw(st.integers(1, 4), label="d")
+    labels = data.draw(st.integers(1, 3), label="labels")
+    rng = RngStream(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    base = mlp_spec(d, hidden, labels)
+    members = []
+    for i, r in enumerate(levels):
+        spec, conn = expand_class(base, kind, r if members else 0, members)
+        members.append(init_params(spec, rng.split(i), conn))
+    ens = Ensemble(members=members, class_rs=[1] * len(members), eta=0.1, T=len(members), R=5)
+    u, _ = rng.split(99).uniform(5 * d)
+    x = u.reshape(5, d)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "first.json", Path(tmp) / "again.json"
+        save_ensemble(first, ens)
+        loaded = load_ensemble(first)
+        save_ensemble(again, loaded)
+        assert again.read_bytes() == first.read_bytes()
+    for i, (member, recorded) in enumerate(zip(members, ensemble_to_dict(ens)["members"])):
+        connected = member.connection.kind != "none"
+        assert recorded["connection"] == {
+            "kind": member.connection.kind, "source_round": i - 1 if connected else -1,
+            "source_layer": len(hidden) - 1 if connected else -1,
+            "target_layer": len(hidden) if connected else -1}
+    for a, b in zip(member_logits(ens.members, x), member_logits(loaded.members, x),
+                    strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_save_is_deterministic(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from oracle_runs import constructed_oracle_run, ensemble_flops_direct, history_rows, read_csv
 
+import ensdistill.distill as distill_mod
 from ensdistill.core import RngStream
 from ensdistill.distill import Ensemble, read_history, write_history
 from ensdistill.evaluate import (
@@ -29,7 +30,6 @@ from ensdistill.evaluate import (
 from ensdistill.findwl import FindWlConfig, SgdConfig
 from ensdistill.nets import (
     NO_CONNECTION,
-    ConnectionSpec,
     LayerSpec,
     LearnerParams,
     expand_class,
@@ -169,14 +169,31 @@ def test_standalone_spec_unwidens_concat_and_passes_through_plain():
     assert standalone_spec(m0) == base
 
 
-def test_standalone_spec_rejects_input_layer_concat():
-    member = _constant_member(3, [0.0, 0.0])
-    widened = LearnerParams(
-        spec=member.spec,
-        connection=ConnectionSpec("dense_concat", 0, 0, 0),
-        weights=member.weights, biases=member.biases)
-    with pytest.raises(ValueError):
-        standalone_spec(widened)
+def test_verify_bound_runs_each_member_over_the_split_once(monkeypatch):
+    """The residual pass's own logits, summed in `prefix_logits`' order, give
+    the prediction path's average: no member runs twice, and the report
+    keeps its fields."""
+    base = [LayerSpec(3, 5), LayerSpec(5, 2, "linear")]
+    rng = RngStream(9)
+    members = [init_params(base, rng.split(0))]
+    for i, kind in enumerate(["residual_add", "dense_concat"], start=1):
+        spec, conn = expand_class(base, kind, 1, members)
+        members.append(init_params(spec, rng.split(i), conn))
+    ens = Ensemble(members=members, class_rs=[1, 2, 2], eta=0.1, T=3, R=3)
+    u, _ = rng.split(8).uniform(40 * 3)
+    g, _ = rng.split(9).gaussian(40 * 2)
+    x, g = u.reshape(40, 3), g.reshape(40, 2)
+    calls = []
+    split_head = distill_mod.split_head
+    monkeypatch.setattr(distill_mod, "split_head",
+                        lambda params, *args: calls.append(params) or split_head(params, *args))
+    report = verify_bound([], ens, x, g, 10.0)
+    assert [id(params) for params in calls] == [id(member) for member in members]
+    assert report.prediction_paths_agree
+    monkeypatch.undo()
+    residuals = [logits - g for logits in distill_mod.member_logits(members, x)]
+    assert report.measured_sup_error == float(np.abs(sum(residuals) / 3).max())
+    assert report.observed_max_residual == float(max(np.abs(r).max() for r in residuals))
 
 
 def _scaled_identity_member(scale):

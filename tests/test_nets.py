@@ -1,12 +1,14 @@
 """Tests for student networks: init, forward/backward, class expansion, FLOPs."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ensdistill.core import RngStream
+from ensdistill.distill import Ensemble, ensemble_from_dict, ensemble_to_dict
 from ensdistill.nets import (
     CONNECTION_KINDS,
     NO_CONNECTION,
@@ -209,10 +211,13 @@ def test_expand_r1_taps_last_hidden_of_latest_member():
     member, _, _ = _member_and_tap()
     spec, conn = expand_class(MLP, "residual_add", 1, [member])
     assert spec == MLP
-    assert conn.kind == "residual_add"
-    assert conn.source_round == 0
-    assert conn.source_layer == 1      # last hidden layer of a 3-layer member
-    assert conn.target_layer == 2      # feeds the new model's output layer
+    assert conn == ConnectionSpec("residual_add", source_round=0)
+    # the file records the layers the connection joins: the last hidden
+    # layer of a 3-layer member feeds the new model's output layer
+    ens = Ensemble(members=[member, init_params(spec, RngStream(1), conn)], class_rs=[1, 2],
+                   eta=0.1, T=2, R=3)
+    assert ensemble_to_dict(ens)["members"][1]["connection"] == {
+        "kind": "residual_add", "source_round": 0, "source_layer": 1, "target_layer": 2}
 
 
 def test_expand_dense_concat_widens_target():
@@ -286,15 +291,20 @@ def test_params_from_dict_rejects_bad_shapes():
         params_from_dict(doc)
 
 
-@pytest.mark.parametrize("target", [-1, 3, 7, 1.0, "1"])
-def test_params_from_dict_refuses_a_connected_target_outside_the_layers(target):
-    doc = params_to_dict(init_params(MLP, RngStream(0)))
-    doc["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
-                         "target_layer": target}
-    with pytest.raises(ConfigError, match=f"'target_layer' must be .*, got {target!r}"):
-        params_from_dict(doc)
-    doc["connection"]["kind"] = "none"     # an unconnected net's target is never read
-    assert params_from_dict(doc).connection.target_layer == target
+@pytest.mark.parametrize("target", [-1, 0, 1, 3, 7, 1.0, "1"], ids=repr)
+def test_loading_refuses_a_connected_target_but_the_output_layer(target):
+    member, _, _ = _member_and_tap()
+    spec, conn = expand_class(MLP, "residual_add", 1, [member])
+    doc = ensemble_to_dict(Ensemble(members=[member, init_params(spec, RngStream(1), conn)],
+                                    class_rs=[1, 2], eta=0.1, T=2, R=3))
+    doc["members"][1]["connection"]["target_layer"] = target
+    with pytest.raises(ConfigError, match=re.escape(
+            f"member 1: 'target_layer' must be the output layer's index, 2, got {target!r}")):
+        ensemble_from_dict(doc)
+    # a network document's layer indices are the ensemble's to check
+    assert params_from_dict(doc["members"][1]).connection == conn
+    doc["members"][1]["connection"]["kind"] = "none"   # an unconnected net's are never read
+    assert ensemble_from_dict(doc).members[1].connection == ConnectionSpec("none", 0)
 
 
 @pytest.mark.parametrize("field", ["weights", "biases"])
@@ -342,7 +352,7 @@ def test_split_head_gives_the_bits_of_forward(kind, hidden, labels, n):
     # the tap a run hands a connected class is its source's split rows
     assert _same_bits(split_head(source, x)[1], tap)
     assert len(head.spec) == 1 and head.weights[0] is params.weights[-1]
-    assert head.connection.target_layer == (0 if kind != "none" else -1)
+    assert head.connection == params.connection
 
 
 def test_split_head_of_a_net_without_hidden_layers_is_the_net_on_x():
@@ -351,12 +361,6 @@ def test_split_head_of_a_net_without_hidden_layers_is_the_net_on_x():
     head, rows = split_head(params, x)
     assert rows is x and head.spec == params.spec
     assert _same_bits(forward(head, rows)[0], forward(params, x)[0])
-
-
-def test_split_head_refuses_a_connection_into_a_hidden_layer():
-    params = init_params(MLP, RngStream(2), ConnectionSpec("residual_add", 0, 1, 1))
-    with pytest.raises(ConfigError, match="hidden layer 1, not the output layer 2"):
-        split_head(params, np.zeros((4, 10)))
 
 
 def test_split_head_holds_one_hidden_layer_of_all_rows():

@@ -121,13 +121,13 @@ def stack_cases(draw):
     kind = draw(st.sampled_from(CONNECTION_KINDS))
     connection, tap = NO_CONNECTION, None
     if kind != "none":
-        target = draw(st.integers(0, len(spec) - 1))
-        width = dims[target] if kind != "dense_concat" else draw(st.integers(1, 5))
+        # joined with the output layer's input
+        width = dims[-2] if kind != "dense_concat" else draw(st.integers(1, 5))
         t, _ = root.split(1).gaussian(n_rows * width)
         tap = np.maximum(t.reshape(n_rows, width), 0.0)   # a ReLU layer's output
-        connection = ConnectionSpec(kind, 0, 0, target)
+        connection = ConnectionSpec(kind, 0)
         if kind == "dense_concat":
-            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+            spec[-1] = replace(spec[-1], in_dim=spec[-1].in_dim + width)
     g, _ = root.split(2).gaussian(n_rows * n_labels)
     g = g.reshape(n_rows, n_labels)
     mask = None
@@ -311,10 +311,10 @@ def _search(case, max_search=4):
     seed, edge_tol, tapped, _ = SEARCHES[case]
     state = init_uniform(24, 2) if "degenerate" in case else _barrier_state()
     connection, tap = NO_CONNECTION, None
-    if tapped:   # a ReLU layer's output added to the hidden layer's input
+    if tapped:   # a ReLU layer's output added to the output layer's input
         t, _ = RngStream(76).gaussian(24 * 6)
         tap = np.maximum(t.reshape(24, 6), 0.0)
-        connection = ConnectionSpec("residual_add", 0, 0, 1)
+        connection = ConnectionSpec("residual_add", 0)
     cfg = replace(cfg, max_search=max_search)
     return (state, spec, connection, x, g, cfg, RngStream(seed)), {"tap": tap,
                                                                   "edge_tol": edge_tol}
@@ -488,21 +488,21 @@ def per_array_sgd_epoch(params, x, grad_fn, cfg, rng, lr, state=None, tap=None):
     return params, (vel_w, vel_b), rng
 
 
-def _tapped_problem(root, n_rows, d, n_labels, dims, kind, target):
-    """Inputs, a tap of `kind` into layer `target` of `dims`, teacher logits
-    and a barrier mask, all drawn from `root`."""
+def _tapped_problem(root, n_rows, d, n_labels, dims, kind):
+    """Inputs, a tap of `kind` into the output layer of `dims`, teacher
+    logits and a barrier mask, all drawn from `root`."""
     u, _ = root.split(0).uniform(n_rows * d)
     x = 2.0 * u.reshape(n_rows, d) - 1.0
     connection, tap = NO_CONNECTION, None
     spec = [LayerSpec(dims[i], dims[i + 1], "relu" if i < len(dims) - 2 else "linear")
             for i in range(len(dims) - 1)]
     if kind != "none":
-        width = dims[target] if kind != "dense_concat" else 3
+        width = dims[-2] if kind != "dense_concat" else 3
         t, _ = root.split(1).gaussian(n_rows * width)
         tap = np.maximum(t.reshape(n_rows, width), 0.0)   # a ReLU layer's output
-        connection = ConnectionSpec(kind, 0, 0, target)
+        connection = ConnectionSpec(kind, 0)
         if kind == "dense_concat":
-            spec[target] = replace(spec[target], in_dim=spec[target].in_dim + width)
+            spec[-1] = replace(spec[-1], in_dim=spec[-1].in_dim + width)
     g, _ = root.split(2).gaussian(n_rows * n_labels)
     m, _ = root.split(3).uniform(n_rows * n_labels)
     return x, spec, connection, tap, g.reshape(n_rows, n_labels), m.reshape(n_rows, n_labels) > 0.5
@@ -525,10 +525,8 @@ def sgd_cases(draw):
     n_rows = batch * draw(st.integers(1, 3)) + draw(st.integers(1, batch - 1))
     dims = [d] + draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [n_labels]
     kind = draw(st.sampled_from(("none", "residual_add", "dense_concat")))
-    target = draw(st.integers(0, len(dims) - 2))
     root = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
-    x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, d, n_labels, dims,
-                                                        kind, target)
+    x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, d, n_labels, dims, kind)
     cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0)
     grad_fn = total_grad_fn(g, mask if draw(st.booleans()) else None, cfg,
                             default_logit_bound(g))
@@ -583,7 +581,7 @@ def test_flat_update_equals_the_per_array_loop(case):
 @pytest.mark.parametrize("stacked", [False, True])
 def test_training_never_writes_what_it_reads(kind, stacked):
     root = RngStream(80)
-    x, spec, connection, tap, g, mask = _tapped_problem(root, 19, 3, 2, [3, 4, 4, 2], kind, 1)
+    x, spec, connection, tap, g, mask = _tapped_problem(root, 19, 3, 2, [3, 4, 4, 2], kind)
     if stacked:
         nets = [findwl.init_params(spec, root.split(10 + s), connection) for s in range(3)]
         params = LearnerParams(spec=spec, connection=connection,
@@ -612,8 +610,7 @@ def test_training_never_writes_what_it_reads(kind, stacked):
 def test_an_epoch_after_the_first_allocates_no_copy_of_its_rows(kind, slices):
     # 300 rows at batch 64: four full batches and a ragged one of 44
     root = RngStream(81)
-    x, spec, connection, tap, g, mask = _tapped_problem(root, 300, 32, 3, [32, 8, 8, 3],
-                                                        kind, 2)
+    x, spec, connection, tap, g, mask = _tapped_problem(root, 300, 32, 3, [32, 8, 8, 3], kind)
     nets = [findwl.init_params(spec, root.split(10 + s), connection) for s in range(slices)]
     if slices == 1:
         params, rng = nets[0], root.split(20)
