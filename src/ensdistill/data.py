@@ -208,7 +208,10 @@ def load_dataset_csv(path) -> LabeledDataset:
     """`x` and `labels` are views of the loaded records, so nothing is copied:
     `x` steps d + 1 floats per row, which numpy and BLAS read in place with
     the same results as a contiguous copy (checked in tests/test_codec.py).
-    A file with no rows, a non-finite feature or a negative label is refused."""
+    Training gathers minibatch rows with `take`, which would copy all of a
+    strided source at every gather, so `findwl.sgd_epoch` copies `x` once
+    per training run instead.  A file with no rows, a non-finite feature or
+    a negative label is refused."""
     body = read_numeric_csv(path, _dataset_record)
     if not len(body):
         raise ValueError(f"{path} has no data rows")

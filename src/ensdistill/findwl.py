@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,53 +177,57 @@ def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
 @dataclass
 class SgdState:
     """What `sgd_epoch` keeps across the epochs of one `params`: built by
-    the first epoch and refilled in place by the later ones, which allocate
-    no gathered rows, activations or gradients, only the epoch's permutation
-    and small temporaries (a single net's finiteness check, a softmax's row
-    maxima and sums).
+    the first epoch and refilled in place by every step, so a step after
+    the first epoch allocates no rows, activations or gradients; an epoch
+    allocates only its permutation and small temporaries (a stack's index
+    slices, a single net's finiteness check, a softmax's row maxima and
+    sums).
 
     `flat` holds every weight and bias (`nets.flatten`), `velocity` its
     momentum, `grad` the step's gradient, which `backward` writes straight
-    into, and `scaled` the update's scratch.  `x_rows`, `tap_rows` and
-    `target_rows` hold `x`, the tap and the targets gathered into the
-    epoch's row order.  `batches` holds, for each minibatch in order, its
-    views of those rows (x, tap, targets), its `nets.StepBuffers` and the
-    buffer its loss gradient is written into; minibatches of one row count
-    share their buffers."""
+    into, and `scaled` the update's scratch.  `x` is a C-contiguous copy of
+    the `x` the state was built for (that array itself when it is already
+    contiguous), and `source` a reference to that `x`, which a later epoch
+    must be handed again; it is weak, so that the state keeps alive no
+    array of the split's row count but its copy.  `batches` holds, for each
+    minibatch in order, its slice of the permutation and the buffers its
+    step writes: its rows of `x`, of the tap and of each target, its
+    `nets.StepBuffers` and the buffer its loss gradient is written into;
+    minibatches of one row count share their buffers."""
     flat: np.ndarray
     velocity: np.ndarray
     grad: np.ndarray
     scaled: np.ndarray
-    x_rows: np.ndarray
-    tap_rows: np.ndarray | None
-    target_rows: list
+    x: np.ndarray
+    source: weakref.ref
     batches: list
 
 
 def _sgd_state(params, x, tap, targets, perm, batch_size) -> SgdState:
     """The state `sgd_epoch` builds on its first epoch; `perm` is that
-    epoch's row order, (n,) or (S, n) for a stack of S."""
+    epoch's row order, (n,) or (S, n) for a stack of S.  Every step gathers
+    from its one copy of `x`, which is C-contiguous because `take` copies
+    all of a strided source (such as the records view
+    `data.load_dataset_csv` returns) before it gathers."""
     flat = flatten(params)
     grad = np.empty_like(flat)
     n = perm.shape[-1]
 
-    def gathered(a):
-        return np.empty(perm.shape + a.shape[1:], dtype=a.dtype)
-    x_rows, target_rows = gathered(x), [gathered(t) for t in targets]
-    tap_rows = None if tap is None else gathered(tap)
+    def gathered(a, batch):
+        return np.empty(batch + a.shape[1:], dtype=a.dtype)
     buffers, batches = {}, []
     for start in range(0, n, batch_size):
         rows = slice(start, start + batch_size)
-        bx = x_rows[..., rows, :]
-        if bx.shape not in buffers:   # the batch size, and a ragged last batch
-            batch = bx.shape[:-1]
-            buffers[bx.shape] = (step_buffers(params, batch, grad),
-                                 np.empty(batch + (params.spec[-1].out_dim,)))
-        batches.append((bx, None if tap is None else tap_rows[..., rows, :],
-                        [t[..., rows, :] for t in target_rows]) + buffers[bx.shape])
+        batch = perm[..., rows].shape   # the batch size, and a ragged last batch
+        if batch not in buffers:
+            buffers[batch] = (gathered(x, batch), None if tap is None else gathered(tap, batch),
+                              [gathered(t, batch) for t in targets],
+                              step_buffers(params, batch, grad),
+                              np.empty(batch + (params.spec[-1].out_dim,)))
+        batches.append((rows,) + buffers[batch])
     return SgdState(flat=flat, velocity=np.zeros_like(flat), grad=grad,
-                    scaled=np.empty_like(flat), x_rows=x_rows, tap_rows=tap_rows,
-                    target_rows=target_rows, batches=batches)
+                    scaled=np.empty_like(flat), x=np.ascontiguousarray(x),
+                    source=weakref.ref(x), batches=batches)
 
 
 def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
@@ -234,15 +239,19 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     with `x`, and `fn(logits, *batch_targets, out=buffer)` writes
     dloss/dlogits of each minibatch, with those arrays' rows for it, into
     `buffer`, and may overwrite `logits` while it does; the step reads only
-    the gradient, so no loss value is computed.  `x`, `tap` (the activation
-    `params.connection` reads) and the targets are gathered into the
-    epoch's row order once, and each minibatch is a slice of them.
+    the gradient, so no loss value is computed.  Each step gathers its
+    minibatch's rows of `x`, of `tap` (the activation `params.connection`
+    reads) and of the targets into the state's buffers; the tap and the
+    targets are read as given, so they should be C-contiguous, as every
+    caller's are, or each gather copies all of them first.
 
     `state` carries the `SgdState` across epochs: on first use (None)
-    the weights and biases move into its flat buffer, and it is returned for
-    the next epoch of the same `params`, `x`, `tap`, targets and batch size.
-    Each step then writes its activations and gradients into the state's
-    buffers and updates the whole flat buffer with a few ufuncs.
+    the weights and biases move into its flat buffer and `x` is copied
+    once, and it is returned for the next epoch of the same `params`, `x`,
+    `tap`, targets and batch size.  A state built for another `x` is
+    refused, since it would train on that `x`'s rows.  Each step then
+    writes its rows, activations and gradients into the state's buffers and
+    updates the whole flat buffer with a few ufuncs.
     Returns (params, state, rng); params are updated in place.
 
     A stack of nets (see `nets.forward`) takes `rng` as a list with one
@@ -253,6 +262,8 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     """
     fn, targets = grad_fn
     n = x.shape[0]
+    if state is not None and state.source() is not x:
+        raise ValueError("sgd_epoch: 'state' was built for another 'x'")
     if isinstance(rng, list):
         draws = [stream.permutation(n) for stream in rng]
         perm = np.stack([draw[0] for draw in draws])
@@ -261,17 +272,18 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
         perm, rng = rng.permutation(n)
     if state is None:
         state = _sgd_state(params, x, tap, targets, perm, cfg.batch_size)
-    flat, vel, grad, scaled = state.flat, state.velocity, state.grad, state.scaled
-    # `take` gathers the same rows as `x[perm]`, several times faster for
-    # arrays only a few columns wide.  `perm` is a permutation, so "clip"
-    # clips nothing; it lets `take` write straight into `out`, which the
-    # default "raise" fills through a temporary copy
-    x.take(perm, axis=0, out=state.x_rows, mode="clip")
-    if tap is not None:
-        tap.take(perm, axis=0, out=state.tap_rows, mode="clip")
-    for t, rows in zip(targets, state.target_rows):
-        t.take(perm, axis=0, out=rows, mode="clip")
-    for bx, btap, btargets, buffers, out in state.batches:
+    flat, vel, grad, scaled, x = state.flat, state.velocity, state.grad, state.scaled, state.x
+    for rows, bx, btap, btargets, buffers, out in state.batches:
+        # `take` gathers the same rows as `x[idx]`, several times faster for
+        # arrays only a few columns wide.  `idx` is part of a permutation,
+        # so "clip" clips nothing; it lets `take` write straight into `out`,
+        # which the default "raise" fills through a temporary copy
+        idx = perm[..., rows]
+        x.take(idx, axis=0, out=bx, mode="clip")
+        if tap is not None:
+            tap.take(idx, axis=0, out=btap, mode="clip")
+        for t, bt in zip(targets, btargets):
+            t.take(idx, axis=0, out=bt, mode="clip")
         logits, acts = forward(params, bx, btap, buffers)
         dlogits = fn(logits, *btargets, out=out)
         # writes the gradient into `grad`, laid out as `flat`
@@ -374,7 +386,7 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
                 stack, state, slices = sgd_epoch(
                     stack, x, grad_fn, sgd_cfg, slices,
                     lr=lr_at_epoch(epoch, sgd_cfg), state=state, tap=tap)
-        # the weights stay views of its flat buffer; the gathered rows and
+        # the weights stay views of its flat buffer; the copy of x and the
         # step buffers go before the passes over all of x
         del state
         for pos in range(len(rngs)):

@@ -8,13 +8,16 @@ alone, a slice that diverges, at its first step or its last, must be dropped
 without touching the others, and the search must return what the
 restart-by-restart loop did.
 
-`sgd_epoch` updates one flat buffer per step and slices minibatches from
-rows gathered once per epoch; `per_array_sgd_epoch` below keeps the update
-it replaced, one array at a time on rows gathered per step, as the
-reference its weights must equal bit for bit.  Neither the epoch nor the
-in-place forward pass may write the arrays it reads, and an epoch after the
-first, which reuses the state the first one built, allocates no copy of its
-rows.
+`sgd_epoch` updates one flat buffer per step and gathers each minibatch's
+rows at its step, from one contiguous copy of `x` made on the first epoch;
+`per_array_sgd_epoch` below keeps the update it replaced, one array at a
+time on rows indexed per step, as the reference its weights must equal bit
+for bit, on a contiguous `x` and on the strided records view the pipeline
+loads.  Neither the epoch nor the in-place forward pass may write the
+arrays it reads.  The first epoch holds one copy of `x`'s rows, whatever the
+stack's size; an epoch after the first, which reuses the state the first
+one built, allocates no copy of its rows; and a state is refused with an
+`x` other than the one it was built for.
 """
 
 import itertools
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 
 import ensdistill.findwl as findwl
 from ensdistill.core import RngStream
+from ensdistill.data import _dataset_record
 from ensdistill.findwl import (LOSS_MODES, FindResult, FindWlConfig, SgdConfig,
                                barrier_loss, default_logit_bound, distill_loss,
                                find_weak_learner, iplus_mask, lr_at_epoch, total_grad_fn)
@@ -508,6 +512,15 @@ def _tapped_problem(root, n_rows, d, n_labels, dims, kind):
     return x, spec, connection, tap, g.reshape(n_rows, n_labels), m.reshape(n_rows, n_labels) > 0.5
 
 
+def _as_loaded(x):
+    """`x` as `data.load_dataset_csv` returns it: the `x` field of records
+    with an int64 label beside it, so a row steps d + 1 values."""
+    records = np.zeros(len(x), _dataset_record(x.shape[1] + 1))
+    records["x"] = x
+    assert not records["x"].flags.c_contiguous
+    return records["x"]
+
+
 def _copy(params):
     return LearnerParams(spec=params.spec, connection=params.connection,
                          weights=[w.copy() for w in params.weights],
@@ -517,8 +530,9 @@ def _copy(params):
 @st.composite
 def sgd_cases(draw):
     """One net or a stack of 2-3, no tap or a residual_add or dense_concat
-    tap, a random step size, momentum and weight decay, and a batch size that
-    leaves a ragged last batch."""
+    tap, a random step size, momentum and weight decay, a batch size that
+    leaves a ragged last batch, and `x` contiguous or as the pipeline loads
+    it."""
     d = draw(st.integers(1, 4))
     n_labels = draw(st.integers(1, 3))
     batch = draw(st.integers(2, 6))
@@ -527,6 +541,8 @@ def sgd_cases(draw):
     kind = draw(st.sampled_from(("none", "residual_add", "dense_concat")))
     root = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
     x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, d, n_labels, dims, kind)
+    if draw(st.booleans()):
+        x = _as_loaded(x)
     cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0)
     grad_fn = total_grad_fn(g, mask if draw(st.booleans()) else None, cfg,
                             default_logit_bound(g))
@@ -605,12 +621,14 @@ def test_training_never_writes_what_it_reads(kind, stacked):
     assert [a.tobytes() for a in inputs] == before
 
 
-@pytest.mark.parametrize("kind", ["none", "residual_add"])
-@pytest.mark.parametrize("slices", [1, 3])
-def test_an_epoch_after_the_first_allocates_no_copy_of_its_rows(kind, slices):
-    # 300 rows at batch 64: four full batches and a ragged one of 44
+def _epoch_problem(n_rows, kind, slices, loaded):
+    """A net of [32, 8, 8, 3] or a stack of them, `x` of `n_rows` rows
+    (contiguous or as loaded), its tap, `sgd_epoch`'s gradient pair and a
+    batch size of 64, for the memory tests."""
     root = RngStream(81)
-    x, spec, connection, tap, g, mask = _tapped_problem(root, 300, 32, 3, [32, 8, 8, 3], kind)
+    x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, 32, 3, [32, 8, 8, 3], kind)
+    if loaded:
+        x = _as_loaded(x)
     nets = [findwl.init_params(spec, root.split(10 + s), connection) for s in range(slices)]
     if slices == 1:
         params, rng = nets[0], root.split(20)
@@ -620,19 +638,59 @@ def test_an_epoch_after_the_first_allocates_no_copy_of_its_rows(kind, slices):
                                biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
         rng = [root.split(20 + s) for s in range(slices)]
     grad_fn = total_grad_fn(g, mask, FindWlConfig(), default_logit_bound(g))
-    cfg = SgdConfig(lr=0.01, epochs=2, batch_size=64)
-    params, state, rng = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, tap=tap)
+    return params, x, tap, grad_fn, SgdConfig(lr=0.01, epochs=2, batch_size=64), rng
+
+
+def _traced_peak(fn):
+    """`fn()`'s result and the peak of the memory it held at once."""
     tracemalloc.start()
     try:
-        _, again, _ = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, state=state,
-                                       tap=tap)
+        got = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+@pytest.mark.parametrize("slices, kind, loaded", [
+    pytest.param(slices, kind, loaded, id=f"{slices}-{kind}" + ("-loaded" if loaded else ""))
+    for loaded in (False, True) for slices in (1, 3) for kind in ("none", "residual_add")])
+def test_an_epoch_after_the_first_allocates_no_copy_of_its_rows(kind, slices, loaded):
+    # 300 rows at batch 64: four full batches and a ragged one of 44
+    params, x, tap, grad_fn, cfg, rng = _epoch_problem(300, kind, slices, loaded)
+    params, state, rng = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, tap=tap)
+    (_, again, _), peak = _traced_peak(lambda: findwl.sgd_epoch(
+        params, x, grad_fn, cfg, rng, lr=0.01, state=state, tap=tap))
     assert again is state
-    # the permutations and a step's views are all that is new: about 30 kB
-    # for a stack of 3, against 75 kB for one copy of `x`
+    # the permutations, a stack's index slices and a step's views are all
+    # that is new: about 30 kB for a stack of 3, against 77 kB for one copy
+    # of `x`; gathering from the loaded `x` itself would first copy all of it
     assert peak < x.nbytes
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["contiguous", "loaded"])
+def test_the_first_epoch_holds_one_copy_of_its_rows(loaded):
+    # at 3000 rows the permutations and the buffers of the two minibatch
+    # shapes (3 slices of 64 and of 56 rows) take about 0.7 of `x`'s size
+    params, x, tap, grad_fn, cfg, rng = _epoch_problem(3000, "residual_add", 3, loaded)
+    (_, state, _), peak = _traced_peak(lambda: findwl.sgd_epoch(
+        params, x, grad_fn, cfg, rng, lr=0.01, tap=tap))
+    # one copy of the loaded `x` and none of a contiguous one, and no
+    # row-order copy of the tap or the targets: gathering each slice's rows
+    # of `x` alone would hold 3 copies
+    assert peak < (2 if loaded else 1) * x.nbytes
+    assert state.x.flags.c_contiguous and (state.x is x) == (not loaded)
+    assert same_bits(state.x, x)
+
+
+def test_a_state_is_refused_with_another_x():
+    params, x, tap, grad_fn, cfg, rng = _epoch_problem(300, "none", 1, True)
+    params, state, rng = findwl.sgd_epoch(params, x, grad_fn, cfg, rng, lr=0.01, tap=tap)
+    before = state.flat.copy()
+    for other in (_as_loaded(np.array(x)), np.array(x)):   # the same rows, another array
+        with pytest.raises(ValueError, match="'state' was built for another 'x'"):
+            findwl.sgd_epoch(params, other, grad_fn, cfg, rng, lr=0.01, state=state, tap=tap)
+    assert same_bits(state.flat, before)
 
 
 @pytest.mark.parametrize("b, gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5)])
