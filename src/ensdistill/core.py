@@ -19,7 +19,6 @@ import csv
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import zipfile
 from dataclasses import dataclass
@@ -204,12 +203,15 @@ def fork_chunks(chunks: list, work, workers: int, doing):
     here meanwhile; a later chunk (only with one worker) is read here when
     it is reached.  It must be the fork context: a child reads an iterator
     built in this process, which cannot be pickled.  A platform without
-    fork has no such context, so it is asked for only where a child starts.
-    Closing the generator kills and reaps every child."""
+    fork has no such context, so it is asked for only where a child starts,
+    and `multiprocessing` is imported there too: a process that never
+    starts a child never loads it.  Closing the generator kills and reaps
+    every child."""
     results = [work(chunk) for chunk in chunks]
     children = []
     try:
         for i in range(1, min(workers, len(chunks))):
+            import multiprocessing
             fork = multiprocessing.get_context("fork")
             conn, sent = fork.Pipe(duplex=False)
             child = fork.Process(target=_send_results, args=(sent, results[i]))

@@ -265,9 +265,12 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     if state is not None and state.source() is not x:
         raise ValueError("sgd_epoch: 'state' was built for another 'x'")
     if isinstance(rng, list):
-        draws = [stream.permutation(n) for stream in rng]
-        perm = np.stack([draw[0] for draw in draws])
-        rng = [draw[1] for draw in draws]
+        # each slice's draw is copied into its row and dropped, so the
+        # epoch holds one set of permutations; the caller's list is copied
+        perm = np.empty((len(rng), n), dtype=np.intp)
+        rng = list(rng)
+        for i, stream in enumerate(rng):
+            perm[i], rng[i] = stream.permutation(n)
     else:
         perm, rng = rng.permutation(n)
     if state is None:

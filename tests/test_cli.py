@@ -1,11 +1,13 @@
 """End-to-end subcommand tests driving main() with argv lists."""
 
+import gc
 import hashlib
 import json
 import os
 import shutil
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +144,49 @@ def test_train_teacher_outputs(pipeline):
     params = params_from_dict(doc)
     assert [layer.out_dim for layer in params.spec] == [8, 2]
     assert _rows(pipeline["data"] / "train_logits.csv") == 48
+
+
+def test_train_teacher_releases_the_test_split_before_the_training_pass(
+        tmp_path, capsys, monkeypatch):
+    """The training-split logits pass sets train-teacher's memory peak and
+    never reads the test split, so the test split's records are already
+    released when it runs; the outputs are those of a run that is not
+    watched."""
+    generated = tmp_path / "generated"
+    assert main(["gen-data", "--dataset", "cube", "--n", "200", "--d", "4", "--seed", "6",
+                 "--out", str(generated)]) == 0
+    capsys.readouterr()
+
+    def train_teacher(name):
+        data_dir = tmp_path / name
+        shutil.copytree(generated, data_dir)
+        assert main(["train-teacher", "--data", str(data_dir), "--spec", "8",
+                     "--out", str(data_dir / "teacher.json"), "--seed", "2",
+                     "--epochs", "3", "--batch-size", "32"]) == 0
+        outputs = {path: (data_dir / path).read_bytes()
+                   for path in ("teacher.json", "train_logits.csv", "train_logits.csv.npz")}
+        return capsys.readouterr().out, outputs
+
+    unwatched = train_teacher("unwatched")
+    loaded, test_alive = {}, []
+    load, logits = data_mod.load_dataset_csv, data_mod.teacher_logits
+
+    def watched_load(path):
+        ds = load(path)
+        loaded[path.name] = weakref.ref(ds.x)
+        return ds
+
+    def watched_logits(params, x):
+        if x is loaded["train.csv"]():
+            gc.collect()
+            test_alive.append(loaded["test.csv"]() is not None)
+        return logits(params, x)
+
+    monkeypatch.setattr(data_mod, "load_dataset_csv", watched_load)
+    monkeypatch.setattr(data_mod, "teacher_logits", watched_logits)
+    watched = train_teacher("watched")
+    assert test_alive == [False]
+    assert watched == unwatched
 
 
 def test_only_gen_data_and_train_teacher_write_into_the_data_directory(tmp_path):

@@ -15,9 +15,9 @@ time on rows indexed per step, as the reference its weights must equal bit
 for bit, on a contiguous `x` and on the strided records view the pipeline
 loads.  Neither the epoch nor the in-place forward pass may write the
 arrays it reads.  The first epoch holds one copy of `x`'s rows, whatever the
-stack's size; an epoch after the first, which reuses the state the first
-one built, allocates no copy of its rows; and a state is refused with an
-`x` other than the one it was built for.
+stack's size, and one set of permutations; an epoch after the first, which
+reuses the state the first one built, allocates no copy of its rows; and a
+state is refused with an `x` other than the one it was built for.
 """
 
 import itertools
@@ -681,6 +681,23 @@ def test_the_first_epoch_holds_one_copy_of_its_rows(loaded):
     assert peak < (2 if loaded else 1) * x.nbytes
     assert state.x.flags.c_contiguous and (state.x is x) == (not loaded)
     assert same_bits(state.x, x)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["contiguous", "loaded"])
+def test_a_stack_holds_one_set_of_permutations(loaded):
+    # a stack of 4 over 20,000 rows: its permutations take 640 kB, and one
+    # slice's draw in progress (uniforms, sort, tie check) about as much
+    # again, 2.0x in all; keeping each slice's draw beside the stacked ones
+    # held 2.75x
+    params, x, tap, grad_fn, cfg, rng = _epoch_problem(20000, "residual_add", 4, loaded)
+    streams = list(rng)
+    (_, state, after), peak = _traced_peak(lambda: findwl.sgd_epoch(
+        params, x, grad_fn, cfg, rng, lr=0.01, tap=tap))
+    permutations = 4 * len(x) * np.dtype(np.intp).itemsize
+    copied = 0 if state.x is x else state.x.nbytes
+    assert peak < copied + 2.4 * permutations
+    # each slice's stream advanced by its draw; the caller's list is not touched
+    assert rng == streams and after == [s.permutation(len(x))[1] for s in streams]
 
 
 def test_a_state_is_refused_with_another_x():

@@ -9,8 +9,10 @@ handed the one array a candidate's connection reads.  Only `distill`
 knows the history file's columns: the verifier asks it whether a history
 matches the replay.  Only `core` makes processes, through `multiprocessing`,
 in the one helper that the weak-learner search and the table writer share,
-and no module calls `os.fork` itself; no module makes threads, so a fork
-never copies a process with a second thread running.  Every top-level
+and no module calls `os.fork` itself; that helper imports `multiprocessing`
+where it starts its first child, so a process that never forks, such as a
+gen-data run on a small table, never loads it.  No module makes threads, so
+a fork never copies a process with a second thread running.  Every top-level
 name in the package is read by the package itself.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
@@ -18,6 +20,9 @@ apply.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -90,6 +95,32 @@ def test_only_core_makes_processes():
     assert importers == {"core"}, f"multiprocessing imported by {sorted(importers)}"
     forks = {path.stem for path in files if reads_os_fork(path)}
     assert not forks, f"os.fork read by {sorted(forks)}"
+
+
+# gen-data on a table too small to format in children, then two chunks of
+# `fork_chunks` on two workers; prints whether `multiprocessing` was loaded
+# after each (gen-data prints its own line first)
+_FORK_PROBE = """
+import sys
+from ensdistill import core
+from ensdistill.cli import main
+assert 160 * 5 < 2 * core._FORK_MIN_CELLS
+assert main(["gen-data", "--dataset", "cube", "--n", "200", "--d", "4", "--seed", "1",
+             "--out", sys.argv[1]]) == 0
+print("multiprocessing" in sys.modules)
+chunks = core.fork_chunks([1, 2], lambda c: iter([c * 10]), 2, lambda c: f"chunk {c}")
+assert [(c, list(items)) for c, items in chunks] == [(1, [10]), (2, [20])]
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_multiprocessing_is_loaded_only_when_a_child_starts(tmp_path):
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", _FORK_PROBE, str(tmp_path / "ds")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 def test_no_module_makes_threads():
