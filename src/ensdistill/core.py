@@ -301,17 +301,31 @@ _BLOCK_CELLS = 8192
 # `_encode_block` writes each float64 cell as its repr and each int64 cell as
 # its str, for a whole block of cells at once, in uint64 array arithmetic.
 #
-# Digits: Ryu (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018)
-# finds the shortest decimal that reads back to a float's bits, the nearest
-# one when several are as short, and the even one on an exact tie: the
-# digits repr prints.  A finite float is mv * 2**e2 with mv = 4 * m2; Ryu
-# scales mv and the half-way points to its neighbours by a 125- or 126-bit
-# multiplier (5**q, or 2**k / 5**q rounded up) and a right shift, both
-# chosen by the exponent alone, so `_exponent_tables` builds every
-# per-exponent constant once, from exact Python ints.  The 55 x 126-bit
-# products are taken from 32-bit limbs and shifted right by 118 to 125
-# bits; then trailing digits are dropped while the interval between the
-# scaled half-way points still holds a shorter number.
+# Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+# 2020; Java's DoubleToDecimal) finds the shortest decimal that reads back
+# to a float's bits, the nearest one when several are as short, and the even
+# one on an exact tie: the digits repr prints.  A finite float is c * 2**q,
+# and its rounding interval runs between the half-way points to its
+# neighbours, ends included when c is even.  With k = floor(log10 of the
+# interval's width), the interval holds at most one multiple of 10**(k+1),
+# the answer if there is one; else the multiple of 10**k nearest the float
+# is.  The lower end, the float and the upper end are compared scaled by
+# 4 * 10**-k: 4c - 2, 4c and 4c + 2, shifted left by h bits, times one
+# 126-bit g per k, of which the bits from 127 up are kept.  All three come
+# from one pair of products, g's high and low 63 bits times the lower end,
+# by adding g shifted left by h + 1, twice.  Below a power of two (c = 2**52
+# above the least normal float) the float below is half as far away: the
+# lower end is 4c - 1, and the first step g shifted left by h.  Each value is
+# rounded to odd as Java's `rop` does: a 1 is ORed in if any of the 63 bits
+# below is set, of the products truncated as Java truncates them.  The
+# proof that this orders the candidates rightly is for that truncation; a
+# sticky bit from the whole products counts g's excess over 10**-k as a
+# fraction, lets the excluded end of an open interval in when it is a
+# candidate, and prints 3.7609587960547416e16 as 3.760958796054742e16.
+# Java keeps two digits ("4.9E-324"): it scales the least subnormals' c by
+# 10 and tries one digit fewer only from 100 up.  repr prints "5e-324", so c
+# stays as it is and a digit may go from 10 up.  A shorter result, or 10
+# after a single digit, then loses its trailing zeros.
 # Text: CPython's 'r' rules.  With digits d1..dn and the decimal point after
 # position p (the value is 0.d1..dn * 10**p), p <= -4 or p > 16 gives the
 # exponent form d1[.d2..dn]e+XX, with a sign and at least two exponent
@@ -323,7 +337,9 @@ _BLOCK_CELLS = 8192
 # bytes are its cells' words with every NUL byte dropped.
 
 _U64 = np.uint64
-_ALL = (1 << 64) - 1
+_LOW32, _LOW63 = _U64((1 << 32) - 1), _U64((1 << 63) - 1)
+# the least and largest k of a float64's scale 10**-k
+_K_MIN, _K_MAX = -324, 292
 
 
 def _word(text: bytes) -> int:
@@ -335,48 +351,21 @@ def _words(values) -> np.ndarray:
     return np.array(list(values), dtype=np.uint64)
 
 
-def _exponent_tables() -> dict:
-    """Ryu's constants for each biased exponent 0..2047 of a float64 (that of
-    inf and nan gets some, unread): the multiplier `mult` as two words, the
-    right shift past 64, the power of ten of the scaled values, and the
-    tests that a scaled value is exact, which make ties round to even: mv
-    (or a half-way point beside it) times `inv` is at most `lim` if it is a
-    multiple of 5**q, and mv & `pow2` is 0 if it is a multiple of 2**q;
-    `small` marks the exponents whose half-way points are exact too."""
-    def log10_pow2(e): return (e * 78913) >> 18
-    def log10_pow5(e): return (e * 732923) >> 20
-    tables = {name: np.zeros(2048, np.uint64) for name in ("high", "low", "shift", "inv", "lim")}
-    tables.update(e10=np.zeros(2048, np.int64), pow2=np.full(2048, _ALL, np.uint64),
-                  small=np.zeros(2048, bool))
-    for biased in range(2048):
-        e2 = max(biased, 1) - 1077
-        if e2 >= 0:
-            q = log10_pow2(e2) - (e2 > 3)
-            e10, bits = q, (5 ** q).bit_length()
-            mult, shift = (1 << bits + 124) // 5 ** q + 1, q - e2 + bits + 124
-            inv, lim = (pow(5 ** q, -1, 1 << 64), _ALL // 5 ** q) if q <= 21 else (1, 0)
-        else:
-            q = log10_pow5(-e2) - (-e2 > 1)
-            e10, i = q + e2, -e2 - q
-            bits = (5 ** i).bit_length()
-            mult = 5 ** i >> bits - 125 if bits >= 125 else 5 ** i << 125 - bits
-            shift, inv, lim = q - bits + 125, 1, 0
-            tables["small"][biased] = q <= 1
-            tables["pow2"][biased] = 0 if q <= 1 else (1 << q) - 1 if q < 63 else _ALL
-        assert 64 < shift < 128
-        for name, value in (("high", mult >> 64), ("low", mult & _ALL), ("shift", shift - 64),
-                            ("e10", e10), ("inv", inv), ("lim", lim)):
-            tables[name][biased] = value
-    return tables
+def _scale_table():
+    """g = floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1, which lies
+    between 2**125 and 2**126, for k = _K_MIN .. _K_MAX, as its high and low
+    63 bits."""
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        # floor(log2(10**-k)) as `_shortest` works it out
+        shift = 125 - (-k * 913124641741 >> 38)
+        g.append((10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1)
+        assert 1 << 125 < g[-1] < 1 << 126
+    return _words(v >> 63 for v in g), _words(v & (1 << 63) - 1 for v in g)
 
 
-_RYU = _exponent_tables()
-# the least biased exponent at which a 5**q test or an exact half-way point
-# applies (values from 2**50 up); below it only the 2**q test does
-_RARE_EXPONENT = 1073
-_INV5, _LIM5 = _U64(pow(5, -1, 1 << 64)), _U64(_ALL // 5)
+_G1, _G0 = _scale_table()
 _POW10 = _words(10 ** k for k in range(20))
-_LOW32, _TEN = _U64(0xFFFFFFFF), _U64(10)
 
 
 def _ascii_digits(width: int) -> np.ndarray:
@@ -422,126 +411,95 @@ def _take(table, index):
     return table.take(index, mode="clip")
 
 
-def _high_word(x0, x1, y0, y1):
-    """The high word of (x1:x0) * (y1:y0), for 32-bit limbs and x below
-    2**55; `y0` and `y1` are overwritten."""
-    mid = x0 * y0
-    mid >>= 32
-    high = x0 * y1
-    y0 *= x1
-    mid += y0
-    mid += high & _LOW32
-    mid >>= 32
-    high >>= 32
-    high += mid
-    y1 *= x1
-    high += y1
-    return high
+def _product(x, y):
+    """The high and low words of x * y, for x below 2**63 and y below 2**60."""
+    x0, x1 = x & _LOW32, x >> _U64(32)
+    y0, y1 = y & _LOW32, y >> _U64(32)
+    cross = x1 * y0 + (x0 * y0 >> _U64(32))
+    inner = x0 * y1 + (cross & _LOW32)
+    return x1 * y1 + (cross >> _U64(32)) + (inner >> _U64(32)), x * y
 
 
-def _drop_digits(high, low):
-    """How many trailing digits each of `high` > `low` can lose before the
-    two agree on what is left.  Once they agree they agree on every shorter
-    prefix, so a cell that stops dropping is done."""
-    high, low = high // _TEN, low // _TEN
-    more = high > low
-    dropped = more.astype(np.int64)
-    while more.any():
-        high //= _TEN
-        low //= _TEN
-        np.greater(high, low, out=more)
-        dropped += more
-    return dropped
+def _plus(products, g1, g0, shift):
+    """`products`, the words of g1 * y and of g0 * y, with g1 * 2**shift
+    and g0 * 2**shift added in place, for `shift` from 1 to 63."""
+    down = _U64(64) - shift
+    for high, low, g in ((*products[:2], g1), (*products[2:], g0)):
+        shifted = g << shift
+        low += shifted
+        high += low < shifted
+        high += g >> down
+    return products
+
+
+def _rop(products):
+    """Java's rop of g * y, from the words (high, low, x, x_low) of g1 * y
+    and g0 * y: ((high:low) // 2 + x) // 2**63, with 1 ORed in unless the
+    63 bits below are all 0."""
+    high, low, x, _ = products
+    below = low >> _U64(1)
+    below += x
+    value = below >> _U64(63)
+    value += high
+    below &= _LOW63
+    value |= below != 0
+    return value
 
 
 def _shortest(bits):
-    """Ryu's shortest digits of the finite nonzero floats whose bits are
-    `bits`, as (digits, e) with each float's repr value digits * 10**e;
+    """Schubfach's shortest digits of the finite nonzero floats whose bits
+    are `bits`, as (digits, e) with each float's repr value digits * 10**e;
     other cells give values that are not read."""
-    exponent = (bits >> _U64(52)).view(np.int64)
-    exponent &= 0x7FF
+    exponent = (bits >> _U64(52) & _U64(0x7FF)).view(np.int64)
     fraction = bits & _U64((1 << 52) - 1)
-    mv = fraction | (exponent != 0).astype(np.uint64) << _U64(52)
-    even = (mv & _U64(1)) == 0
-    mv <<= 2
-    x0, x1 = mv & _LOW32, mv >> _U64(32)
-    mult_high, mult_low = _take(_RYU["high"], exponent), _take(_RYU["low"], exponent)
-    # mv * mult = (high:low) * 2**64 + below, exactly
-    low = _high_word(x0, x1, mult_low & _LOW32, mult_low >> _U64(32))
-    high = _high_word(x0, x1, mult_high & _LOW32, mult_high >> _U64(32))
-    low_of_high = mult_high * mv
-    low += low_of_high
-    high += low < low_of_high
-    below = mult_low * mv
-    shift = _take(_RYU["shift"], exponent)
-    unshift = _U64(64) - shift
-
-    def scaled(high, low):
-        high <<= unshift
-        low >>= shift
-        high |= low
-        return high
-    # the half-way points: (mv + 2) * mult and (mv - 1 - mmshift) * mult,
-    # where mmshift is 0 only for a power of two above the least normal
-    high2, low2 = (mult_high << _U64(1)) | (mult_low >> _U64(63)), mult_low << _U64(1)
-    carry = high2 + (below + low2 < below)
-    up = low + carry
-    vp = scaled(high + (up < low), up)
-    mmshift = (fraction != 0) | (exponent <= 1)
-    if not mmshift.all():
-        low2 = np.where(mmshift, low2, mult_low)
-        high2 = np.where(mmshift, high2, mult_high)
-    borrow = high2 + (below < low2)
-    vm = scaled(high - (low < borrow), low - borrow)
-    vr = scaled(high, low)
-    # whether vr and vm are exact, so that digits dropped from them are zeros
-    vr_zeros = (mv & _take(_RYU["pow2"], exponent)) == 0
-    vm_zeros = None
-    if exponent.max() >= _RARE_EXPONENT:
-        inv, lim = _take(_RYU["inv"], exponent), _take(_RYU["lim"], exponent)
-        mod5 = mv * _INV5 <= _LIM5
-        vr_zeros |= mod5 & (mv * inv <= lim)
-        small = _take(_RYU["small"], exponent)
-        vm_zeros = even & ((~mod5 & ((mv - _U64(1) - mmshift) * inv <= lim)) | (small & mmshift))
-        vp -= ~even & ((~mod5 & ((mv + _U64(2)) * inv <= lim)) | small)
-    dropped = _drop_digits(vp, vm)
-    # vr without the dropped digits, and the last digit it dropped
-    power = _take(_POW10, dropped - 1)    # 1 where none is dropped
-    kept = vr // power
-    if vr_zeros.any():
-        vr_zeros &= kept * power == vr
-    vr = kept // _TEN
-    last = kept - vr * _TEN
-    none = dropped == 0
-    if none.any():
-        vr[none], last[none] = kept[none], 0
-    power = _take(_POW10, dropped)
-    kept = vm // power
-    if vm_zeros is not None and vm_zeros.any():
-        # an exact lower bound may lose further zeros
-        vm_zeros &= kept * power == vm
-        vm = kept
-        while True:
-            fewer = vm // _TEN
-            more = vm_zeros & (fewer * _TEN == vm)
-            if not more.any():
-                break
-            kept = vr // _TEN
-            vr_zeros &= ~more | (last == 0)
-            last = np.where(more, vr - kept * _TEN, last)
-            vr = np.where(more, kept, vr)
-            vm = np.where(more, fewer, vm)
-            dropped += more
-        round_up = (vr == vm) & (~even | ~vm_zeros)
-    else:
-        vm = kept
-        round_up = vr == vm
-    if vr_zeros.any():
-        # exactly half-way: round to even
-        last[vr_zeros & (last == 5) & ((vr & _U64(1)) == 0)] = 4
-    round_up |= last >= 5
-    vr += round_up
-    return vr, dropped + _take(_RYU["e10"], exponent)
+    c = fraction | (exponent != 0).astype(np.uint64) << _U64(52)
+    # k = floor(log10(2**q)), or of 3/4 * 2**q below a power of two
+    q = np.maximum(exponent, 1) - 1075
+    nearer = (fraction == 0) & (exponent > 1)
+    k = q * 661971961083 - nearer * 274743187321 >> 41
+    # q + floor(log2(10**-k)) + 2, from 2 to 5
+    h = ((k * -913124641741 >> 38) + q + 2).view(np.uint64)
+    g1, g0 = _take(_G1, k - _K_MIN), _take(_G0, k - _K_MIN)
+    low_end = (c << _U64(2)) - (_U64(2) - nearer) << h
+    products = (*_product(g1, low_end), *_product(g0, low_end))
+    vl = _rop(products)
+    v = _rop(_plus(products, g1, g0, h + _U64(1) - nearer))
+    vr = _rop(_plus(products, g1, g0, h + _U64(1)))
+    # the candidates, scaled by 4 like v: the multiples of 10**(k+1) beside
+    # v, while s has two digits or more, then s and s + 1 times 10**k;
+    # an odd c leaves the ends out
+    odd = c & _U64(1)
+    vl += odd
+    vr -= odd
+    s = v >> _U64(2)
+    tens = s // _U64(10)
+    candidate = tens * _U64(40)
+    lower_in = vl <= candidate
+    candidate += _U64(40)
+    upper_in = candidate <= vr
+    shorter = lower_in != upper_in
+    shorter &= s >= _U64(10)
+    tens += upper_in
+    # s + 1 if only it is in, or both are and v is past their midpoint, or
+    # on it with s odd
+    np.left_shift(s, _U64(2), out=candidate)
+    up = (v & _U64(3)) + (s & _U64(1)) > _U64(2)
+    up |= vl > candidate
+    candidate += _U64(4)
+    up &= candidate <= vr
+    digits = s + up
+    np.copyto(digits, tens, where=shorter)
+    e10 = k + shorter
+    # drop the trailing zeros (at most 15) of the cells that have any
+    at = np.flatnonzero(digits // _U64(10) * _U64(10) == digits)
+    some, more = digits[at], e10[at]
+    for drop in (8, 4, 2, 1):
+        fewer = some // _U64(10 ** drop)
+        zeros = fewer * _U64(10 ** drop) == some
+        np.copyto(some, fewer, where=zeros)
+        more += drop * zeros
+    digits[at], e10[at] = some, more
+    return digits, e10
 
 
 def _digit_count(values):

@@ -18,7 +18,7 @@ from .distill import (Ensemble, ensemble_predict, history_matches,  # noqa: F401
                       member_logits, prefix_logits)
 from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_grad_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
-from .nets import flops, forward, init_params
+from .nets import flops, forward, init_params, split_head
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -85,7 +85,7 @@ def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarra
     cum = 0
     for i, spec in enumerate(member_specs):
         params = train_plain_student(spec, train_x, train_g, cfg, root.split(i))
-        logits, _ = forward(params, test_x)
+        logits = forward(*split_head(params, test_x))[0]
         total = logits if total is None else total + logits
         cum += flops(params)
         points.append(CurvePoint(prefix_k=i + 1, cum_flops_fraction=cum / teacher_flops,

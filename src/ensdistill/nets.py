@@ -229,18 +229,19 @@ def split_head(params: LearnerParams, x: np.ndarray, out: np.ndarray | None = No
     layer ignores it.
 
     This is the package's one rule for cutting a batch into rows: the
-    teacher's logits, a search's candidates on all of its split and every
-    ensemble member (`distill.member_logits`) are computed through it, so
-    each gets the same bits on the same rows wherever it is evaluated.  The
-    hidden layers run on blocks of `_BLOCK_ROWS` rows, the last one taking
-    the remainder (`core.row_blocks`), through block buffers that every
-    block reuses; only the last one is written for all rows, so a pass over
-    a whole training split holds one hidden layer of it.  The head runs on
-    all rows at once in the caller's `forward`, because a row cut can change
-    the bits of a narrow layer's product (with OpenBLAS 0.3.31, 2- and
-    4-column output layers did, once the uncut product left BLAS's
-    small-matrix path), while the 24- and 64-wide hidden layers kept their
-    bits at every cut of 2 or more rows tried."""
+    teacher's logits, a search's candidates on all of its split, every
+    ensemble member (`distill.member_logits`) and every resched baseline
+    student are computed through it, so each gets the same bits on the same
+    rows wherever it is evaluated.  The hidden layers run on blocks of
+    `_BLOCK_ROWS` rows, the last one taking the remainder
+    (`core.row_blocks`), through block buffers that every block reuses; only
+    the last one is written for all rows, so a pass over a whole training
+    split holds one hidden layer of it.  The head runs on all rows at once
+    in the caller's `forward`, because a row cut can change the bits of a
+    narrow layer's product (with OpenBLAS 0.3.31, 2- and 4-column output
+    layers did, once the uncut product left BLAS's small-matrix path), while
+    the 24- and 64-wide hidden layers kept their bits at every cut of 2 or
+    more rows tried."""
     spec = params.spec
     last = len(spec) - 1
     head = LearnerParams(spec=[spec[last]], connection=params.connection,

@@ -10,10 +10,12 @@ table, and the binary sidecar each data file is written with against the
 parse of that file.  The round trip and the differential cases read with no
 sidecar present, so they test the parse.  The cell encoder alone is checked
 against repr and str on floats drawn from raw 64-bit patterns (every
-exponent, subnormals, +-0.0, +-inf and NaN payloads), on pinned boundary
-cells and on int64 cells at both ends.  A table formatted in forked
-children, at any CPU count, must be the bytes of the one-process write, and
-a child that fails must be named with no child left behind.
+exponent, subnormals, +-0.0, +-inf and NaN payloads), on pinned cells
+(boundaries, every power of two and the floats beside it, the 4096 least
+subnormals, 2**18 seeded raw patterns) and on int64 cells at both ends.  A
+table formatted in forked children, at any CPU count, must be the bytes of
+the one-process write, and a child that fails must be named with no child
+left behind.
 """
 
 import hashlib
@@ -440,6 +442,13 @@ FLOAT_BITS = st.one_of(
                      .view(np.uint64)]))
 INT64_ENDS = (-2 ** 63, -2 ** 63 + 1, -10 ** 18, -1, 0, 1, 9, 10, 10 ** 18 - 1, 10 ** 18,
               2 ** 63 - 2, 2 ** 63 - 1)
+# the least subnormals, where repr may print a single digit ("5e-324"), and
+# at each finite nonzero exponent the floats beside its power of two
+# (fractions 1 and 2**52 - 1) and the one half-way up (2**51)
+SUBNORMALS = np.arange(1, 4097, dtype=np.uint64).view(np.float64)
+BESIDE_POWERS = (np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
+                 | np.array([1, 2 ** 51, 2 ** 52 - 1], dtype=np.uint64)).view(np.float64)
+RAW_PATTERNS = np.random.default_rng(34).integers(2 ** 64, size=2 ** 18, dtype=np.uint64)
 
 
 def repr_lines(values) -> bytes:
@@ -466,7 +475,11 @@ def test_the_encoder_writes_repr_of_every_float64(bits):
     BOUNDARY + tuple(-v for v in BOUNDARY) + (0.0, -0.0),
     EVERY_POWER_OF_TWO + tuple(-v for v in EVERY_POWER_OF_TWO),
     np.array(INT64_ENDS, dtype=np.int64),
-], ids=["boundary", "powers-of-two", "int64-ends"])
+    np.concatenate([SUBNORMALS, -SUBNORMALS]),
+    BESIDE_POWERS,
+    RAW_PATTERNS.view(np.float64),
+], ids=["boundary", "powers-of-two", "int64-ends", "subnormals", "beside-powers-of-two",
+        "raw-patterns"])
 def test_the_encoder_writes_repr_of_the_pinned_cells(cells):
     values = np.asarray(cells).reshape(-1, 2)
     assert core._encode_block(one_field(values)) == repr_lines(values)

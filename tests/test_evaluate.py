@@ -10,6 +10,7 @@ import pytest
 from oracle_runs import constructed_oracle_run, ensemble_flops_direct, history_rows, read_csv
 
 import ensdistill.distill as distill_mod
+import ensdistill.evaluate as evaluate_mod
 from ensdistill.core import RngStream
 from ensdistill.distill import Ensemble, read_history, write_history
 from ensdistill.evaluate import (
@@ -155,6 +156,33 @@ def test_resched_prefix_count_and_fraction_growth():
     assert [p.prefix_k for p in points] == [1, 2]
     assert points[1].cum_flops_fraction == pytest.approx(
         2 * points[0].cum_flops_fraction)
+
+
+def test_resched_cuts_each_student_once_into_anytimes_rows(monkeypatch):
+    """The baseline scores each student it trained through `split_head`,
+    once, over a test split of two row blocks, so its curve is
+    `anytime_curve`'s over those students, point for point."""
+    rng = RngStream(23)
+    x, rng = rng.gaussian(2048 * 3)
+    x = x.reshape(2048, 3)
+    g = np.column_stack([x[:, 0] + x[:, 1], -x[:, 2]])
+    labels = np.argmax(g, axis=1)
+    spec = [LayerSpec(3, 6), LayerSpec(6, 2, "linear")]
+    cfg = FindWlConfig(
+        loss_mode="squared_error",
+        sgd=SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0,
+                      epochs=3, batch_size=16))
+    students, cut = [], []
+    train, split_head = evaluate_mod.train_plain_student, evaluate_mod.split_head
+    monkeypatch.setattr(evaluate_mod, "train_plain_student",
+                        lambda *args: students.append(train(*args)) or students[-1])
+    monkeypatch.setattr(evaluate_mod, "split_head",
+                        lambda params, *args: cut.append(params) or split_head(params, *args))
+    points = baseline_resched([spec, spec], x[:64], g[:64], x, labels,
+                              teacher_flops=500, cfg=cfg, seed=4)
+    assert len(students) == 2
+    assert [id(params) for params in cut] == [id(student) for student in students]
+    assert points == anytime_curve(_ensemble_of(students), x, labels, 500)
 
 
 def test_standalone_spec_unwidens_concat_and_passes_through_plain():
