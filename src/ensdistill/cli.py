@@ -3,7 +3,8 @@
 Every subcommand is a pure function of its flags and input files: rerunning
 with the same inputs produces byte-identical outputs.  Exit codes separate
 science from plumbing: 0 success, 1 verified-claim violation, 2 bad
-flags/config, 3 I/O failure, 4 theorem-premise violation.
+flags/config, 3 I/O failure or an allocation the host refused,
+4 theorem-premise violation.
 """
 from __future__ import annotations
 
@@ -181,14 +182,14 @@ def cmd_eval(args) -> int:
         print(f"anytime curve: {len(points)} points, "
               f"final accuracy {points[-1].accuracy:.4f}")
     elif args.mode == "resched":
-        recipe = _load_config(args.config).findwl
+        recipe = _load_config(args.config).findwl.sgd
         train, g = _training_pair(data_dir, ens.members)
         specs = [eval_mod.standalone_spec(m) for m in ens.members]
         try:
             points = eval_mod.baseline_resched(specs, train.x, g, test.x, test.labels,
                                                teacher_cost, recipe, seed=args.seed or 0)
         except FloatingPointError as exc:   # as for the teacher: a step size too large
-            raise ConfigError(f"resched training diverged at 'lr' {recipe.sgd.lr} "
+            raise ConfigError(f"resched training diverged at 'lr' {recipe.lr} "
                               f"({exc}); lower the config's findwl.sgd.lr") from exc
         eval_mod.write_curve_csv(args.out, points)
         print(f"resched baseline: {len(points)} points, "
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=UNIT_INTERVAL, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None,
-                   help="resched: the distill JSON config, whose findwl recipe trains "
+                   help="resched: the distill JSON config, whose findwl.sgd recipe trains "
                         "each member; package defaults when omitted")
     p.set_defaults(func=cmd_eval)
 
@@ -320,6 +321,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        # an array sized by the input (a row count, a label) that the host
+        # cannot hold: a plumbing failure, not a verified-claim violation
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except FloatingPointError as exc:
         # residuals outgrew what the configured eta can absorb: the bounded-

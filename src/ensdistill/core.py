@@ -47,12 +47,6 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 # --- counter-based RNG ------------------------------------------------------
 #
 # A value stream is splitmix64 evaluated at (seed + k * golden), k = counter.

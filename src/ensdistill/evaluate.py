@@ -16,7 +16,7 @@ from .core import RngStream, softmax, write_json, write_table
 # unread `ensemble_predict` stays bound here, where `benchmarks/tracer.py` rebinds it
 from .distill import (Ensemble, ensemble_predict, history_matches,  # noqa: F401
                       member_logits, prefix_logits)
-from .findwl import FindWlConfig, lr_at_epoch, sgd_epoch, total_grad_fn
+from .findwl import SgdConfig, lr_at_epoch, sgd_epoch, total_grad_fn
 from .game import init_uniform, md_update, normalizer_inequality_ok
 from .nets import flops, forward, init_params, split_head
 
@@ -55,24 +55,24 @@ def anytime_curve(ens: Ensemble, x: np.ndarray, labels: np.ndarray,
 
 
 def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
-                        cfg: FindWlConfig, rng: RngStream):
+                        sgd: SgdConfig, rng: RngStream):
     """Distillation only: no game weights, no barrier, no connections."""
     params = init_params(spec, rng.split(0))
-    grad_fn = total_grad_fn(g_logits, None, cfg, 0.0)   # no barrier, so no bound
+    grad_fn = total_grad_fn(g_logits)
     sgd_rng = rng.split(1)
     state = None
     # as for the teacher: `forward` raises on the non-finite logits
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.sgd.epochs):
+        for epoch in range(sgd.epochs):
             params, state, sgd_rng = sgd_epoch(
-                params, x, grad_fn, cfg.sgd, sgd_rng,
-                lr=lr_at_epoch(epoch, cfg.sgd), state=state)
+                params, x, grad_fn, sgd, sgd_rng,
+                lr=lr_at_epoch(epoch, sgd), state=state)
     return params
 
 
 def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarray,
                      test_x: np.ndarray, test_labels: np.ndarray,
-                     teacher_flops: int, cfg: FindWlConfig, seed: int = 0) -> list:
+                     teacher_flops: int, sgd: SgdConfig, seed: int = 0) -> list:
     """Averaging baseline: each spec trained independently against the
     teacher, prefixes evaluated as simple averages."""
     if not member_specs:
@@ -84,7 +84,7 @@ def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarra
     total = None
     cum = 0
     for i, spec in enumerate(member_specs):
-        params = train_plain_student(spec, train_x, train_g, cfg, root.split(i))
+        params = train_plain_student(spec, train_x, train_g, sgd, root.split(i))
         logits = forward(*split_head(params, test_x))[0]
         total = logits if total is None else total + logits
         cum += flops(params)

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, ShapeError, fork_chunks, log_softmax, softmax, split_range
+from .core import RngStream, ShapeError, fork_chunks, split_range
 from .core import usable_cpus as _usable_cpus
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
                    LearnerParams, backward, check_fields, flatten, forward, init_params,
                    optional, split_head, step_buffers)
-
-LOSS_MODES = ("ce_temperature", "squared_error")
 
 # clamp residuals at this fraction of the barrier edge to keep logs finite
 _CLAMP_MARGIN = 1e-6
@@ -68,9 +66,7 @@ def default_student_recipe() -> SgdConfig:
 class FindWlConfig:
     barrier_gamma: float = 0.2
     logit_bound_b: float | None = None  # None: derived as 1.5 * max|teacher logit|
-    temperature: float = 2.0
     max_search: int = 4
-    loss_mode: str = "squared_error"
     sgd: SgdConfig = field(default_factory=default_student_recipe)
 
     def validate(self) -> None:
@@ -78,10 +74,9 @@ class FindWlConfig:
         self.sgd.validate()
 
 
-_FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE, "temperature": FINITE_POSITIVE,
+_FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE,
                  "logit_bound_b": optional(FINITE_POSITIVE),
-                 "max_search": AT_LEAST_ONE,
-                 "loss_mode": (lambda v: v in LOSS_MODES, f"one of {LOSS_MODES}")}
+                 "max_search": AT_LEAST_ONE}
 
 
 def iplus_mask(state: WeightState) -> np.ndarray:
@@ -117,51 +112,15 @@ def barrier_loss(l: np.ndarray, mask: np.ndarray, b: float,
     return -float(terms.sum()) / barrier_gamma, int(np.count_nonzero(np.abs(l) >= limit))
 
 
-def _check_mode(mode: str, temperature: float) -> None:
-    if mode not in LOSS_MODES:
-        raise ValueError(f"unknown loss_mode {mode!r}")
-    if mode == "ce_temperature" and temperature <= 0:
-        raise ValueError("temperature must be > 0")
-
-
-def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
-                 temperature: float = 2.0) -> float:
-    """Distillation loss of the student logits against the teacher's.
-
-    ce_temperature: temperature-softened cross-entropy against the teacher's
-    soft targets, averaged over rows and rescaled by tau^2 so gradient
-    magnitudes stay comparable across temperatures.
-    squared_error: 0.5 * ||f - g||^2 / n_rows, the game's own loss.
-    """
+def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray) -> float:
+    """Distillation loss of the student logits against the teacher's: the
+    game's own loss, 0.5 * ||f - g||^2 / n_rows."""
     f = np.asarray(f_logits, dtype=np.float64)
     g = np.asarray(g_logits, dtype=np.float64)
     if f.shape != g.shape:
         raise ShapeError(f"distill loss: shape {f.shape} vs {g.shape}")
-    _check_mode(mode, temperature)
-    n = f.shape[-2]
-    if mode == "squared_error":
-        diff = f - g
-        return 0.5 * float((diff * diff).sum()) / n
-    tau = temperature
-    return -(tau * tau) * float((softmax(g / tau) * log_softmax(f / tau)).sum()) / n
-
-
-def distill_grad(f_logits: np.ndarray, g_logits: np.ndarray, mode: str,
-                 temperature: float = 2.0, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of `distill_loss` w.r.t. the student logits, for float64
-    arrays of one shape, written into `out` if given.  An SGD step reads
-    only this, so it is built without the loss value and checks nothing but
-    the mode it dispatches on; `total_grad_fn` checks the temperature once
-    for all steps."""
-    n = f_logits.shape[-2]
-    if mode == "squared_error":
-        grad = np.subtract(f_logits, g_logits, out=out)
-        grad /= n
-        return grad
-    if mode == "ce_temperature":
-        tau = temperature
-        return np.multiply(tau / n, softmax(f_logits / tau) - softmax(g_logits / tau), out=out)
-    raise ValueError(f"unknown loss_mode {mode!r}")
+    diff = f - g
+    return 0.5 * float((diff * diff).sum()) / f.shape[-2]
 
 
 def default_logit_bound(g_logits: np.ndarray) -> float:
@@ -302,39 +261,37 @@ def sgd_epoch(params: LearnerParams, x: np.ndarray, grad_fn, cfg: SgdConfig,
     return params, state, rng
 
 
-def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None, cfg: FindWlConfig, b: float):
+def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None = None,
+                  cfg: FindWlConfig | None = None, b: float = 0.0):
     """Gradient of the minibatch training objective w.r.t. the logits: the
     distillation loss plus the barrier toward `mask`; `mask=None` means no
-    barrier, the distillation loss alone.
+    barrier, the distillation loss alone, and reads neither `cfg` nor `b`.
 
     Returns `sgd_epoch`'s pair `(fn, targets)`: the targets are the teacher
     logits and, with a barrier, its signed wall `s`, 2B where `mask` holds
     and -2B elsewhere, built here once.  The barrier's gradient
     -(1 / (2B + l)) / gamma where `mask` holds and (1 / (2B - l)) / gamma
     elsewhere, at the clamped residual l, is then (1 / (l + s)) / -gamma
-    everywhere, with the same bits.  The loss mode, temperature, `b` and
-    `barrier_gamma` are checked here, once, so a step runs no checks."""
-    mode, tau, gamma = cfg.loss_mode, cfg.temperature, cfg.barrier_gamma
-    _check_mode(mode, tau)
+    everywhere, with the same bits.  `b` and `barrier_gamma` are checked
+    here, once, so a step runs no checks."""
     g_logits = np.asarray(g_logits, dtype=np.float64)
     if mask is None:
         def distill_only(logits, g, out=None):
-            return distill_grad(logits, g, mode, tau, out)
+            grad = np.subtract(logits, g, out=out)
+            grad /= grad.shape[-2]
+            return grad
         return distill_only, (g_logits,)
+    gamma = cfg.barrier_gamma
     _check_barrier(b, gamma)
     limit = _clamp_limit(b)
     wall = np.where(mask, 2.0 * b, -2.0 * b)
 
     def fn(logits, g, s, out=None):
         scratch = None if out is None else logits
-        if mode == "squared_error":   # one residual r = f - g serves both terms
-            grad = np.subtract(logits, g, out=out)
-            barrier = np.maximum(grad, -limit, out=scratch)
-            grad /= grad.shape[-2]
-        else:
-            grad = distill_grad(logits, g, mode, tau, out)
-            barrier = np.subtract(logits, g, out=scratch)
-            np.maximum(barrier, -limit, out=barrier)
+        # one residual r = f - g serves both terms
+        grad = np.subtract(logits, g, out=out)
+        barrier = np.maximum(grad, -limit, out=scratch)
+        grad /= grad.shape[-2]
         # the clamp: `np.clip`'s bits (NaN stays NaN), without its wrappers
         np.minimum(barrier, limit, out=barrier)
         barrier += s
@@ -373,9 +330,7 @@ def _train_stack(spec, connection, x, tap, grad_fn, sgd_cfg, rngs):
     that diverged at any step: once a minibatch logit is non-finite, so is
     its gradient column, whose sum makes the output bias non-finite; no
     later SGD update makes that bias finite again, so neither are the final
-    logits.  The one exception is a -inf logit in `ce_temperature` mode
-    beside a finite one in its row: its softmax gradient is finite, so its
-    slice is dropped only if the final logits are still non-finite."""
+    logits."""
     nets = [init_params(spec, rng.split(0), connection) for rng in rngs]
     streams = [rng.split(1) for rng in rngs]
 
@@ -468,7 +423,7 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
         for chunk, trained in stacks:
             for pos, params, logits in trained:
                 resid = logits - g_logits
-                dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+                dl_val = distill_loss(logits, g_logits)
                 b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
                 total = dl_val if degenerate else dl_val + b_val
                 # every trained candidate that stayed finite is checked, so a

@@ -34,6 +34,7 @@ from ensdistill.findwl import (
     SgdConfig,
     barrier_loss,
     default_logit_bound,
+    default_student_recipe,
     distill_loss,
     total_grad_fn,
 )
@@ -95,7 +96,7 @@ def e2e(canonical):
         specs = [standalone_spec(m) for m in ens.members]
         resched = baseline_resched(specs, train.x, canonical["train_g"],
                                    test.x, test.labels, teacher_cost,
-                                   FindWlConfig(), seed=seed)
+                                   default_student_recipe(), seed=seed)
         out.append({"ens": ens, "hist": hist, "points": points,
                     "resched": resched})
     return out
@@ -110,7 +111,7 @@ def small_run():
     teacher = train_teacher(train, mlp_spec(6, [16], 2), recipe, seed=3)
     g = teacher_logits(teacher, train.x)
     findwl = FindWlConfig(
-        loss_mode="squared_error", barrier_gamma=0.5, max_search=3,
+        barrier_gamma=0.5, max_search=3,
         sgd=SgdConfig(lr=0.005, momentum=0.9, weight_decay=5e-4,
                       epochs=30, batch_size=16))
     cfg = DistillConfig(T=4, R=2, eta=0.25, seed=3,
@@ -205,7 +206,7 @@ def test_criterion_03_per_round_normalizer_inequality():
             f"with eta*G <= 1")
 
 
-def _fd_composed_loss(kind: str, mode: str, seed: int):
+def _fd_composed_loss(kind: str, seed: int):
     rng = RngStream(seed)
     base = [LayerSpec(10, 16), LayerSpec(16, 4, "linear")]
     n = 12
@@ -223,12 +224,12 @@ def _fd_composed_loss(kind: str, mode: str, seed: int):
     params = init_params(spec, rng.split(1), conn)
     bits, rng = rng.uniform(n * 4)
     mask = bits.reshape(n, 4) > 0.4
-    cfg = FindWlConfig(loss_mode=mode, barrier_gamma=0.7)
+    cfg = FindWlConfig(barrier_gamma=0.7)
     b = default_logit_bound(g)
 
     def value():
         logits, _ = forward(params, x, tap)
-        return (distill_loss(logits, g, mode, cfg.temperature)
+        return (distill_loss(logits, g)
                 + barrier_loss(logits - g, mask, b, cfg.barrier_gamma)[0])
 
     logits, acts = forward(params, x, tap)
@@ -258,11 +259,10 @@ def test_criterion_04_gradients_match_finite_differences():
     worst_overall = 0.0
     details = []
     for kind in ("none", "residual_add", "delta", "dense_concat"):
-        for mode in ("ce_temperature", "squared_error"):
-            checked, worst = _fd_composed_loss(kind, mode, seed=61)
-            assert checked >= 200, (kind, mode, checked)
-            worst_overall = max(worst_overall, worst)
-            details.append(f"{kind}/{mode}:{checked}")
+        checked, worst = _fd_composed_loss(kind, seed=61)
+        assert checked >= 200, (kind, checked)
+        worst_overall = max(worst_overall, worst)
+        details.append(f"{kind}:{checked}")
     _report(4, worst_overall <= 1e-4,
             f"max relative error {worst_overall:.3e} over "
             f"{', '.join(details)} coordinates")

@@ -159,7 +159,7 @@ def test_tapped_search_trains_the_reference_weights(monkeypatch, kind, degenerat
     tap = member_acts[len(base) - 2]   # the layer expand_class taps
     spec, conn = expand_class(base, kind, 1, [member])
     state = init_uniform(32, 2) if degenerate else _biased_state(32, 2)
-    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0, max_search=2,
+    cfg = FindWlConfig(barrier_gamma=2.0, max_search=2,
                        sgd=SgdConfig(lr=0.02, epochs=6, batch_size=8))
 
     def search():

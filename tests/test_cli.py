@@ -28,7 +28,7 @@ FAST_CONFIG = {
     "T": 3, "eta": 0.3, "seed": 4, "base_hidden": [6],
     "connection_kind": "residual_add",
     "findwl": {
-        "loss_mode": "squared_error", "barrier_gamma": 0.5, "max_search": 2,
+        "barrier_gamma": 0.5, "max_search": 2,
         "sgd": {"lr": 0.05, "momentum": 0.9, "weight_decay": 0.0,
                 "epochs": 8, "batch_size": 32},
     },
@@ -269,7 +269,9 @@ def test_distill_seed_flag_overrides_config(pipeline, distilled, tmp_path):
 
 def test_distill_unknown_config_keys_rejected_by_name(pipeline, tmp_path, capsys):
     for doc, bad in (({"Tt": 3}, "Tt"),
-                     ({"findwl": {"barrier": 1.0}}, "barrier")):
+                     ({"findwl": {"barrier": 1.0}}, "barrier"),
+                     ({"findwl": {"loss_mode": "squared_error"}}, "loss_mode"),
+                     ({"findwl": {"temperature": 2.0}}, "temperature")):
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, doc)
         rc = main(["distill", "--data", str(pipeline["data"]),
@@ -361,13 +363,13 @@ def test_eval_resched_trains_with_the_config_recipe(pipeline, distilled, tmp_pat
                "--teacher", str(pipeline["teacher"]), "--mode", "resched",
                "--seed", "2", "--config", str(distilled["config"]), "--out", str(out)])
     assert rc == 0
-    # the baseline the library trains with the config's findwl recipe
-    # (8 epochs at lr 0.05, no weight decay), not with FindWlConfig()
+    # the baseline the library trains with the config's findwl.sgd recipe
+    # (8 epochs at lr 0.05, no weight decay), not with the package default
     train = data_mod.load_dataset_csv(pipeline["data"] / "train.csv")
     test = data_mod.load_dataset_csv(pipeline["data"] / "test.csv")
     g = data_mod.load_logits_csv(pipeline["data"] / "train_logits.csv")
-    recipe = build_config(FAST_CONFIG).findwl
-    assert recipe.sgd.epochs == 8
+    recipe = build_config(FAST_CONFIG).findwl.sgd
+    assert recipe.epochs == 8
     ens = distill_mod.load_ensemble(distilled["ensemble"])
     teacher = params_from_dict(json.loads(pipeline["teacher"].read_text(encoding="utf-8")))
     points = eval_mod.baseline_resched([eval_mod.standalone_spec(m) for m in ens.members],
@@ -587,7 +589,7 @@ def _set_cell(path, column, text):
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
 
 
-def _break_input(case, pipeline, distilled, tmp_path):
+def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
     """Copies of the shared artifacts with one input broken as `case` says;
     returns the argv that reads it and the text its error must name."""
     data_dir = tmp_path / "data"
@@ -685,6 +687,16 @@ def _break_input(case, pipeline, distilled, tmp_path):
     elif case == "resched-diverges":
         _write_config(config, {**FAST_CONFIG, "findwl": {"sgd": {"lr": 1e200}}})
         named = "'lr'"
+    elif case == "train-teacher-out-of-memory":
+        # as a label of 10000000000 makes it; a real allocation that size
+        # could page on a host that overcommits memory instead of failing
+        def refused(spec, *args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape "
+                              "(8, 10000000001) and data type float64")
+        monkeypatch.setattr(data_mod, "init_params", refused)
+        named = "error: out of memory: Unable to allocate 596. GiB"
+        return ["train-teacher", "--data", str(data_dir), "--spec", "8",
+                "--out", str(tmp_path / "out.json")], named
     elif case == "train-teacher-diverges":
         named = "--lr"
         return ["train-teacher", "--data", str(data_dir), "--spec", "8", "--lr", "1e200",
@@ -751,6 +763,7 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("config-edge-tol-nan", 2), ("config-eta-inf", 2), ("config-barrier-gamma-inf", 2),
     ("config-lr-factor-negative", 2), ("config-lr-factor-above-one", 2),
     ("train-teacher-diverges", 2), ("resched-diverges", 2),
+    ("train-teacher-out-of-memory", 3),
     ("ensemble-member-weight-missing", 2), ("ensemble-member-weight-extra", 2),
     ("ensemble-member-sigmoid", 2), ("ensemble-member-spec-empty", 2),
     ("ensemble-member-connection-unknown", 2),
@@ -765,8 +778,8 @@ def _break_input(case, pipeline, distilled, tmp_path):
     ("eval-test-features", 2), ("verify-train-features", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
-                                            recwarn):
-    argv, named = _break_input(case, pipeline, distilled, tmp_path)
+                                            recwarn, monkeypatch):
+    argv, named = _break_input(case, pipeline, distilled, tmp_path, monkeypatch)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert named in err

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ensdistill.core import (
     RngStream,
     check_finite,
-    log_softmax,
     softmax,
 )
 
@@ -24,7 +23,7 @@ def test_check_finite_passes_through_and_rejects():
         check_finite("bad", np.array([np.inf]))
 
 
-# --- softmax helpers --------------------------------------------------------
+# --- softmax ----------------------------------------------------------------
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     logits = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]])
@@ -32,7 +31,6 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     shifted = softmax(logits + 100.0)
     assert np.allclose(p, shifted, atol=1e-12)
-    assert np.allclose(np.log(p), log_softmax(logits), atol=1e-12)
 
 
 # --- gaussian draws ---------------------------------------------------------

@@ -45,7 +45,7 @@ def _fast_config(**overrides):
     base = dict(
         T=3, R=2, eta=0.3, seed=5,
         base_hidden=[4],
-        findwl=FindWlConfig(loss_mode="squared_error", barrier_gamma=10.0, max_search=2,
+        findwl=FindWlConfig(barrier_gamma=10.0, max_search=2,
                             sgd=SgdConfig(lr=0.05, weight_decay=0.0, epochs=20, batch_size=16)),
     )
     base.update(overrides)
@@ -73,7 +73,7 @@ def test_config_validation():
 @pytest.mark.parametrize("section, key, value", [
     ("top", "eta", float("nan")), ("top", "eta", float("inf")),
     ("top", "edge_tol", float("nan")), ("findwl", "barrier_gamma", float("inf")),
-    ("findwl", "temperature", float("nan")), ("findwl", "logit_bound_b", float("inf")),
+    ("findwl", "logit_bound_b", float("inf")),
     ("sgd", "lr", float("nan")), ("sgd", "weight_decay", float("inf")),
     ("sgd", "lr_factor", float("-inf")),
 ])
@@ -196,7 +196,7 @@ def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkey
     x, g = x.reshape(2500, 32), g.reshape(2500, 2)
     sgd = SgdConfig(lr=0.005, epochs=1, batch_size=256)
     cfg = _fast_config(T=3, R=3, base_hidden=[24, 24],
-                       findwl=FindWlConfig(loss_mode="squared_error", max_search=1, sgd=sgd))
+                       findwl=FindWlConfig(max_search=1, sgd=sgd))
     ens, hist = run(cfg, x, g)
     assert forwards == []           # no pass over the split after a search
     tapped = [(conn, tap) for conn, tap, _ in searches if conn.kind != "none"]
@@ -215,7 +215,7 @@ def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkey
     # with no connection, no class reads a tap
     splits.clear()
     run(_fast_config(T=2, R=2, base_hidden=[24, 24], connection_kind="none",
-                     findwl=FindWlConfig(loss_mode="squared_error", max_search=1, sgd=sgd)),
+                     findwl=FindWlConfig(max_search=1, sgd=sgd)),
         x, g)
     assert splits == [] and forwards == []
 
@@ -281,7 +281,7 @@ def test_round_one_fits_realizable_teacher():
     cfg = DistillConfig(
         T=1, R=2, eta=0.5, seed=3,
         base_hidden=[], connection_kind="none",
-        findwl=FindWlConfig(loss_mode="squared_error", max_search=1,
+        findwl=FindWlConfig(max_search=1,
                             sgd=SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
                                           epochs=200, batch_size=32)))
     ens, hist = run(cfg, x, g)

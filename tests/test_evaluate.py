@@ -28,7 +28,7 @@ from ensdistill.evaluate import (
     verify_bound,
     write_curve_csv,
 )
-from ensdistill.findwl import FindWlConfig, SgdConfig
+from ensdistill.findwl import SgdConfig
 from ensdistill.nets import (
     NO_CONNECTION,
     LayerSpec,
@@ -127,14 +127,11 @@ def test_resched_single_spec_matches_direct_training():
     g = x @ w.reshape(3, 2)
     labels = np.argmax(g, axis=1)
     spec = [LayerSpec(3, 5), LayerSpec(5, 2, "linear")]
-    cfg = FindWlConfig(
-        loss_mode="squared_error", barrier_gamma=1.0,
-        sgd=SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
-                      epochs=12, batch_size=8))
+    sgd = SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0, epochs=12, batch_size=8)
     points = baseline_resched([spec], x, g, x, labels,
-                              teacher_flops=1000, cfg=cfg, seed=3)
+                              teacher_flops=1000, sgd=sgd, seed=3)
     assert len(points) == 1
-    params = train_plain_student(spec, x, g, cfg, RngStream(3).split(0))
+    params = train_plain_student(spec, x, g, sgd, RngStream(3).split(0))
     logits, _ = forward(params, x)
     assert points[0].accuracy == accuracy(logits, labels)
     assert points[0].cum_flops_fraction == flops(params) / 1000
@@ -147,12 +144,9 @@ def test_resched_prefix_count_and_fraction_growth():
     g = np.column_stack([x[:, 0], -x[:, 0]])
     labels = (x[:, 0] < 0).astype(np.int64)
     spec = [LayerSpec(2, 3), LayerSpec(3, 2, "linear")]
-    cfg = FindWlConfig(
-        loss_mode="squared_error",
-        sgd=SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0,
-                      epochs=5, batch_size=10))
+    sgd = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=5, batch_size=10)
     points = baseline_resched([spec, spec], x, g, x, labels,
-                              teacher_flops=400, cfg=cfg, seed=9)
+                              teacher_flops=400, sgd=sgd, seed=9)
     assert [p.prefix_k for p in points] == [1, 2]
     assert points[1].cum_flops_fraction == pytest.approx(
         2 * points[0].cum_flops_fraction)
@@ -168,10 +162,7 @@ def test_resched_cuts_each_student_once_into_anytimes_rows(monkeypatch):
     g = np.column_stack([x[:, 0] + x[:, 1], -x[:, 2]])
     labels = np.argmax(g, axis=1)
     spec = [LayerSpec(3, 6), LayerSpec(6, 2, "linear")]
-    cfg = FindWlConfig(
-        loss_mode="squared_error",
-        sgd=SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0,
-                      epochs=3, batch_size=16))
+    sgd = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=3, batch_size=16)
     students, cut = [], []
     train, split_head = evaluate_mod.train_plain_student, evaluate_mod.split_head
     monkeypatch.setattr(evaluate_mod, "train_plain_student",
@@ -179,7 +170,7 @@ def test_resched_cuts_each_student_once_into_anytimes_rows(monkeypatch):
     monkeypatch.setattr(evaluate_mod, "split_head",
                         lambda params, *args: cut.append(params) or split_head(params, *args))
     points = baseline_resched([spec, spec], x[:64], g[:64], x, labels,
-                              teacher_flops=500, cfg=cfg, seed=4)
+                              teacher_flops=500, sgd=sgd, seed=4)
     assert len(students) == 2
     assert [id(params) for params in cut] == [id(student) for student in students]
     assert points == anytime_curve(_ensemble_of(students), x, labels, 500)

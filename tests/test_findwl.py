@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from ensdistill.core import RngStream
 from ensdistill.findwl import (
     _CLAMP_MARGIN,
-    LOSS_MODES,
     FindWlConfig,
     SgdConfig,
     barrier_loss,
     default_logit_bound,
-    distill_grad,
     distill_loss,
     find_weak_learner,
     iplus_mask,
@@ -127,11 +125,18 @@ def test_default_logit_bound():
 
 # --- distillation losses ----------------------------------------------------
 
+def distill_grad(f, g):
+    """The gradient of `distill_loss` alone, as `total_grad_fn` builds it
+    without a barrier."""
+    fn, targets = total_grad_fn(g)
+    return fn(f, *targets)
+
+
 def test_squared_error_zero_at_match():
     f, _ = RngStream(1).gaussian(12)
     f = f.reshape(4, 3)
-    loss = distill_loss(f, f, "squared_error")
-    grad = distill_grad(f, f, "squared_error")
+    loss = distill_loss(f, f)
+    grad = distill_grad(f, f)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -139,56 +144,29 @@ def test_squared_error_zero_at_match():
 def test_squared_error_value_and_grad():
     f = np.array([[1.0, 0.0], [0.0, 2.0]])
     g = np.zeros((2, 2))
-    loss = distill_loss(f, g, "squared_error")
-    grad = distill_grad(f, g, "squared_error")
+    loss = distill_loss(f, g)
+    grad = distill_grad(f, g)
     assert abs(loss - 0.5 * 5.0 / 2) < 1e-15
     assert np.allclose(grad, f / 2, atol=1e-15)
 
 
-def test_ce_gradient_zero_at_match():
-    f, _ = RngStream(2).gaussian(12)
-    f = f.reshape(4, 3)
-    grad = distill_grad(f, f, "ce_temperature", temperature=2.0)
-    assert np.max(np.abs(grad)) < 1e-12
-
-
-def test_ce_hand_example():
-    # soft targets softmax([0, 2 ln 2]) = [0.2, 0.8]; CE against uniform = ln 2
-    f = np.array([[0.0, 0.0]])
-    g = np.array([[0.0, 2 * np.log(2.0)]])
-    loss = distill_loss(f, g, "ce_temperature", temperature=1.0)
-    assert abs(loss - np.log(2.0)) < 1e-12
-
-
-@pytest.mark.parametrize("mode,temperature", [("squared_error", 1.0),
-                                              ("ce_temperature", 1.0),
-                                              ("ce_temperature", 3.0)])
-def test_distill_grad_finite_difference(mode, temperature):
+def test_distill_grad_finite_difference():
     rng = RngStream(3)
     f, rng = rng.gaussian(256)
     g, _ = rng.gaussian(256)
     f = f.reshape(32, 8)
     g = g.reshape(32, 8)
-    grad = distill_grad(f, g, mode, temperature)
+    grad = distill_grad(f, g)
     h = 1e-5
     checked = 0
     for i in range(32):
         for j in range(8):
             up = f.copy(); up[i, j] += h
             dn = f.copy(); dn[i, j] -= h
-            fd = (distill_loss(up, g, mode, temperature)
-                  - distill_loss(dn, g, mode, temperature)) / (2 * h)
+            fd = (distill_loss(up, g) - distill_loss(dn, g)) / (2 * h)
             assert abs(grad[i, j] - fd) / max(abs(grad[i, j]), abs(fd), 1e-6) <= 1e-4
             checked += 1
     assert checked >= 200
-
-
-def test_distill_rejects_unknown_mode():
-    z = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        distill_loss(z, z, "huber")
-    with pytest.raises(ValueError):
-        distill_grad(z, z, "huber")
 
 
 # --- SGD --------------------------------------------------------------------
@@ -206,8 +184,7 @@ def test_sgd_lr_zero_is_identity():
     params = init_params(spec, RngStream(1))
     before = [w.copy() for w in params.weights]
 
-    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
-               (target,))
+    grad_fn = total_grad_fn(target)
 
     cfg = SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=8)
     params, _, _ = sgd_epoch(params, x, grad_fn, cfg, RngStream(2), lr=0.0)
@@ -220,8 +197,7 @@ def test_sgd_convex_loss_non_increasing():
     spec = [LayerSpec(4, 2, "linear")]
     params = init_params(spec, RngStream(3))
 
-    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
-               (target,))
+    grad_fn = total_grad_fn(target)
 
     cfg = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=50, batch_size=32)
     rng = RngStream(4)
@@ -229,10 +205,10 @@ def test_sgd_convex_loss_non_increasing():
     state = None
     for epoch in range(cfg.epochs):
         logits, _ = forward(params, x)
-        losses.append(distill_loss(logits, target, "squared_error"))
+        losses.append(distill_loss(logits, target))
         params, state, rng = sgd_epoch(params, x, grad_fn, cfg, rng, lr=cfg.lr, state=state)
     logits, _ = forward(params, x)
-    losses.append(distill_loss(logits, target, "squared_error"))
+    losses.append(distill_loss(logits, target))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
@@ -244,8 +220,7 @@ def test_sgd_full_batch_equals_plain_gradient_step():
     w0 = params.weights[0].copy()
     b0 = params.biases[0].copy()
 
-    grad_fn = (lambda logits, t, out=None: distill_grad(logits, t, "squared_error", out=out),
-               (target,))
+    grad_fn = total_grad_fn(target)
 
     lr = 0.1
     cfg = SgdConfig(lr=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=32)
@@ -278,11 +253,11 @@ def test_total_loss_is_distill_plus_barrier():
     logits = logits.reshape(10, 2)
     mvals, _ = rng.uniform(20)
     mask = mvals.reshape(10, 2) > 0.5
-    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0)
+    cfg = FindWlConfig(barrier_gamma=2.0)
     b = default_logit_bound(g)
     fn, targets = total_grad_fn(g, mask, cfg, b)
     grad = fn(logits, *targets)
-    dlg = distill_grad(logits, g, "squared_error")
+    dlg = (logits - g) / len(g)
     bg = barrier_grad(logits - g, mask, b, 2.0)
     assert same_bits(grad, dlg + bg)
 
@@ -304,9 +279,7 @@ def grad_cases(draw):
     g = draw(st.floats(0.1, 10.0)) * g.reshape(rows, labels)
     m, _ = root.split(1).uniform(rows * labels)
     mask = m.reshape(rows, labels) > 0.5 if draw(st.booleans()) else None
-    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)),
-                       temperature=draw(st.floats(0.25, 4.0)),
-                       barrier_gamma=draw(st.floats(0.05, 5.0)))
+    cfg = FindWlConfig(barrier_gamma=draw(st.floats(0.05, 5.0)))
     b = default_logit_bound(g)
     slices = draw(st.sampled_from((0, 2, 3)))   # 0: one net
     perm = np.arange(rows)
@@ -331,7 +304,7 @@ def test_fused_gradient_has_the_bits_of_distill_plus_barrier(case):
     g, mask, cfg, b, perm, logits, g_rows = case
     fn, targets = total_grad_fn(g, mask, cfg, b)
     rows = [t.take(perm, axis=0) for t in targets]
-    want = distill_grad(logits, g_rows, cfg.loss_mode, cfg.temperature)
+    want = (logits - g_rows) / logits.shape[-2]
     if mask is not None:
         want = want + barrier_grad(logits - g_rows, mask.take(perm, axis=0), b,
                                    cfg.barrier_gamma)
@@ -360,7 +333,7 @@ def test_find_degenerate_returns_best_candidate():
     g, _ = rng.gaussian(32)
     g = g.reshape(16, 2)
     state = init_uniform(16, 2)
-    cfg = FindWlConfig(loss_mode="squared_error", max_search=2,
+    cfg = FindWlConfig(max_search=2,
                        sgd=SgdConfig(lr=0.05, epochs=10, batch_size=16, weight_decay=0.0))
     result = find_weak_learner(state, [LayerSpec(4, 2, "linear")], NO_CONNECTION,
                                x, g, cfg, RngStream(21))
@@ -378,7 +351,7 @@ def test_find_realizable_setup_passes():
     g, _ = rng.gaussian(64)
     g = g.reshape(32, 2)
     state = _biased_state(32, 2)
-    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=10.0, max_search=5,
+    cfg = FindWlConfig(barrier_gamma=10.0, max_search=5,
                        sgd=SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
                                      epochs=50, batch_size=32))
     result = find_weak_learner(state, [LayerSpec(4, 2, "linear")], NO_CONNECTION,
@@ -394,7 +367,7 @@ def test_find_diverging_candidates_are_skipped_not_fatal():
     x = np.full((4, 1), 1e3)
     g = np.zeros((4, 1))
     state = _biased_state(4, 1)
-    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=1.0, max_search=3,
+    cfg = FindWlConfig(barrier_gamma=1.0, max_search=3,
                        sgd=SgdConfig(lr=1e9, momentum=0.0, weight_decay=0.0,
                                      epochs=60, batch_size=4))
     result = find_weak_learner(state, [LayerSpec(1, 1, "linear")], NO_CONNECTION,
@@ -410,7 +383,7 @@ def test_find_zero_class_returns_none():
     x = np.zeros((8, 3))
     g = np.ones((8, 1))
     state = _biased_state(8, 1)
-    cfg = FindWlConfig(loss_mode="squared_error", max_search=3,
+    cfg = FindWlConfig(max_search=3,
                        sgd=SgdConfig(lr=0.0, momentum=0.0, weight_decay=0.0,
                                      epochs=1, batch_size=8))
     result = find_weak_learner(state, [LayerSpec(3, 1, "linear")], NO_CONNECTION,
@@ -433,7 +406,7 @@ def test_find_result_holds_the_logits_of_its_params(kind):
     source = init_params(base, root.split(2))
     spec, connection = expand_class(base, kind, 1, [source])
     tap = forward(source, x)[1][-2] if kind != "none" else None
-    cfg = FindWlConfig(loss_mode="squared_error", max_search=2,
+    cfg = FindWlConfig(max_search=2,
                        sgd=SgdConfig(lr=0.005, epochs=1, batch_size=256))
     result = find_weak_learner(init_uniform(2500, 2), spec, connection, x, g, cfg,
                                RngStream(32), tap=tap)

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 import ensdistill.findwl as findwl
 from ensdistill.core import RngStream
 from ensdistill.data import _dataset_record
-from ensdistill.findwl import (LOSS_MODES, FindResult, FindWlConfig, SgdConfig,
+from ensdistill.findwl import (FindResult, FindWlConfig, SgdConfig,
                                barrier_loss, default_logit_bound, distill_loss,
                                find_weak_learner, iplus_mask, lr_at_epoch, total_grad_fn)
 from ensdistill.game import CHECK_DEGENERATE, CHECK_FAIL, CHECK_PASS, WeightState, init_uniform
@@ -78,7 +78,7 @@ def loop_reference(state, spec, connection, x, g_logits, cfg, rng, tap=None, edg
         except FloatingPointError:
             continue
         resid = logits - g_logits
-        dl_val = distill_loss(logits, g_logits, cfg.loss_mode, cfg.temperature)
+        dl_val = distill_loss(logits, g_logits)
         b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
         total = dl_val if degenerate else dl_val + b_val
         verdict = findwl.weak_learning_check(state, resid, edge_tol)
@@ -138,7 +138,7 @@ def stack_cases(draw):
     if not draw(st.booleans()):   # a barrier toward a random mask
         m, _ = root.split(3).uniform(n_rows * n_labels)
         mask = m.reshape(n_rows, n_labels) > 0.5
-    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0,
+    cfg = FindWlConfig(barrier_gamma=1.0,
                        sgd=SgdConfig(lr=0.05, epochs=draw(st.integers(1, 3)),
                                      batch_size=batch))
     grad_fn = total_grad_fn(g, mask, cfg, default_logit_bound(g))
@@ -184,7 +184,7 @@ def _search_problem():
     x, rng = rng.gaussian(24 * 3)
     g, _ = rng.gaussian(24 * 2)
     spec = [LayerSpec(3, 6), LayerSpec(6, 2, "linear")]
-    cfg = FindWlConfig(loss_mode="squared_error", barrier_gamma=2.0, max_search=4,
+    cfg = FindWlConfig(barrier_gamma=2.0, max_search=4,
                        sgd=SgdConfig(lr=0.02, epochs=4, batch_size=5))
     return spec, x.reshape(24, 3), 3.0 * g.reshape(24, 2), cfg
 
@@ -543,7 +543,7 @@ def sgd_cases(draw):
     x, spec, connection, tap, g, mask = _tapped_problem(root, n_rows, d, n_labels, dims, kind)
     if draw(st.booleans()):
         x = _as_loaded(x)
-    cfg = FindWlConfig(loss_mode=draw(st.sampled_from(LOSS_MODES)), barrier_gamma=1.0)
+    cfg = FindWlConfig(barrier_gamma=1.0)
     grad_fn = total_grad_fn(g, mask if draw(st.booleans()) else None, cfg,
                             default_logit_bound(g))
     sgd_cfg = SgdConfig(lr=draw(st.floats(0.0, 0.3)), momentum=draw(st.floats(0.0, 0.95)),
@@ -720,8 +720,3 @@ def test_total_grad_fn_refuses_a_bad_barrier_when_built(b, gamma):
     # without a mask there is no barrier, so neither value is read
     fn, targets = total_grad_fn(g, None, cfg, b)
     assert same_bits(fn(np.ones((4, 2)), *targets), np.full((4, 2), 0.25))
-
-
-def test_total_grad_fn_refuses_an_unknown_loss_mode_when_built():
-    with pytest.raises(ValueError, match="unknown loss_mode"):
-        total_grad_fn(np.zeros((4, 2)), None, FindWlConfig(loss_mode="hinge"), 1.0)
