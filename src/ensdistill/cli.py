@@ -53,8 +53,6 @@ def build_config(doc: dict) -> distill_mod.DistillConfig:
     top = _take(doc, _keys(distill_mod.DistillConfig), "config")
     fw_doc = _take(top.pop("findwl", {}), _keys(FindWlConfig), "config.findwl")
     sgd_doc = _take(fw_doc.pop("sgd", {}), _keys(SgdConfig), "config.findwl.sgd")
-    if isinstance(sgd_doc.get("lr_drops"), list):
-        sgd_doc["lr_drops"] = tuple(sgd_doc["lr_drops"])
     base_findwl = FindWlConfig()
     findwl = replace(base_findwl, **fw_doc, sgd=replace(base_findwl.sgd, **sgd_doc))
     cfg = replace(distill_mod.DistillConfig(), **top, findwl=findwl)
@@ -79,6 +77,18 @@ def _check_features(path: Path, ds, members: list) -> None:
     if members and members[0].spec[0].in_dim != ds.d:
         raise ConfigError(f"{path} has {ds.d} feature columns, but member 0 "
                           f"expects input width {members[0].spec[0].in_dim}")
+
+
+def _check_labels(path: Path, ds, members: list) -> None:
+    """Refuse `ds`, the test split read from `path`, if a label is not one of
+    the ensemble's outputs, naming the first such line (the header is line 1)."""
+    if members:
+        outputs = members[0].spec[-1].out_dim
+        bad = ds.labels >= outputs
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ConfigError(f"{path} line {first + 2}: label {int(ds.labels[first])}, "
+                              f"but the ensemble has {outputs} outputs")
 
 
 def _training_pair(data_dir: Path, members: list = ()):
@@ -175,6 +185,7 @@ def cmd_eval(args) -> int:
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
     _check_features(data_dir / "test.csv", test, ens.members)
+    _check_labels(data_dir / "test.csv", test, ens.members)
     teacher_cost = flops(teacher)
     if args.mode == "anytime":
         points = eval_mod.anytime_curve(ens, test.x, test.labels, teacher_cost)

@@ -3,7 +3,8 @@
 Two generators: a quadratic-form (ellipsoid) two-class problem and a
 nearest-corner-cluster multiclass problem, both on the hypercube.  Everything
 is a pure function of its seed; generator parameters land in a metadata
-sidecar so labels can be re-derived from files alone.
+sidecar so labels can be re-derived from files alone.  `train_net` trains
+one net by SGD: the teacher here, and each of `evaluate`'s resched students.
 """
 from __future__ import annotations
 
@@ -136,8 +137,7 @@ def mlp_spec(in_dim: int, hidden: list, out_dim: int) -> list:
 
 
 def default_teacher_recipe() -> SgdConfig:
-    return SgdConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, epochs=200,
-                     batch_size=128, lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
+    return SgdConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, epochs=200, batch_size=128)
 
 
 def hard_label_grad(labels: np.ndarray, n_classes: int):
@@ -149,7 +149,26 @@ def hard_label_grad(labels: np.ndarray, n_classes: int):
         grad -= onehot
         grad /= logits.shape[0]
         return grad
-    return fn, (np.eye(n_classes)[labels],)
+    onehot = np.zeros((len(labels), n_classes))   # n rows, not an n_classes^2 identity
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return fn, (onehot,)
+
+
+def train_net(spec: list, x: np.ndarray, grad_fn, recipe: SgdConfig,
+              rng: RngStream) -> LearnerParams:
+    """One net trained alone by `recipe`'s step-decay SGD on `grad_fn`,
+    `sgd_epoch`'s gradient pair: the teacher's and each resched student's
+    driver.  Weights start from `rng.split(0)`, epochs shuffle from `rng.split(1)`."""
+    params = init_params(spec, rng.split(0))
+    state, sgd_rng = None, rng.split(1)
+    # a diverging recipe overflows inside a matmul before `forward` sees
+    # non-finite logits and raises, so the overflow itself is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(recipe.epochs):
+            params, state, sgd_rng = sgd_epoch(
+                params, x, grad_fn, recipe, sgd_rng,
+                lr=lr_at_epoch(epoch, recipe), state=state)
+    return params
 
 
 def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = None,
@@ -160,19 +179,8 @@ def train_teacher(train: LabeledDataset, spec: list, recipe: SgdConfig | None = 
     n_classes = spec[-1].out_dim
     if train.labels.max() >= n_classes:
         raise ValueError(f"labels reach {int(train.labels.max())} but spec has {n_classes} outputs")
-    root = RngStream(seed)
-    params = init_params(spec, root.split(0))
-    grad_fn = hard_label_grad(train.labels, n_classes)
-    sgd_rng = root.split(1)
-    state = None
-    # a diverging recipe overflows inside a matmul before `forward` sees
-    # non-finite logits and raises, so the overflow itself is not reported
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(recipe.epochs):
-            params, state, sgd_rng = sgd_epoch(
-                params, train.x, grad_fn, recipe, sgd_rng,
-                lr=lr_at_epoch(epoch, recipe), state=state)
-    return params
+    return train_net(spec, train.x, hard_label_grad(train.labels, n_classes), recipe,
+                     RngStream(seed))
 
 
 def teacher_logits(params: LearnerParams, x: np.ndarray) -> np.ndarray:

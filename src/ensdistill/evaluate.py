@@ -1,7 +1,8 @@
 """Evaluation protocol at desk scale.
 
 Anytime accuracy/cost curves over ensemble prefixes, the independently-trained
-averaging baseline, confidence-threshold early exit, and the
+averaging baseline (students trained by `data.train_net`, scored as an
+ensemble by the same curve), confidence-threshold early exit, and the
 convergence-bound verifier that replays a run's weight
 updates from its artifacts and checks the recorded history against them.
 """
@@ -13,12 +14,13 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from .core import RngStream, softmax, write_json, write_table
-# unread `ensemble_predict` stays bound here, where `benchmarks/tracer.py` rebinds it
+from .data import train_net
+# unread `ensemble_predict`, `sgd_epoch` and `forward` stay bound for `benchmarks/tracer.py`
 from .distill import (Ensemble, ensemble_predict, history_matches,  # noqa: F401
                       member_logits, prefix_logits)
-from .findwl import SgdConfig, lr_at_epoch, sgd_epoch, total_grad_fn
+from .findwl import SgdConfig, sgd_epoch, total_grad_fn  # noqa: F401
 from .game import init_uniform, md_update, normalizer_inequality_ok
-from .nets import flops, forward, init_params, split_head
+from .nets import flops, forward  # noqa: F401
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -57,40 +59,18 @@ def anytime_curve(ens: Ensemble, x: np.ndarray, labels: np.ndarray,
 def train_plain_student(spec: list, x: np.ndarray, g_logits: np.ndarray,
                         sgd: SgdConfig, rng: RngStream):
     """Distillation only: no game weights, no barrier, no connections."""
-    params = init_params(spec, rng.split(0))
-    grad_fn = total_grad_fn(g_logits)
-    sgd_rng = rng.split(1)
-    state = None
-    # as for the teacher: `forward` raises on the non-finite logits
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(sgd.epochs):
-            params, state, sgd_rng = sgd_epoch(
-                params, x, grad_fn, sgd, sgd_rng,
-                lr=lr_at_epoch(epoch, sgd), state=state)
-    return params
+    return train_net(spec, x, total_grad_fn(g_logits), sgd, rng)
 
 
 def baseline_resched(member_specs: list, train_x: np.ndarray, train_g: np.ndarray,
                      test_x: np.ndarray, test_labels: np.ndarray,
                      teacher_flops: int, sgd: SgdConfig, seed: int = 0) -> list:
     """Averaging baseline: each spec trained independently against the
-    teacher, prefixes evaluated as simple averages."""
-    if not member_specs:
-        raise ValueError("empty ensemble")
-    if teacher_flops <= 0:
-        raise ValueError("teacher_flops must be > 0")
+    teacher, the students then scored as an ensemble by `anytime_curve`."""
     root = RngStream(seed)
-    points = []
-    total = None
-    cum = 0
-    for i, spec in enumerate(member_specs):
-        params = train_plain_student(spec, train_x, train_g, sgd, root.split(i))
-        logits = forward(*split_head(params, test_x))[0]
-        total = logits if total is None else total + logits
-        cum += flops(params)
-        points.append(CurvePoint(prefix_k=i + 1, cum_flops_fraction=cum / teacher_flops,
-                                 accuracy=accuracy(total / (i + 1), test_labels)))
-    return points
+    students = [train_plain_student(spec, train_x, train_g, sgd, root.split(i))
+                for i, spec in enumerate(member_specs)]
+    return anytime_curve(Ensemble(members=students), test_x, test_labels, teacher_flops)
 
 
 def standalone_spec(params) -> list:

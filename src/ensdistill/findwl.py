@@ -18,9 +18,9 @@ from .core import RngStream, ShapeError, fork_chunks, split_range
 from .core import usable_cpus as _usable_cpus
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
-                   NONNEGATIVE_BELOW_ONE, NUMBER, POSITIVE_UP_TO_ONE, ConnectionSpec,
-                   LearnerParams, backward, check_fields, flatten, forward, init_params,
-                   optional, split_head, step_buffers)
+                   NONNEGATIVE_BELOW_ONE, ConnectionSpec, LearnerParams, backward,
+                   check_fields, flatten, forward, init_params, optional, split_head,
+                   step_buffers)
 
 # clamp residuals at this fraction of the barrier edge to keep logs finite
 _CLAMP_MARGIN = 1e-6
@@ -33,8 +33,6 @@ class SgdConfig:
     weight_decay: float = 5e-4
     epochs: int = 60
     batch_size: int = 64
-    lr_drops: tuple = (0.3, 0.6, 0.9)  # epoch fractions
-    lr_factor: float = 0.2
 
     def validate(self) -> None:
         check_fields(self, _SGD_RULES)
@@ -43,12 +41,12 @@ class SgdConfig:
 _SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": NONNEGATIVE_BELOW_ONE,
               "weight_decay": FINITE_NONNEGATIVE,
               "epochs": (lambda v: INTEGER[0](v) and v >= 0, "an integer >= 0"),
-              "batch_size": AT_LEAST_ONE,
-              # a factor outside (0, 1] stops, reverses or grows the step at a drop
-              "lr_factor": POSITIVE_UP_TO_ONE,
-              "lr_drops": (lambda v: isinstance(v, (tuple, list))
-                           and all(NUMBER[0](f) and 0 < f < 1 for f in v),
-                           "a list of epoch fractions in (0, 1)")}
+              "batch_size": AT_LEAST_ONE}
+
+# every recipe's step decay: the step is multiplied by LR_FACTOR at each of
+# these fractions of its epochs
+LR_DROPS = (0.3, 0.6, 0.9)
+LR_FACTOR = 0.2
 
 
 def default_student_recipe() -> SgdConfig:
@@ -58,8 +56,7 @@ def default_student_recipe() -> SgdConfig:
     near-wall gradient can kick logits past the wall and run away, so the
     default keeps the product lr * wall-gradient small.
     """
-    return SgdConfig(lr=0.005, momentum=0.9, weight_decay=5e-4, epochs=60,
-                     batch_size=64, lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
+    return SgdConfig(lr=0.005, momentum=0.9, weight_decay=5e-4, epochs=60, batch_size=64)
 
 
 @dataclass
@@ -129,8 +126,8 @@ def default_logit_bound(g_logits: np.ndarray) -> float:
 
 
 def lr_at_epoch(epoch: int, cfg: SgdConfig) -> float:
-    drops = sum(1 for frac in cfg.lr_drops if epoch >= math.floor(frac * cfg.epochs))
-    return cfg.lr * cfg.lr_factor ** drops
+    drops = sum(1 for frac in LR_DROPS if epoch >= math.floor(frac * cfg.epochs))
+    return cfg.lr * LR_FACTOR ** drops
 
 
 @dataclass

@@ -271,7 +271,9 @@ def test_distill_unknown_config_keys_rejected_by_name(pipeline, tmp_path, capsys
     for doc, bad in (({"Tt": 3}, "Tt"),
                      ({"findwl": {"barrier": 1.0}}, "barrier"),
                      ({"findwl": {"loss_mode": "squared_error"}}, "loss_mode"),
-                     ({"findwl": {"temperature": 2.0}}, "temperature")):
+                     ({"findwl": {"temperature": 2.0}}, "temperature"),
+                     ({"findwl": {"sgd": {"lr_drops": [0.3, 0.6, 0.9]}}}, "lr_drops"),
+                     ({"findwl": {"sgd": {"lr_factor": 0.2}}}, "lr_factor")):
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, doc)
         rc = main(["distill", "--data", str(pipeline["data"]),
@@ -378,6 +380,26 @@ def test_eval_resched_trains_with_the_config_recipe(pipeline, distilled, tmp_pat
     want = tmp_path / "want.csv"
     eval_mod.write_curve_csv(want, points)
     assert out.read_bytes() == want.read_bytes()
+
+
+# sha256 of the shared pipeline's teacher.json and train_logits.csv, and of
+# its `eval --mode resched` curve under the distill config's recipe, seed 2
+PIPELINE_RUN = (
+    "cdafbae17ca60b3e252600471020eeed45b1bebee67ebbf724de9eab9c006fdb",
+    "1e8bd978812d6c50e15175273c9e41dce27207ea41ee77267c5fe8f3aafd4a37",
+    "bf33d1f80c49f8585a9f51e1233efab9ac1aed386f6ab3fece94db48f3d2db7f",
+)
+
+
+def test_pipeline_teacher_and_resched_bytes_are_pinned(pipeline, distilled, tmp_path):
+    out = tmp_path / "resched.csv"
+    assert main(["eval", "--ensemble", str(distilled["ensemble"]),
+                 "--data", str(pipeline["data"]), "--teacher", str(pipeline["teacher"]),
+                 "--mode", "resched", "--seed", "2", "--config", str(distilled["config"]),
+                 "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (pipeline["teacher"], pipeline["data"] / "train_logits.csv", out))
+    assert digests == PIPELINE_RUN
 
 
 def test_eval_refuses_another_teacher(pipeline, distilled, tmp_path, capsys):
@@ -513,7 +535,8 @@ def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
 
 
 # a config whose one value has the wrong type or is not finite, and the key
-# its error names
+# its error names; `lr_drops` and `lr_factor` are constants, not keys, so a
+# config naming them is refused as naming an unknown key
 _BAD_VALUE = {
     "config-T-string": ({"T": "7"}, "'T'"),
     "config-base-hidden-string": ({"base_hidden": "ab"}, "'base_hidden'"),
@@ -728,6 +751,19 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
         return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
                 "--teacher", str(teacher), "--mode", "anytime",
                 "--out", str(tmp_path / "curve.csv")], named
+    elif case.startswith("eval-test-labels-"):
+        # a cube-like label on the fourth row of an ensemble with 2 outputs
+        path = data_dir / "test.csv"
+        ds = data_mod.load_dataset_csv(path)
+        labels = ds.labels.copy()
+        labels[3] = 3
+        data_mod.save_dataset_csv(path, data_mod.LabeledDataset(x=ds.x, labels=labels))
+        named = f"{path} line 5: label 3, but the ensemble has 2 outputs"
+        mode = case.removeprefix("eval-test-labels-")
+        flags = ["--threshold", "0.5"] if mode == "early-exit" else []
+        return ["eval", "--ensemble", str(ensemble), "--data", str(data_dir),
+                "--teacher", str(teacher), "--mode", mode, *flags,
+                "--out", str(tmp_path / "curve.csv")], named
     elif case.endswith(("-logits-width", "-logits-rows")):
         path = data_dir / "train_logits.csv"
         g = data_mod.load_logits_csv(path)
@@ -776,6 +812,8 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
     ("ensemble-meta-eta-string", 2), ("ensemble-meta-class-r-short", 2),
     ("verify-history-cell", 3), ("config-R-one", 2), ("ensemble-tap-self", 2),
     ("eval-test-features", 2), ("verify-train-features", 2),
+    ("eval-test-labels-anytime", 2), ("eval-test-labels-early-exit", 2),
+    ("eval-test-labels-resched", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn, monkeypatch):

@@ -25,6 +25,7 @@ from ensdistill.data import (
     train_teacher,
 )
 from ensdistill.evaluate import accuracy
+from ensdistill.findwl import LR_DROPS, LR_FACTOR
 from ensdistill.nets import LayerSpec
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "ellipsoid_seed7.json").read_text())
@@ -158,8 +159,7 @@ def test_default_recipe_values():
     assert recipe.momentum == 0.9
     assert recipe.weight_decay == 5e-4
     assert recipe.epochs == 200
-    assert recipe.lr_drops == (0.3, 0.6, 0.9)
-    assert recipe.lr_factor == 0.2
+    assert (LR_DROPS, LR_FACTOR) == ((0.3, 0.6, 0.9), 0.2)
 
 
 def test_hard_label_loss_value_and_grad():

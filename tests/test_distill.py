@@ -75,7 +75,6 @@ def test_config_validation():
     ("top", "edge_tol", float("nan")), ("findwl", "barrier_gamma", float("inf")),
     ("findwl", "logit_bound_b", float("inf")),
     ("sgd", "lr", float("nan")), ("sgd", "weight_decay", float("inf")),
-    ("sgd", "lr_factor", float("-inf")),
 ])
 def test_config_refuses_non_finite_values_by_name(section, key, value):
     cfg = _fast_config()
@@ -89,8 +88,7 @@ def test_config_refuses_non_finite_values_by_name(section, key, value):
 # where it is first used; in theorem mode `eta` is the rate field left unread
 @pytest.mark.parametrize("section, key, value", [
     ("findwl", "max_search", 2.5), ("sgd", "epochs", 2.5), ("sgd", "batch_size", True),
-    ("top", "T", True), ("top", "T", "7"), ("top", "seed", "x"), ("sgd", "lr_drops", 5),
-    ("top", "eta", "x"),
+    ("top", "T", True), ("top", "T", "7"), ("top", "seed", "x"), ("top", "eta", "x"),
 ])
 def test_config_refuses_values_of_the_wrong_type_by_name(section, key, value):
     cfg = _fast_config(eta_mode="theorem", g_inf=2.0)

@@ -1,5 +1,6 @@
 """Curves, baselines, early exit, and the bound verifier."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -137,6 +138,23 @@ def test_resched_single_spec_matches_direct_training():
     assert points[0].cum_flops_fraction == flops(params) / 1000
 
 
+# sha256 of a plain student's weights and biases after 10 epochs: four
+# minibatches, the last one ragged, momentum, weight decay and every lr drop
+PLAIN_STUDENT = "6a7a49e59397414c33fd44c9a93ca9fbfdc12a368b2d2f397a14b01be89622d3"
+
+
+def test_plain_student_bits_are_pinned():
+    rng = RngStream(24)
+    x, rng = rng.gaussian(100 * 3)
+    x = x.reshape(100, 3)
+    g = np.column_stack([x[:, 0] - x[:, 2], x[:, 1], -x[:, 1]])
+    spec = [LayerSpec(3, 5), LayerSpec(5, 3, "linear")]
+    sgd = SgdConfig(lr=0.05, momentum=0.9, weight_decay=5e-4, epochs=10, batch_size=32)
+    params = train_plain_student(spec, x, g, sgd, RngStream(6))
+    arrays = b"".join(a.tobytes() for a in params.weights + params.biases)
+    assert hashlib.sha256(arrays).hexdigest() == PLAIN_STUDENT
+
+
 def test_resched_prefix_count_and_fraction_growth():
     rng = RngStream(22)
     x, rng = rng.gaussian(30 * 2)
@@ -164,10 +182,10 @@ def test_resched_cuts_each_student_once_into_anytimes_rows(monkeypatch):
     spec = [LayerSpec(3, 6), LayerSpec(6, 2, "linear")]
     sgd = SgdConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=3, batch_size=16)
     students, cut = [], []
-    train, split_head = evaluate_mod.train_plain_student, evaluate_mod.split_head
+    train, split_head = evaluate_mod.train_plain_student, distill_mod.split_head
     monkeypatch.setattr(evaluate_mod, "train_plain_student",
                         lambda *args: students.append(train(*args)) or students[-1])
-    monkeypatch.setattr(evaluate_mod, "split_head",
+    monkeypatch.setattr(distill_mod, "split_head",
                         lambda params, *args: cut.append(params) or split_head(params, *args))
     points = baseline_resched([spec, spec], x[:64], g[:64], x, labels,
                               teacher_flops=500, sgd=sgd, seed=4)

@@ -235,7 +235,7 @@ def test_sgd_full_batch_equals_plain_gradient_step():
 
 
 def test_lr_schedule_drops():
-    cfg = SgdConfig(lr=1.0, epochs=10, lr_drops=(0.3, 0.6, 0.9), lr_factor=0.2)
+    cfg = SgdConfig(lr=1.0, epochs=10)
     lrs = [lr_at_epoch(e, cfg) for e in range(10)]
     assert lrs[0] == 1.0
     assert abs(lrs[3] - 0.2) < 1e-15

@@ -13,7 +13,10 @@ and no module calls `os.fork` itself; that helper imports `multiprocessing`
 where it starts its first child, so a process that never forks, such as a
 gen-data run on a small table, never loads it.  No module makes threads, so
 a fork never copies a process with a second thread running.  Every top-level
-name in the package is read by the package itself.
+name in the package is read by the package itself.  SGD epochs run in two
+drivers: `data.train_net`, which trains the teacher and each resched
+student alone, and `findwl._train_stack`, which trains a search's restarts
+as one stack; `evaluate` runs no epoch loop of its own.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
 apply.
@@ -213,3 +216,29 @@ def test_every_top_level_name_is_read_by_the_package():
 ])
 def test_every_config_field_has_a_rule(cls, rules, unruled):
     assert {f.name for f in fields(cls)} - unruled == set(rules)
+
+
+def _calls_by_function(path: Path, name: str) -> list:
+    """The top-level functions of the file that call `name`, directly or
+    from a function nested in them, once per call."""
+    callers = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    callers.append(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    return callers
+
+
+def test_two_drivers_run_sgd_epochs():
+    callers = [caller for path in sorted(PACKAGE.glob("*.py"))
+               for caller in _calls_by_function(path, "sgd_epoch")]
+    assert sorted(callers) == ["data.train_net", "findwl._train_stack"]
+    # no epoch loop in `evaluate`: it reads neither a recipe's epochs nor
+    # the step schedule
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"epochs", "lr_at_epoch"}
