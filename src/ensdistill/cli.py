@@ -20,10 +20,9 @@ from . import data as data_mod
 from . import distill as distill_mod
 from . import evaluate as eval_mod
 from .core import content_hash, parse_json, read_json, write_json, write_table
-from .findwl import FindWlConfig, SgdConfig
-from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, LIST_AT_LEAST_ONE,
-                   NONNEGATIVE_BELOW_ONE, POSITIVE_UP_TO_ONE, ConfigError, check, flops,
-                   params_from_dict, params_to_dict)
+from .findwl import SGD_RULES, FindWlConfig, SgdConfig
+from .nets import (AT_LEAST_ONE, FINITE_POSITIVE, LIST_AT_LEAST_ONE, POSITIVE_UP_TO_ONE,
+                   ConfigError, check, flops, params_from_dict, params_to_dict)
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -130,9 +129,7 @@ def cmd_train_teacher(args) -> int:
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     spec = data_mod.mlp_spec(train.d, args.spec, n_classes)
-    recipe = replace(data_mod.default_teacher_recipe(), lr=args.lr, momentum=args.momentum,
-                     weight_decay=args.weight_decay, epochs=args.epochs,
-                     batch_size=args.batch_size)
+    recipe = SgdConfig(**{key: getattr(args, key) for key in _keys(SgdConfig)})
     try:
         params = data_mod.train_teacher(train, spec, recipe, seed=args.seed)
     except FloatingPointError as exc:   # a step size the logits cannot absorb
@@ -157,9 +154,12 @@ def cmd_distill(args) -> int:
     train, g = _training_pair(Path(args.data))
     teacher_hash = content_hash(Path(args.teacher).read_bytes())
     ens, hist = distill_mod.run(cfg, train.x, g, teacher_hash=teacher_hash)
+    n_esc = len(hist.escalations)
+    if not ens.members:   # an ensemble every later command refuses
+        raise ConfigError(f"no member was kept (escalations={n_esc}, findwl.sgd.lr "
+                          f"{cfg.findwl.sgd.lr:.6g}); lower findwl.sgd.lr or raise R")
     distill_mod.save_ensemble(args.out, ens)
     distill_mod.write_history(args.history, hist)
-    n_esc = len(hist.escalations)
     print(f"distilled {len(ens.members)} members (T={cfg.T}, R={cfg.R}, "
           f"escalations={n_esc}, eta={ens.eta:.6g})")
     return EXIT_OK
@@ -257,8 +257,6 @@ def widths(text: str) -> list:
 
 POSITIVE_INT = _flag(int, *AT_LEAST_ONE)
 POSITIVE_FLOAT = _flag(float, *FINITE_POSITIVE)
-NONNEGATIVE_FLOAT = _flag(float, *FINITE_NONNEGATIVE)
-MOMENTUM = _flag(float, *NONNEGATIVE_BELOW_ONE)
 UNIT_INTERVAL = _flag(float, *POSITIVE_UP_TO_ONE)
 WIDTHS = _flag(widths, *LIST_AT_LEAST_ONE)
 
@@ -283,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated hidden widths, e.g. 64,64")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
+    # one flag per recipe field, of its default's type and refused by its rule
     recipe = data_mod.default_teacher_recipe()
-    p.add_argument("--lr", type=NONNEGATIVE_FLOAT, default=recipe.lr)
-    p.add_argument("--momentum", type=MOMENTUM, default=recipe.momentum)
-    p.add_argument("--weight-decay", type=NONNEGATIVE_FLOAT, default=recipe.weight_decay)
-    p.add_argument("--epochs", type=POSITIVE_INT, default=recipe.epochs)
-    p.add_argument("--batch-size", type=POSITIVE_INT, default=recipe.batch_size)
+    for f in fields(recipe):
+        default = getattr(recipe, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), default=default,
+                       type=_flag(type(default), *SGD_RULES[f.name]))
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="run the boosting loop against cached teacher logits")

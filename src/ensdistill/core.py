@@ -647,7 +647,8 @@ def _lines(records):
 def _replacing(path, mode: str, **kwargs):
     """A file opened in `mode` at a temporary name in `path`'s directory,
     moved onto `path` by `os.replace` once the block ends, and removed if the
-    block raises: `path` then keeps what it held before, or stays absent."""
+    block raises: `path` then keeps what it held before, or stays absent.  An
+    error about the temporary file is raised naming `path`."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -655,9 +656,11 @@ def _replacing(path, mode: str, **kwargs):
         with open(temporary, mode, **kwargs) as fh:
             yield fh
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -137,7 +137,7 @@ def mlp_spec(in_dim: int, hidden: list, out_dim: int) -> list:
 
 
 def default_teacher_recipe() -> SgdConfig:
-    return SgdConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, epochs=200, batch_size=128)
+    return SgdConfig(lr=0.1, epochs=200, batch_size=128)
 
 
 def hard_label_grad(labels: np.ndarray, n_classes: int):

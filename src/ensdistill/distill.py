@@ -38,9 +38,9 @@ class DistillConfig:
     # one and the same class, one tap of the newest member, searched again
     # with a new seed
     R: int = 2
-    eta: float = 1.0                 # fixed-mode learning rate of the weight player
-    eta_mode: str = "fixed"          # "fixed" | "theorem"
-    g_inf: float | None = None       # residual sup-norm bound, required in theorem mode
+    eta: float = 1.0                 # the weight player's rate, unless g_inf is set
+    # a residual sup-norm bound G: when set, the rate is the theorem's for (N, T, G)
+    g_inf: float | None = None
     edge_tol: float = 0.0
     # the base class's hidden widths, between the data's columns and labels
     base_hidden: list = field(default_factory=lambda: [24, 24])
@@ -50,9 +50,9 @@ class DistillConfig:
 
     def validate(self) -> None:
         check_fields(self, _DISTILL_RULES)
-        # eta_mode picks the field that sets the rate; the other one is unread,
-        # so its rule above checks only its type
-        check_fields(self, {"eta" if self.eta_mode == "fixed" else "g_inf": FINITE_POSITIVE})
+        # with g_inf set eta is unread, so its rule above checks only its type
+        if self.g_inf is None:
+            check("eta", self.eta, FINITE_POSITIVE)
         # a connected class taps a member's last hidden layer
         if self.connection_kind != "none":
             check("base_hidden", self.base_hidden,
@@ -62,8 +62,7 @@ class DistillConfig:
 
 # R = 1 would search no class at all
 _DISTILL_RULES = {"T": AT_LEAST_ONE, "R": (lambda v: INTEGER[0](v) and v >= 2, "an integer >= 2"),
-                  "eta_mode": (lambda v: v in ("fixed", "theorem"), "'fixed' or 'theorem'"),
-                  "eta": NUMBER, "g_inf": optional(NUMBER),
+                  "eta": NUMBER, "g_inf": optional(FINITE_POSITIVE),
                   "edge_tol": FINITE_NONNEGATIVE,
                   "base_hidden": LIST_AT_LEAST_ONE,
                   "connection_kind": (lambda v: v in CONNECTION_KINDS,
@@ -72,8 +71,9 @@ _DISTILL_RULES = {"T": AT_LEAST_ONE, "R": (lambda v: INTEGER[0](v) and v >= 2, "
 
 
 def resolve_eta(cfg: DistillConfig, n_samples: int) -> float:
-    """Fixed eta, or the rate the convergence theorem prescribes for (N, T)."""
-    if cfg.eta_mode == "fixed":
+    """`cfg.eta`, or, when `cfg.g_inf` is set, the rate the convergence
+    theorem prescribes for (N, T, G)."""
+    if cfg.g_inf is None:
         return cfg.eta
     return math.sqrt(math.log(2.0 * n_samples) / cfg.T) / cfg.g_inf
 

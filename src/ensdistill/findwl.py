@@ -17,10 +17,9 @@ import numpy as np
 from .core import RngStream, ShapeError, fork_chunks, split_range
 from .core import usable_cpus as _usable_cpus
 from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
-from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
-                   NONNEGATIVE_BELOW_ONE, ConnectionSpec, LearnerParams, backward,
-                   check_fields, flatten, forward, init_params, optional, split_head,
-                   step_buffers)
+from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NONNEGATIVE_BELOW_ONE,
+                   ConnectionSpec, LearnerParams, backward, check_fields, flatten, forward,
+                   init_params, optional, split_head, step_buffers)
 
 # clamp residuals at this fraction of the barrier edge to keep logs finite
 _CLAMP_MARGIN = 1e-6
@@ -28,20 +27,24 @@ _CLAMP_MARGIN = 1e-6
 
 @dataclass
 class SgdConfig:
-    lr: float = 0.1
+    """A minibatch SGD recipe, by default the candidate students': a step gentler
+    than the teacher's, since a large one under the barrier's steep near-wall
+    gradient can kick logits past the wall and run away."""
+
+    lr: float = 0.005
     momentum: float = 0.9
     weight_decay: float = 5e-4
     epochs: int = 60
     batch_size: int = 64
 
     def validate(self) -> None:
-        check_fields(self, _SGD_RULES)
+        check_fields(self, SGD_RULES)
 
 
-_SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": NONNEGATIVE_BELOW_ONE,
-              "weight_decay": FINITE_NONNEGATIVE,
-              "epochs": (lambda v: INTEGER[0](v) and v >= 0, "an integer >= 0"),
-              "batch_size": AT_LEAST_ONE}
+# also the types and ranges of train-teacher's recipe flags
+SGD_RULES = {"lr": FINITE_NONNEGATIVE, "momentum": NONNEGATIVE_BELOW_ONE,
+             "weight_decay": FINITE_NONNEGATIVE, "epochs": AT_LEAST_ONE,
+             "batch_size": AT_LEAST_ONE}
 
 # every recipe's step decay: the step is multiplied by LR_FACTOR at each of
 # these fractions of its epochs
@@ -49,22 +52,12 @@ LR_DROPS = (0.3, 0.6, 0.9)
 LR_FACTOR = 0.2
 
 
-def default_student_recipe() -> SgdConfig:
-    """Training recipe for candidate students.
-
-    Gentler than the teacher's: a large step size under the barrier's steep
-    near-wall gradient can kick logits past the wall and run away, so the
-    default keeps the product lr * wall-gradient small.
-    """
-    return SgdConfig(lr=0.005, momentum=0.9, weight_decay=5e-4, epochs=60, batch_size=64)
-
-
 @dataclass
 class FindWlConfig:
     barrier_gamma: float = 0.2
     logit_bound_b: float | None = None  # None: derived as 1.5 * max|teacher logit|
     max_search: int = 4
-    sgd: SgdConfig = field(default_factory=default_student_recipe)
+    sgd: SgdConfig = field(default_factory=SgdConfig)
 
     def validate(self) -> None:
         check_fields(self, _FINDWL_RULES)

@@ -34,7 +34,6 @@ from ensdistill.findwl import (
     SgdConfig,
     barrier_loss,
     default_logit_bound,
-    default_student_recipe,
     distill_loss,
     total_grad_fn,
 )
@@ -96,7 +95,7 @@ def e2e(canonical):
         specs = [standalone_spec(m) for m in ens.members]
         resched = baseline_resched(specs, train.x, canonical["train_g"],
                                    test.x, test.labels, teacher_cost,
-                                   default_student_recipe(), seed=seed)
+                                   SgdConfig(), seed=seed)
         out.append({"ens": ens, "hist": hist, "points": points,
                     "resched": resched})
     return out

@@ -1,16 +1,21 @@
 """End-to-end subcommand tests driving main() with argv lists."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import shutil
 import signal
 import time
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle_runs import constructed_oracle_run
 from test_codec import lines_that
@@ -20,8 +25,9 @@ from ensdistill import core
 from ensdistill import data as data_mod
 from ensdistill import distill as distill_mod
 from ensdistill import evaluate as eval_mod
-from ensdistill.cli import build_config, main
-from ensdistill.nets import flops, params_from_dict
+from ensdistill.cli import build_config, build_parser, main
+from ensdistill.findwl import SgdConfig
+from ensdistill.nets import ConfigError, flops, params_from_dict
 
 
 FAST_CONFIG = {
@@ -234,6 +240,21 @@ def test_train_teacher_missing_data_dir_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "train-teacher"])
+def test_a_write_into_a_missing_directory_names_the_given_path(command, pipeline, distilled,
+                                                                tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    if command == "eval":
+        argv = ["eval", "--ensemble", str(distilled["ensemble"]), "--teacher",
+                str(pipeline["teacher"]), "--mode", "anytime"]
+    else:
+        argv = ["train-teacher", "--spec", "4", "--epochs", "1"]
+    assert main(argv + ["--data", str(pipeline["data"]), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+
+
 def test_distill_defaults_when_config_omitted(pipeline, tmp_path, capsys):
     ens_path = tmp_path / "ens.json"
     rc = main(["distill", "--data", str(pipeline["data"]),
@@ -273,7 +294,8 @@ def test_distill_unknown_config_keys_rejected_by_name(pipeline, tmp_path, capsys
                      ({"findwl": {"loss_mode": "squared_error"}}, "loss_mode"),
                      ({"findwl": {"temperature": 2.0}}, "temperature"),
                      ({"findwl": {"sgd": {"lr_drops": [0.3, 0.6, 0.9]}}}, "lr_drops"),
-                     ({"findwl": {"sgd": {"lr_factor": 0.2}}}, "lr_factor")):
+                     ({"findwl": {"sgd": {"lr_factor": 0.2}}}, "lr_factor"),
+                     ({"eta_mode": "theorem", "g_inf": 2.0}, "eta_mode")):
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, doc)
         rc = main(["distill", "--data", str(pipeline["data"]),
@@ -534,6 +556,36 @@ def test_bad_flag_values_exit_usage(argv, named, tmp_path, capsys, monkeypatch):
     assert named in capsys.readouterr().err
 
 
+# a number of each kind: integers, fractions, zero, negatives, +-inf and NaN,
+# and an integer too large for a float
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from([f.name for f in fields(SgdConfig)]),
+       value=st.one_of(st.integers(), st.floats()))
+@example(key="epochs", value=0)
+@example(key="batch_size", value=2.0)
+@example(key="lr", value=-1)
+@example(key="lr", value=10 ** 400)
+@example(key="momentum", value=float("-inf"))
+@example(key="weight_decay", value=float("nan"))
+def test_a_recipe_flag_and_its_config_key_accept_the_same_values(key, value):
+    """train-teacher's flag for an `SgdConfig` field accepts a number's text
+    exactly when a config's `findwl.sgd` section accepts the number."""
+    argv = _TEACH + [f"--{key.replace('_', '-')}={value!r}"]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            build_parser().parse_args(argv)
+        flag_accepts = True
+    except SystemExit as exc:
+        assert exc.code == 2
+        flag_accepts = False
+    try:
+        build_config({"findwl": {"sgd": {key: value}}})
+        config_accepts = True
+    except ConfigError:
+        config_accepts = False
+    assert flag_accepts == config_accepts
+
+
 # a config whose one value has the wrong type or is not finite, and the key
 # its error names; `lr_drops` and `lr_factor` are constants, not keys, so a
 # config naming them is refused as naming an unknown key
@@ -551,6 +603,8 @@ _BAD_VALUE = {
     "config-lr-factor-negative": ({"findwl": {"sgd": {"lr_factor": -1}}}, "'lr_factor'"),
     "config-lr-factor-above-one": ({"findwl": {"sgd": {"lr_factor": 5}}}, "'lr_factor'"),
     "config-R-one": ({"R": 1}, "'R' must be an integer >= 2, got 1"),
+    "config-epochs-zero": ({"findwl": {"sgd": {"epochs": 0}}},
+                           "'epochs' must be an integer >= 1, got 0"),
     "config-base-hidden-empty-connected": (
         {"base_hidden": []},
         "'base_hidden' must be a non-empty list with connection_kind 'residual_add', got []"),
@@ -707,6 +761,11 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
         ens_doc = json.loads(ensemble.read_text(encoding="utf-8"))
         ens_doc["meta"]["teacher_hash"] = hashlib.sha256(teacher.read_bytes()).hexdigest()[:16]
         ensemble.write_text(json.dumps(ens_doc), encoding="utf-8")
+    elif case == "distill-keeps-no-member":
+        # every restart diverges, in the base class and in the tapped one
+        _write_config(config, {**FAST_CONFIG, "R": 3, "findwl": {
+            "max_search": 2, "sgd": {"epochs": 5, "lr": 1e9}}})
+        named = "no member was kept (escalations=1, findwl.sgd.lr 1e+09)"
     elif case == "resched-diverges":
         _write_config(config, {**FAST_CONFIG, "findwl": {"sgd": {"lr": 1e200}}})
         named = "'lr'"
@@ -813,7 +872,7 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
     ("verify-history-cell", 3), ("config-R-one", 2), ("ensemble-tap-self", 2),
     ("eval-test-features", 2), ("verify-train-features", 2),
     ("eval-test-labels-anytime", 2), ("eval-test-labels-early-exit", 2),
-    ("eval-test-labels-resched", 2),
+    ("eval-test-labels-resched", 2), ("config-epochs-zero", 2), ("distill-keeps-no-member", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn, monkeypatch):

@@ -85,13 +85,13 @@ def test_config_refuses_non_finite_values_by_name(section, key, value):
 
 
 # a value of the wrong type is refused by name, not left to fail (or pass)
-# where it is first used; in theorem mode `eta` is the rate field left unread
+# where it is first used; with `g_inf` set, `eta` is the rate field left unread
 @pytest.mark.parametrize("section, key, value", [
     ("findwl", "max_search", 2.5), ("sgd", "epochs", 2.5), ("sgd", "batch_size", True),
     ("top", "T", True), ("top", "T", "7"), ("top", "seed", "x"), ("top", "eta", "x"),
 ])
 def test_config_refuses_values_of_the_wrong_type_by_name(section, key, value):
-    cfg = _fast_config(eta_mode="theorem", g_inf=2.0)
+    cfg = _fast_config(g_inf=2.0)
     cfg.validate()
     target = {"top": cfg, "findwl": cfg.findwl, "sgd": cfg.findwl.sgd}[section]
     setattr(target, key, value)
@@ -101,7 +101,7 @@ def test_config_refuses_values_of_the_wrong_type_by_name(section, key, value):
 
 def test_resolve_eta_fixed_and_theorem():
     assert resolve_eta(_fast_config(eta=0.7), n_samples=50) == 0.7
-    cfg = _fast_config(eta=1.0, eta_mode="theorem", g_inf=2.0, T=8)
+    cfg = _fast_config(eta=1.0, g_inf=2.0, T=8)
     expected = np.sqrt(np.log(100.0) / 8) / 2.0
     assert abs(resolve_eta(cfg, n_samples=50) - expected) < 1e-15
 
@@ -243,7 +243,8 @@ def test_verify_replays_the_runs_logits_bit_for_bit(monkeypatch):
                             replace(default_teacher_recipe(), epochs=10, batch_size=256), 3)
     g = teacher_logits(teacher, train.x)
     cfg = _fast_config(T=3, R=5, base_hidden=[64], seed=3,
-                       findwl=FindWlConfig(max_search=3, sgd=SgdConfig(epochs=4, batch_size=128)))
+                       findwl=FindWlConfig(max_search=3,
+                                           sgd=SgdConfig(lr=0.1, epochs=4, batch_size=128)))
     ens, hist = run(cfg, train.x, g)
     assert train.x.shape[0] >= 2 * 2048
     assert [m.connection.kind for m in ens.members][:2] == ["none", "residual_add"]

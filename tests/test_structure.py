@@ -19,7 +19,7 @@ student alone, and `findwl._train_stack`, which trains a search's restarts
 as one stack; `evaluate` runs no epoch loop of its own.
 And each config field's type and range is written once, as a rule beside
 its class, which the library's `validate` and the CLI's `--config` both
-apply.
+apply; train-teacher's recipe flags also apply the `SgdConfig` fields' rules.
 """
 
 import ast
@@ -210,7 +210,7 @@ def test_every_top_level_name_is_read_by_the_package():
 
 
 @pytest.mark.parametrize("cls, rules, unruled", [
-    (findwl.SgdConfig, findwl._SGD_RULES, set()),
+    (findwl.SgdConfig, findwl.SGD_RULES, set()),
     (findwl.FindWlConfig, findwl._FINDWL_RULES, {"sgd"}),
     (distill.DistillConfig, distill._DISTILL_RULES, {"findwl"}),
 ])
