@@ -9,7 +9,9 @@ flags/config, 3 I/O failure or an allocation the host refused,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -67,6 +69,15 @@ def _load_config(path: str | None) -> distill_mod.DistillConfig:
     except ValueError as exc:   # not UTF-8 JSON; an unreadable file stays an I/O error
         raise ConfigError(str(exc)) from exc
     return build_config(doc)
+
+
+def _read_teacher(path: str):
+    """The teacher network in the file at `path`, and the hash of its bytes."""
+    raw = Path(path).read_bytes()
+    teacher = params_from_dict(parse_json(raw, f"teacher {path}"))
+    # a teacher taps no member, and its cost is read from its layers alone
+    check("kind", teacher.connection.kind, (lambda v: v == "none", "'none' in a teacher"))
+    return teacher, content_hash(raw)
 
 
 def _check_features(path: Path, ds, members: list) -> None:
@@ -151,8 +162,12 @@ def cmd_distill(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    teacher, teacher_hash = _read_teacher(args.teacher)
     train, g = _training_pair(Path(args.data))
-    teacher_hash = content_hash(Path(args.teacher).read_bytes())
+    if (teacher.spec[0].in_dim, teacher.spec[-1].out_dim) != (train.d, g.shape[1]):
+        raise ConfigError(f"teacher {args.teacher} maps {teacher.spec[0].in_dim} inputs to "
+                          f"{teacher.spec[-1].out_dim} outputs, but {args.data} holds "
+                          f"{train.d} feature columns and {g.shape[1]} logit columns")
     ens, hist = distill_mod.run(cfg, train.x, g, teacher_hash=teacher_hash)
     n_esc = len(hist.escalations)
     if not ens.members:   # an ensemble every later command refuses
@@ -174,14 +189,10 @@ def cmd_eval(args) -> int:
         if getattr(args, flag) is not None and flag not in _EVAL_FLAGS[args.mode]:
             raise ConfigError(f"--{flag} is not read by --mode {args.mode}")
     ens = distill_mod.load_ensemble(args.ensemble)
-    raw = Path(args.teacher).read_bytes()
-    teacher_hash = content_hash(raw)
+    teacher, teacher_hash = _read_teacher(args.teacher)
     if teacher_hash != ens.teacher_hash:
         raise ConfigError(f"teacher {args.teacher} has hash {teacher_hash}, but the ensemble "
                           f"was distilled from a teacher with hash {ens.teacher_hash!r}")
-    teacher = params_from_dict(parse_json(raw, f"teacher {args.teacher}"))
-    # a teacher taps no member, and its cost is read from its layers alone
-    check("kind", teacher.connection.kind, (lambda v: v == "none", "'none' in a teacher"))
     data_dir = Path(args.data)
     test = data_mod.load_dataset_csv(data_dir / "test.csv")
     _check_features(data_dir / "test.csv", test, ens.members)
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=POSITIVE_INT, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, writes=())
 
     p = sub.add_parser("train-teacher", help="fit the teacher MLP on hard labels")
     p.add_argument("--data", required=True)
@@ -287,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(recipe, f.name)
         p.add_argument("--" + f.name.replace("_", "-"), default=default,
                        type=_flag(type(default), *SGD_RULES[f.name]))
-    p.set_defaults(func=cmd_train_teacher)
+    p.set_defaults(func=cmd_train_teacher, writes=("out",))
 
     p = sub.add_parser("distill", help="run the boosting loop against cached teacher logits")
     p.add_argument("--data", required=True)
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.set_defaults(func=cmd_distill)
+    p.set_defaults(func=cmd_distill, writes=("out", "history"))
 
     p = sub.add_parser("eval", help="anytime curve, early-exit, or the resched baseline")
     p.add_argument("--ensemble", required=True)
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="resched: the distill JSON config, whose findwl.sgd recipe trains "
                         "each member; package defaults when omitted")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, writes=("out",))
 
     p = sub.add_parser("verify", help="replay a run and check the convergence bound")
     p.add_argument("--history", required=True)
@@ -317,13 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--g-inf", type=POSITIVE_FLOAT, required=True, dest="g_inf")
     p.add_argument("--out", default=None, help="bound report JSON path")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, writes=("out",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a file to be written into a missing directory is refused before
+        # any work, with the error its write would raise
+        for path in filter(None, (getattr(args, flag) for flag in args.writes)):
+            if not Path(path).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

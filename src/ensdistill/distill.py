@@ -19,7 +19,7 @@ from .findwl import FindWlConfig, find_weak_learner
 from .game import EXP_ARG_LIMIT, init_uniform, md_update
 from .nets import (AT_LEAST_ONE, CONNECTION_KINDS, FINITE_NONNEGATIVE, FINITE_POSITIVE, INTEGER,
                    LIST_AT_LEAST_ONE, NUMBER, ConfigError, check, check_fields, expand_class,
-                   forward, optional, params_from_dict, params_to_dict, split_head)
+                   forward, params_from_dict, params_to_dict, split_head)
 
 # a history file's record: one per (round, label)
 HISTORY_RECORD = np.dtype([("round", np.int64), ("label", np.int64), ("edge_gamma", np.float64),
@@ -62,9 +62,9 @@ class DistillConfig:
 
 # R = 1 would search no class at all
 _DISTILL_RULES = {"T": AT_LEAST_ONE, "R": (lambda v: INTEGER[0](v) and v >= 2, "an integer >= 2"),
-                  "eta": NUMBER, "g_inf": optional(FINITE_POSITIVE),
-                  "edge_tol": FINITE_NONNEGATIVE,
-                  "base_hidden": LIST_AT_LEAST_ONE,
+                  "eta": NUMBER, "g_inf": (lambda v: v is None or FINITE_POSITIVE[0](v),
+                                           "None or a finite number > 0"),
+                  "edge_tol": FINITE_NONNEGATIVE, "base_hidden": LIST_AT_LEAST_ONE,
                   "connection_kind": (lambda v: v in CONNECTION_KINDS,
                                       f"one of {CONNECTION_KINDS}"),
                   "seed": INTEGER}
@@ -143,13 +143,10 @@ def run(cfg: DistillConfig, x: np.ndarray, teacher_logits: np.ndarray,
         result = find_weak_learner(state, spec, conn, x, g, cfg.findwl,
                                    root.split(attempt), tap=tap, edge_tol=cfg.edge_tol)
         attempt += 1
-        reject = result.params is None
-        if not reject:
-            resid = result.logits - g
-            # a candidate whose residuals would overflow the exponential
-            # update is no weak learner, however its edge came out
-            reject = eta * float(np.max(np.abs(resid))) > EXP_ARG_LIMIT
-        if reject:
+        resid = None if result.params is None else result.logits - g
+        # a candidate whose residuals would overflow the exponential update
+        # is no weak learner, however its edge came out
+        if resid is None or eta * float(np.max(np.abs(resid))) > EXP_ARG_LIMIT:
             r += 1
             hist.escalations.append((len(ens.members), r))
             if not ens.members and cfg.connection_kind != "none":

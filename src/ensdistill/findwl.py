@@ -16,10 +16,10 @@ import numpy as np
 
 from .core import RngStream, ShapeError, fork_chunks, split_range
 from .core import usable_cpus as _usable_cpus
-from .game import CHECK_DEGENERATE, CHECK_PASS, WeightState, weak_learning_check
+from .game import CHECK_PASS, WeightState, weak_learning_check
 from .nets import (AT_LEAST_ONE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NONNEGATIVE_BELOW_ONE,
                    ConnectionSpec, LearnerParams, backward, check_fields, flatten, forward,
-                   init_params, optional, split_head, step_buffers)
+                   init_params, split_head, step_buffers)
 
 # clamp residuals at this fraction of the barrier edge to keep logs finite
 _CLAMP_MARGIN = 1e-6
@@ -55,7 +55,6 @@ LR_FACTOR = 0.2
 @dataclass
 class FindWlConfig:
     barrier_gamma: float = 0.2
-    logit_bound_b: float | None = None  # None: derived as 1.5 * max|teacher logit|
     max_search: int = 4
     sgd: SgdConfig = field(default_factory=SgdConfig)
 
@@ -64,9 +63,7 @@ class FindWlConfig:
         self.sgd.validate()
 
 
-_FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE,
-                 "logit_bound_b": optional(FINITE_POSITIVE),
-                 "max_search": AT_LEAST_ONE}
+_FINDWL_RULES = {"barrier_gamma": FINITE_POSITIVE, "max_search": AT_LEAST_ONE}
 
 
 def iplus_mask(state: WeightState) -> np.ndarray:
@@ -113,7 +110,7 @@ def distill_loss(f_logits: np.ndarray, g_logits: np.ndarray) -> float:
     return 0.5 * float((diff * diff).sum()) / f.shape[-2]
 
 
-def default_logit_bound(g_logits: np.ndarray) -> float:
+def logit_bound(g_logits: np.ndarray) -> float:
     """B = 1.5 * max|teacher logit|, floored away from zero."""
     return 1.5 * max(float(np.max(np.abs(g_logits))), 1e-6)
 
@@ -294,13 +291,12 @@ def total_grad_fn(g_logits: np.ndarray, mask: np.ndarray | None = None,
 
 @dataclass
 class FindResult:
-    """Outcome of one weak-learner search."""
+    """Outcome of one weak-learner search; one that found nothing has no params."""
 
     params: LearnerParams | None
-    verdict: str          # "pass", "degenerate", or "none"
-    train_loss: float
-    clamp_count: int
-    restart_index: int
+    verdict: str = "none"   # "pass", "degenerate", or "none"
+    clamp_count: int = 0    # of the accepted candidate's residuals at the barrier's edge
+    restart_index: int = -1
     logits: np.ndarray | None = None   # of `params` on the search's rows
 
 
@@ -367,11 +363,12 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     Restarts use independent rng splits; the first restart whose trained
     candidate passes the weak-learning check wins, making the outcome
     independent of any execution order.  When the state is degenerate the
-    check cannot pass, so the lowest-total-loss candidate is returned instead.
-    A result with params=None means every restart failed; any other holds
-    its candidate's logits on `x`, from the check.  A restart whose
-    logits on `x` are not finite after training diverged and is dropped:
-    that one end-of-training check is the search's only divergence check.
+    check cannot pass, so the first of lowest distillation loss wins instead.
+    A result with params=None means no restart won; any other holds its
+    candidate's logits on `x`, from the check, and their barrier clamp count,
+    the search's one barrier value.  A restart whose logits on `x` are not
+    finite after training diverged and is dropped: that one end-of-training
+    check is the search's only divergence check.
 
     Restarts train as stacks, cut into contiguous chunks over the usable
     CPUs.  A degenerate round trains all of them, in up to one balanced
@@ -381,23 +378,19 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
     are killed if it passes.  Verdicts are read in restart order either way.
     """
     cfg.validate()
-    b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
     degenerate = np.array_equal(state.kplus, state.kminus)
     mask = iplus_mask(state)
+    b = logit_bound(g_logits)
     # equal paired weights give the barrier no direction to push, so a
     # degenerate round's candidate trains (and competes) on distillation alone
     grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
     # a degenerate round cannot pass, so it trains every restart; any other
     # round often passes at restart 0, where a stack of S would cost ~2x.
-    # The restarts are cut into a chunk per usable CPU: the first trains in
-    # this process, and each other one in a child at the same time.  Every
-    # slice of a stack holds the bits of its restart trained alone, so the
-    # chunks change no bit of the result, only the wall time.  On 2 CPUs the
-    # balanced plan [0, 1] | [2, 3] was measured against [0] | [1, 2, 3] and
-    # lost: it cut cube-escalate's distill from 3.14 to 2.70 s, but slowed
-    # the canonical ellipsoid's `distill.run`, whose 40 of 40 rounds pass at
-    # restart 0, from 4.90 to 6.07 s.  So the plan stays, and failing rounds
-    # get faster through a cheaper step instead.
+    # Every slice of a stack holds the bits of its restart trained alone, so
+    # the chunks change only the wall time.  On 2 CPUs a balanced [0, 1] |
+    # [2, 3] cut cube-escalate's distill from 3.14 to 2.70 s but slowed the
+    # canonical ellipsoid's `distill.run`, whose rounds all pass at restart 0,
+    # from 4.90 to 6.07 s, so restart 0 trains alone.
     workers = _usable_cpus()
     if degenerate:
         chunks = split_range(range(cfg.max_search), workers)
@@ -408,26 +401,22 @@ def find_weak_learner(state: WeightState, spec, connection: ConnectionSpec,
         return _train_stack(spec, connection, x, tap, grad_fn, cfg.sgd,
                             [rng.split(restart) for restart in chunk])
 
-    passed = best = None
+    won = lowest = None   # a FindResult; a degenerate round's distillation loss
     with contextlib.closing(fork_chunks(chunks, train, workers, _training)) as stacks:
         for chunk, trained in stacks:
             for pos, params, logits in trained:
-                resid = logits - g_logits
-                dl_val = distill_loss(logits, g_logits)
-                b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
-                total = dl_val if degenerate else dl_val + b_val
                 # every trained candidate that stayed finite is checked, so a
                 # restart the check never saw is one that diverged
-                verdict = weak_learning_check(state, resid, edge_tol)
-                if verdict == CHECK_PASS:
-                    if passed is None:
-                        passed = FindResult(params, CHECK_PASS, total, clamps, chunk[pos],
-                                            logits)
-                elif best is None or total < best.train_loss:
-                    best = FindResult(params, verdict, total, clamps, chunk[pos], logits)
-            if passed is not None:
-                return passed
-    if best is not None and best.verdict == CHECK_DEGENERATE:
-        return best
-    return FindResult(None, "none", best.train_loss if best else float("nan"),
-                      best.clamp_count if best else 0, -1)
+                verdict = weak_learning_check(state, logits - g_logits, edge_tol)
+                if degenerate:
+                    loss = distill_loss(logits, g_logits)
+                    if won is None or loss < lowest:
+                        won, lowest = FindResult(params, verdict, 0, chunk[pos], logits), loss
+                elif verdict == CHECK_PASS and won is None:
+                    won = FindResult(params, verdict, 0, chunk[pos], logits)
+            if won is not None and not degenerate:
+                break
+    if won is None:
+        return FindResult(None)
+    won.clamp_count = barrier_loss(won.logits - g_logits, mask, b, cfg.barrier_gamma)[1]
+    return won

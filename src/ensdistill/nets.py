@@ -27,21 +27,17 @@ class ConfigError(ValueError):
 # value's type before its range, so a value of the wrong type is refused by
 # name instead of failing inside a comparison or a loop; a non-finite number
 # fails every range test, NaN because it fails every comparison, and a
-# "finite" number is one a float can hold, so an integer past it fails too
+# "finite" number is one a float can hold, so an integer past it fails too;
+# so does a count past it, since counts such as epochs meet float arithmetic
 NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
 INTEGER = (lambda v: NUMBER[0](v) and isinstance(v, int), "an integer")
-AT_LEAST_ONE = (lambda v: INTEGER[0](v) and v >= 1, "an integer >= 1")
+AT_LEAST_ONE = (lambda v: INTEGER[0](v) and 1 <= v <= float_info.max, "an integer >= 1")
 FINITE_POSITIVE = (lambda v: NUMBER[0](v) and 0 < v <= float_info.max, "a finite number > 0")
 FINITE_NONNEGATIVE = (lambda v: NUMBER[0](v) and 0 <= v <= float_info.max, "a finite number >= 0")
 NONNEGATIVE_BELOW_ONE = (lambda v: NUMBER[0](v) and 0 <= v < 1, "a number in [0, 1)")
 POSITIVE_UP_TO_ONE = (lambda v: NUMBER[0](v) and 0 < v <= 1, "a number in (0, 1]")
 LIST_AT_LEAST_ONE = (lambda v: isinstance(v, list) and all(map(AT_LEAST_ONE[0], v)),
                      "a list of integers >= 1")
-
-
-def optional(rule: tuple) -> tuple:
-    """`rule`, or None."""
-    return (lambda v: v is None or rule[0](v), f"None or {rule[1]}")
 
 
 def check(key: str, value, rule: tuple) -> None:

@@ -33,8 +33,8 @@ from ensdistill.findwl import (
     FindWlConfig,
     SgdConfig,
     barrier_loss,
-    default_logit_bound,
     distill_loss,
+    logit_bound,
     total_grad_fn,
 )
 from ensdistill.game import (
@@ -224,7 +224,7 @@ def _fd_composed_loss(kind: str, seed: int):
     bits, rng = rng.uniform(n * 4)
     mask = bits.reshape(n, 4) > 0.4
     cfg = FindWlConfig(barrier_gamma=0.7)
-    b = default_logit_bound(g)
+    b = logit_bound(g)
 
     def value():
         logits, _ = forward(params, x, tap)

@@ -240,19 +240,39 @@ def test_train_teacher_missing_data_dir_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "train-teacher"])
+@pytest.mark.parametrize("command", ["eval", "train-teacher", "distill-out", "distill-history",
+                                     "verify"])
 def test_a_write_into_a_missing_directory_names_the_given_path(command, pipeline, distilled,
-                                                                tmp_path, capsys):
-    out = tmp_path / "missing" / "out"
-    if command == "eval":
-        argv = ["eval", "--ensemble", str(distilled["ensemble"]), "--teacher",
-                str(pipeline["teacher"]), "--mode", "anytime"]
-    else:
-        argv = ["train-teacher", "--spec", "4", "--epochs", "1"]
-    assert main(argv + ["--data", str(pipeline["data"]), "--out", str(out)]) == 3
+                                                                tmp_path, capsys, monkeypatch):
+    """A file to be written into a missing directory is refused before any
+    training, distilling or scoring, naming the path as given; no output is
+    left, including one whose directory exists."""
+    out, kept = tmp_path / "missing" / "out", tmp_path / "kept"
+    ensemble, teacher = str(distilled["ensemble"]), str(pipeline["teacher"])
+    distill = ["distill", "--teacher", teacher, "--config", str(distilled["config"])]
+    argv = {"eval": ["eval", "--ensemble", ensemble, "--teacher", teacher, "--mode", "anytime",
+                     "--out", out],
+            "train-teacher": ["train-teacher", "--spec", "4", "--epochs", "1", "--out", out],
+            "distill-out": distill + ["--out", out, "--history", kept],
+            "distill-history": distill + ["--out", kept, "--history", out],
+            "verify": ["verify", "--history", str(distilled["history"]), "--ensemble", ensemble,
+                       "--g-inf", "50", "--out", out]}[command]
+    worked = []
+
+    def spied(name, work):
+        def run(*args, **kwargs):
+            worked.append(name)
+            return work(*args, **kwargs)
+        return run
+    for module, name in ((data_mod, "train_teacher"), (distill_mod, "run"),
+                         (eval_mod, "anytime_curve"), (eval_mod, "verify_bound")):
+        monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
+    assert main([str(arg) for arg in argv] + ["--data", str(pipeline["data"])]) == 3
     err = capsys.readouterr().err
     assert f"No such file or directory: '{out}'" in err
     assert ".tmp" not in err
+    assert worked == []
+    assert not out.exists() and not kept.exists()
 
 
 def test_distill_defaults_when_config_omitted(pipeline, tmp_path, capsys):
@@ -295,7 +315,8 @@ def test_distill_unknown_config_keys_rejected_by_name(pipeline, tmp_path, capsys
                      ({"findwl": {"temperature": 2.0}}, "temperature"),
                      ({"findwl": {"sgd": {"lr_drops": [0.3, 0.6, 0.9]}}}, "lr_drops"),
                      ({"findwl": {"sgd": {"lr_factor": 0.2}}}, "lr_factor"),
-                     ({"eta_mode": "theorem", "g_inf": 2.0}, "eta_mode")):
+                     ({"eta_mode": "theorem", "g_inf": 2.0}, "eta_mode"),
+                     ({"findwl": {"logit_bound_b": 30.0}}, "logit_bound_b")):
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, doc)
         rc = main(["distill", "--data", str(pipeline["data"]),
@@ -605,6 +626,9 @@ _BAD_VALUE = {
     "config-R-one": ({"R": 1}, "'R' must be an integer >= 2, got 1"),
     "config-epochs-zero": ({"findwl": {"sgd": {"epochs": 0}}},
                            "'epochs' must be an integer >= 1, got 0"),
+    # past float range: the step schedule would overflow converting it
+    "config-epochs-past-float": ({"findwl": {"sgd": {"epochs": 10 ** 400}}},
+                                 "'epochs' must be an integer >= 1, got 1000"),
     "config-base-hidden-empty-connected": (
         {"base_hidden": []},
         "'base_hidden' must be a non-empty list with connection_kind 'residual_add', got []"),
@@ -783,6 +807,34 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
         named = "--lr"
         return ["train-teacher", "--data", str(data_dir), "--spec", "8", "--lr", "1e200",
                 "--epochs", "2", "--out", str(tmp_path / "out.json")], named
+    elif case == "train-teacher-epochs-past-float":
+        return ["train-teacher", "--data", str(data_dir), "--spec", "8",
+                "--epochs", "1" + "0" * 400, "--out", str(tmp_path / "out.json")], \
+            "argument --epochs: expected an integer >= 1, got 1000"
+    elif case.startswith("distill-teacher-"):
+        # read as eval reads it, and against the data's widths, before the run
+        doc = json.loads(teacher.read_text(encoding="utf-8"))
+        first, last = doc["spec"][0], doc["spec"][-1]
+        if case == "distill-teacher-garbage":
+            doc, named = "garbage", teacher
+        elif case == "distill-teacher-is-a-config":
+            doc, named = FAST_CONFIG, "'spec'"
+        elif case == "distill-teacher-connected":
+            doc["connection"] = {"kind": "residual_add", "source_round": 0, "source_layer": 0,
+                                 "target_layer": 7}
+            named = "'kind' must be 'none' in a teacher, got 'residual_add'"
+        elif case == "distill-teacher-inputs":
+            first["in_dim"] += 1
+            doc["weights"][0].append([0.0] * first["out_dim"])
+        else:   # an output more than train_logits.csv has columns
+            last["out_dim"] += 1
+            for row in doc["weights"][-1]:
+                row.append(0.0)
+            doc["biases"][-1].append(0.0)
+        if case.endswith(("-inputs", "-outputs")):
+            named = (f"teacher {teacher} maps {first['in_dim']} inputs to {last['out_dim']} "
+                     f"outputs, but {data_dir} holds 2 feature columns and 2 logit columns")
+        teacher.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     elif case == "teacher-bias-inf":
         doc = json.loads(teacher.read_text(encoding="utf-8"))
         doc["biases"][0][0] = float("inf")
@@ -873,11 +925,19 @@ def _break_input(case, pipeline, distilled, tmp_path, monkeypatch):
     ("eval-test-features", 2), ("verify-train-features", 2),
     ("eval-test-labels-anytime", 2), ("eval-test-labels-early-exit", 2),
     ("eval-test-labels-resched", 2), ("config-epochs-zero", 2), ("distill-keeps-no-member", 2),
+    ("config-epochs-past-float", 2), ("train-teacher-epochs-past-float", 2),
+    ("distill-teacher-garbage", 3), ("distill-teacher-is-a-config", 3),
+    ("distill-teacher-connected", 2), ("distill-teacher-inputs", 2),
+    ("distill-teacher-outputs", 2),
 ])
 def test_malformed_input_exits_with_its_code(case, code, pipeline, distilled, tmp_path, capsys,
                                             recwarn, monkeypatch):
     argv, named = _break_input(case, pipeline, distilled, tmp_path, monkeypatch)
-    assert main(argv) == code
+    try:
+        rc = main(argv)
+    except SystemExit as exc:   # a flag's value, refused by argparse
+        rc = exc.code
+    assert rc == code
     err = capsys.readouterr().err
     assert named in err
     # a diverging recipe is named by its error line alone, without numpy's

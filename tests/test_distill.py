@@ -73,7 +73,6 @@ def test_config_validation():
 @pytest.mark.parametrize("section, key, value", [
     ("top", "eta", float("nan")), ("top", "eta", float("inf")),
     ("top", "edge_tol", float("nan")), ("findwl", "barrier_gamma", float("inf")),
-    ("findwl", "logit_bound_b", float("inf")),
     ("sgd", "lr", float("nan")), ("sgd", "weight_decay", float("inf")),
 ])
 def test_config_refuses_non_finite_values_by_name(section, key, value):
@@ -114,7 +113,7 @@ def test_always_passing_search_fills_ensemble(monkeypatch):
     def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         calls.append(connection.kind)
         params = init_params(spec, rng.split(0), connection)
-        return FindResult(params, "pass", 0.0, 0, 0, forward(params, x, tap)[0])
+        return FindResult(params, "pass", 0, 0, forward(params, x, tap)[0])
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
@@ -138,8 +137,8 @@ def test_always_failing_search_traces_escalations(monkeypatch, R, kinds):
         searched.append(connection.kind)
         if np.array_equal(state.kplus, state.kminus):
             params = init_params(spec, rng.split(0), connection)
-            return FindResult(params, "degenerate", 0.0, 0, 0, forward(params, x, tap)[0])
-        return FindResult(None, "none", float("nan"), 0, -1)
+            return FindResult(params, "degenerate", 0, 0, forward(params, x, tap)[0])
+        return FindResult(None)
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
@@ -155,7 +154,7 @@ def test_overflowing_candidates_escalate_instead_of_crashing(monkeypatch):
     def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         params = init_params(spec, rng.split(0), connection)
         params.biases[-1][:] = 1e6            # eta*|l| far past the exp limit
-        return FindResult(params, "pass", 0.0, 0, 0, forward(params, x, tap)[0])
+        return FindResult(params, "pass", 0, 0, forward(params, x, tap)[0])
 
     monkeypatch.setattr(distill_mod, "find_weak_learner", stub)
     x, g = _small_problem()
@@ -182,7 +181,7 @@ def test_run_reuses_the_search_logits_and_taps_only_for_a_connected_class(monkey
 
     def stub(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
         if connection.kind == "none" and not np.array_equal(state.kplus, state.kminus):
-            return FindResult(None, "none", float("nan"), 0, -1)
+            return FindResult(None)
         result = search(state, spec, connection, x, g_logits, cfg, rng, tap, edge_tol)
         searches.append((connection, tap, result))
         return result
@@ -231,7 +230,7 @@ def test_verify_replays_the_runs_logits_bit_for_bit(monkeypatch):
     def stub(state, spec, connection, *args, **kwargs):
         # the base class fails once a member exists, so the run escalates
         if connection.kind == "none" and not np.array_equal(state.kplus, state.kminus):
-            return FindResult(None, "none", float("nan"), 0, -1)
+            return FindResult(None)
         result = search(state, spec, connection, *args, **kwargs)
         if result.params is not None:
             accepted.append(result)

@@ -11,10 +11,10 @@ from ensdistill.findwl import (
     FindWlConfig,
     SgdConfig,
     barrier_loss,
-    default_logit_bound,
     distill_loss,
     find_weak_learner,
     iplus_mask,
+    logit_bound,
     lr_at_epoch,
     sgd_epoch,
     total_grad_fn,
@@ -119,8 +119,8 @@ def test_iplus_mask_definition():
 
 def test_default_logit_bound():
     g = np.array([[2.0, -4.0], [1.0, 3.0]])
-    assert default_logit_bound(g) == 6.0
-    assert default_logit_bound(np.zeros((2, 2))) > 0.0
+    assert logit_bound(g) == 6.0
+    assert logit_bound(np.zeros((2, 2))) > 0.0
 
 
 # --- distillation losses ----------------------------------------------------
@@ -254,7 +254,7 @@ def test_total_loss_is_distill_plus_barrier():
     mvals, _ = rng.uniform(20)
     mask = mvals.reshape(10, 2) > 0.5
     cfg = FindWlConfig(barrier_gamma=2.0)
-    b = default_logit_bound(g)
+    b = logit_bound(g)
     fn, targets = total_grad_fn(g, mask, cfg, b)
     grad = fn(logits, *targets)
     dlg = (logits - g) / len(g)
@@ -280,7 +280,7 @@ def grad_cases(draw):
     m, _ = root.split(1).uniform(rows * labels)
     mask = m.reshape(rows, labels) > 0.5 if draw(st.booleans()) else None
     cfg = FindWlConfig(barrier_gamma=draw(st.floats(0.05, 5.0)))
-    b = default_logit_bound(g)
+    b = logit_bound(g)
     slices = draw(st.sampled_from((0, 2, 3)))   # 0: one net
     perm = np.arange(rows)
     if slices:

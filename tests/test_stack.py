@@ -37,8 +37,8 @@ import ensdistill.findwl as findwl
 from ensdistill.core import RngStream
 from ensdistill.data import _dataset_record
 from ensdistill.findwl import (FindResult, FindWlConfig, SgdConfig,
-                               barrier_loss, default_logit_bound, distill_loss,
-                               find_weak_learner, iplus_mask, lr_at_epoch, total_grad_fn)
+                               barrier_loss, distill_loss, find_weak_learner, iplus_mask,
+                               logit_bound, lr_at_epoch, total_grad_fn)
 from ensdistill.game import CHECK_DEGENERATE, CHECK_FAIL, CHECK_PASS, WeightState, init_uniform
 from ensdistill.nets import (CONNECTION_KINDS, NO_CONNECTION, ConnectionSpec, LayerSpec,
                              LearnerParams, backward, forward)
@@ -63,12 +63,14 @@ def solo_candidate(spec, connection, x, tap, grad_fn, sgd_cfg, rng):
 
 
 def loop_reference(state, spec, connection, x, g_logits, cfg, rng, tap=None, edge_tol=0.0):
-    """The search before stacking: restarts trained and checked one at a time."""
-    b = cfg.logit_bound_b if cfg.logit_bound_b is not None else default_logit_bound(g_logits)
+    """The search before stacking: restarts trained and checked one at a time.
+    The first that passes wins; in a degenerate round, the first of lowest
+    distillation loss."""
+    b = logit_bound(g_logits)
     degenerate = np.array_equal(state.kplus, state.kminus)
     mask = iplus_mask(state)
     grad_fn = total_grad_fn(g_logits, None if degenerate else mask, cfg, b)
-    best = None
+    best = lowest = None
     for restart in range(cfg.max_search):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -78,18 +80,15 @@ def loop_reference(state, spec, connection, x, g_logits, cfg, rng, tap=None, edg
         except FloatingPointError:
             continue
         resid = logits - g_logits
-        dl_val = distill_loss(logits, g_logits)
-        b_val, clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)
-        total = dl_val if degenerate else dl_val + b_val
+        clamps = barrier_loss(resid, mask, b, cfg.barrier_gamma)[1]
         verdict = findwl.weak_learning_check(state, resid, edge_tol)
         if verdict == CHECK_PASS:
-            return FindResult(params, CHECK_PASS, total, clamps, restart)
-        if best is None or total < best.train_loss:
-            best = FindResult(params, verdict, total, clamps, restart)
-    if best is not None and best.verdict == CHECK_DEGENERATE:
-        return best
-    return FindResult(None, "none", best.train_loss if best else float("nan"),
-                      best.clamp_count if best else 0, -1)
+            return FindResult(params, CHECK_PASS, clamps, restart, logits)
+        if verdict == CHECK_DEGENERATE:
+            loss = distill_loss(logits, g_logits)
+            if best is None or loss < lowest:
+                best, lowest = FindResult(params, verdict, clamps, restart, logits), loss
+    return best or FindResult(None)
 
 
 def assert_same_net(got, want):
@@ -101,10 +100,10 @@ def assert_same_net(got, want):
 def assert_same_result(got, want):
     assert (got.verdict, got.restart_index, got.clamp_count) == \
         (want.verdict, want.restart_index, want.clamp_count)
-    assert same_bits(got.train_loss, want.train_loss)
     assert (got.params is None) == (want.params is None)
     if got.params is not None:
         assert_same_net(got.params, want.params)
+        assert same_bits(got.logits, want.logits)
 
 
 @st.composite
@@ -141,7 +140,7 @@ def stack_cases(draw):
     cfg = FindWlConfig(barrier_gamma=1.0,
                        sgd=SgdConfig(lr=0.05, epochs=draw(st.integers(1, 3)),
                                      batch_size=batch))
-    grad_fn = total_grad_fn(g, mask, cfg, default_logit_bound(g))
+    grad_fn = total_grad_fn(g, mask, cfg, logit_bound(g))
     rngs = [root.split(10 + s) for s in range(draw(st.integers(1, 4)))]
     return spec, connection, x, tap, grad_fn, cfg.sgd, rngs
 
@@ -194,7 +193,7 @@ def test_a_diverging_slice_leaves_only_its_restart(monkeypatch):
     root = RngStream(71)
     rngs = [root.split(restart) for restart in range(4)]
     monkeypatch.setattr(findwl, "init_params", _blow_up(rngs[2]))
-    grad_fn = total_grad_fn(g, None, cfg, default_logit_bound(g))
+    grad_fn = total_grad_fn(g, None, cfg, logit_bound(g))
     with np.errstate(over="ignore", invalid="ignore"):
         trained = list(findwl._train_stack(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd,
                                            rngs))
@@ -227,7 +226,7 @@ def test_a_slice_diverging_mid_training_leaves_only_its_restart(monkeypatch, ste
     spec, x, g, cfg = _search_problem()
     root = RngStream(74)
     rngs = [root.split(restart) for restart in range(4)]
-    grad_fn = total_grad_fn(g, None, cfg, default_logit_bound(g))
+    grad_fn = total_grad_fn(g, None, cfg, logit_bound(g))
     solo = {pos: solo_candidate(spec, NO_CONNECTION, x, None, grad_fn, cfg.sgd, rngs[pos])
             for pos in (0, 1, 3)}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,6 +332,27 @@ def test_the_search_returns_the_same_bits_on_any_number_of_cpus(monkeypatch, cas
         monkeypatch.setattr(findwl, "_usable_cpus", lambda: workers)
         assert_same_result(find_weak_learner(*args, **kwargs), want)
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", list(SEARCHES))
+def test_the_search_scores_only_what_decides_its_round(monkeypatch, case):
+    """The barrier runs once, for the clamp count of the candidate the search
+    returns, and never when it returns none; the distillation loss runs only
+    in a degenerate round, once per candidate, since it ranks them there."""
+    calls = {"barrier_loss": 0, "distill_loss": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(findwl, name, counted(name, getattr(findwl, name)))
+    args, kwargs = _search(case)
+    got = find_weak_learner(*args, **kwargs)
+    assert got.restart_index == SEARCHES[case][3]
+    assert calls == {"barrier_loss": 0 if "none" in case else 1,
+                     "distill_loss": 4 if "degenerate" in case else 0}
 
 
 @pytest.mark.parametrize("case", list(SEARCHES))
@@ -545,7 +565,7 @@ def sgd_cases(draw):
         x = _as_loaded(x)
     cfg = FindWlConfig(barrier_gamma=1.0)
     grad_fn = total_grad_fn(g, mask if draw(st.booleans()) else None, cfg,
-                            default_logit_bound(g))
+                            logit_bound(g))
     sgd_cfg = SgdConfig(lr=draw(st.floats(0.0, 0.3)), momentum=draw(st.floats(0.0, 0.95)),
                         weight_decay=draw(st.floats(0.0, 0.05)),
                         epochs=draw(st.integers(2, 4)), batch_size=batch)
@@ -616,7 +636,7 @@ def test_training_never_writes_what_it_reads(kind, stacked):
         assert not any(np.shares_memory(act, other) for other in acts[:i] + inputs)
     backward(params, fx, acts, np.ones_like(logits), ftap)
     cfg = SgdConfig(lr=0.05, epochs=1, batch_size=4)
-    findwl.sgd_epoch(params, x, total_grad_fn(g, mask, FindWlConfig(), default_logit_bound(g)),
+    findwl.sgd_epoch(params, x, total_grad_fn(g, mask, FindWlConfig(), logit_bound(g)),
                      cfg, rng, lr=0.05, tap=tap)
     assert [a.tobytes() for a in inputs] == before
 
@@ -637,7 +657,7 @@ def _epoch_problem(n_rows, kind, slices, loaded):
                                weights=[np.stack(w) for w in zip(*(p.weights for p in nets))],
                                biases=[np.stack(b) for b in zip(*(p.biases for p in nets))])
         rng = [root.split(20 + s) for s in range(slices)]
-    grad_fn = total_grad_fn(g, mask, FindWlConfig(), default_logit_bound(g))
+    grad_fn = total_grad_fn(g, mask, FindWlConfig(), logit_bound(g))
     return params, x, tap, grad_fn, SgdConfig(lr=0.01, epochs=2, batch_size=64), rng
 
 
